@@ -20,7 +20,6 @@ from .cart import (
     TreeDocumentError,
     TreeNode,
     best_split,
-    cost_complexity_alphas,
     format_tree,
     grow_tree,
     leaf_class,

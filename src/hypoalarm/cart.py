@@ -218,41 +218,6 @@ def prune_to_depth(tree: TreeNode, depth: int = 3, costs: CostMatrix = CostMatri
     return build(tree, 1)
 
 
-def cost_complexity_alphas(tree: TreeNode, costs: CostMatrix = CostMatrix()) -> list[float]:
-    """Weakest-link alphas of every internal node, ascending.
-
-    alpha = (R(collapsed) - R(subtree)) / (leaves(subtree) - 1), where R is
-    the total misclassification cost a node (or its leaves) would incur on
-    its own training instances. A bare leaf has no internal nodes: [].
-    """
-
-    def collapsed_risk(n_n, n_h):
-        return min(costs.cost_fp * n_n, costs.cost_fn * n_h)
-
-    alphas = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            continue
-        subtree_risk = 0.0
-        leaves = 0
-        inner = [node]
-        while inner:
-            cur = inner.pop()
-            if isinstance(cur, Leaf):
-                subtree_risk += collapsed_risk(cur.n_n, cur.n_h)
-                leaves += 1
-            else:
-                inner.append(cur.left)
-                inner.append(cur.right)
-        n_n, n_h = node_counts(node)
-        alphas.append((collapsed_risk(n_n, n_h) - subtree_risk) / (leaves - 1))
-        stack.append(node.left)
-        stack.append(node.right)
-    return sorted(alphas)
-
-
 def predict(tree: TreeNode, x_t: float, rate: float) -> str:
     """Route one instance to a leaf; `feature >= threshold` goes right."""
     if not (math.isfinite(x_t) and math.isfinite(rate)):

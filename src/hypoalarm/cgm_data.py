@@ -13,6 +13,9 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta
+from functools import cached_property
+
+import numpy as np
 
 from .cart import CostMatrix
 
@@ -29,6 +32,14 @@ DM_TYPES = ("type1", "type2", "other")
 
 _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                 "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+_EPOCH = datetime(2000, 1, 1)
+_MINUTE = timedelta(minutes=1)
+
+
+def _minutes(ts: datetime) -> float:
+    """Minutes since 2000-01-01; exact for whole-minute timestamps."""
+    return (ts - _EPOCH) / _MINUTE
 
 
 class DataValidationError(ValueError):
@@ -75,6 +86,48 @@ class PatientSeries:
     @property
     def missing_count(self) -> int:
         return sum(1 for s in self.samples if s.bg is None)
+
+    # Read-only array view for the snapped lookups, built on first use.
+    @cached_property
+    def minutes(self) -> np.ndarray:
+        """Sample times in minutes since 2000-01-01."""
+        minutes = np.array([_minutes(s.timestamp) for s in self.samples], dtype=np.float64)
+        minutes.flags.writeable = False
+        return minutes
+
+    @cached_property
+    def bg(self) -> np.ndarray:
+        """Sensor BG per sample, NaN where the reading is missing."""
+        bg = np.array([math.nan if s.bg is None else s.bg for s in self.samples],
+                      dtype=np.float64)
+        bg.flags.writeable = False
+        return bg
+
+    def nearest_present(self, nominal: datetime, tolerance_min: float) -> int | None:
+        """Index of the present reading nearest `nominal` within the
+        tolerance; the earlier one on ties."""
+        minutes, bg = self.minutes, self.bg
+        t = _minutes(nominal)
+        lo = int(np.searchsorted(minutes, t - tolerance_min, side="left"))
+        hi = int(np.searchsorted(minutes, t + tolerance_min, side="right"))
+        best = None
+        best_delta = None
+        for i in range(lo, hi):
+            if math.isnan(bg[i]):
+                continue
+            delta = abs(minutes[i] - t)
+            if delta <= tolerance_min and (best is None or delta < best_delta):
+                best, best_delta = i, delta
+        return best
+
+    def window_max(self, start: datetime, end: datetime) -> int | None:
+        """Index of the highest present reading in [start, end]; the
+        earliest one on ties."""
+        lo = int(np.searchsorted(self.minutes, _minutes(start), side="left"))
+        hi = int(np.searchsorted(self.minutes, _minutes(end), side="right"))
+        if lo >= hi or bool(np.isnan(self.bg[lo:hi]).all()):
+            return None
+        return lo + int(np.nanargmax(self.bg[lo:hi]))
 
 
 @dataclass(frozen=True)
@@ -146,16 +199,8 @@ def sample_at(series: PatientSeries, nominal: datetime,
     """
     if tolerance_min < 0:
         raise ValueError("tolerance must be >= 0")
-    tol = timedelta(minutes=tolerance_min)
-    best = None
-    best_delta = None
-    for s in series.samples:
-        if s.bg is None:
-            continue
-        delta = abs(s.timestamp - nominal)
-        if delta <= tol and (best is None or delta < best_delta):
-            best, best_delta = s, delta
-    return best
+    i = series.nearest_present(nominal, tolerance_min)
+    return None if i is None else series.samples[i]
 
 
 def _parse_timestamp(date_cell: str, time_cell: str, line: int) -> datetime:

@@ -125,6 +125,30 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _read_cohort_json(path: Path) -> list[tuple[str, str, Path]]:
+    """(id, dm_type, record file) for each patient entry of a cohort.json.
+
+    Every entry needs a string ``id`` and ``file``, and the file must sit
+    inside the cohort directory.
+    """
+    doc = json.loads(path.read_text())
+    patients = doc.get("patients", []) if isinstance(doc, dict) else None
+    if not isinstance(patients, list):
+        raise DataValidationError(f"{path}: 'patients' must be a list")
+    root = path.parent.resolve()
+    entries = []
+    for k, pat in enumerate(patients):
+        if not (isinstance(pat, dict) and isinstance(pat.get("id"), str)
+                and isinstance(pat.get("file"), str)):
+            raise DataValidationError(f"{path}: patients[{k}] needs a string 'id' and 'file'")
+        file = path.parent / pat["file"]
+        if not file.resolve().is_relative_to(root):
+            raise DataValidationError(
+                f"{path}: patients[{k}] file {pat['file']!r} is outside {path.parent}")
+        entries.append((pat["id"], pat.get("dm_type", "other"), file))
+    return entries
+
+
 def _load_cohort(path: Path, unit: str):
     """Parse a cohort directory (or a single CSV) into series plus dm types."""
     if path.is_file():
@@ -132,12 +156,9 @@ def _load_cohort(path: Path, unit: str):
         return [series], {series.patient_id: series.dm_type}, {str(path): _sha256_file(path)}
     if not path.is_dir():
         raise DataValidationError(f"no such file or directory: {path}")
-    entries = []
     cohort_file = path / "cohort.json"
     if cohort_file.is_file():
-        doc = json.loads(cohort_file.read_text())
-        for pat in doc.get("patients", []):
-            entries.append((pat["id"], pat.get("dm_type", "other"), path / pat["file"]))
+        entries = _read_cohort_json(cohort_file)
     else:
         entries = [(f.stem, "other", f) for f in sorted(path.glob("*.csv"))]
     if not entries:
@@ -194,35 +215,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_table(path: Path, columns: tuple, rows) -> str:
+    """One CSV table of `_fmt`-ed cells, LF line endings; returns its SHA-256."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(row[k]) for k in columns) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
+    return _sha256_file(path)
+
+
 def _write_report_tables(out: Path, summary: dict) -> dict:
     """The three CSV tables, derived from the summary document alone."""
-    outputs = {}
-
-    lines = ["allocation,fold,seed,tp,fn,fp,tn,accuracy,sensitivity,specificity"]
-    for run in summary["per_run"]:
-        lines.append(",".join(_fmt(run[k]) for k in (
-            "allocation", "fold", "seed", "tp", "fn", "fp", "tn",
-            "accuracy", "sensitivity", "specificity")))
-    (out / "performance.csv").write_text("\n".join(lines) + "\n")
-    outputs["performance.csv"] = _sha256_file(out / "performance.csv")
-
-    lines = ["patient_id,dm_type,n_points,n_hypo,accuracy,sensitivity,specificity"]
-    for row in summary["per_patient"]:
-        lines.append(",".join(_fmt(row[k]) for k in (
-            "patient_id", "dm_type", "n_points", "n_hypo",
-            "accuracy", "sensitivity", "specificity")))
-    (out / "per_patient.csv").write_text("\n".join(lines) + "\n")
-    outputs["per_patient.csv"] = _sha256_file(out / "per_patient.csv")
-
-    lines = ["patient_id,sensitivity,predicted_events,missed_events,lowest_bgs,severe_count"]
-    for row in summary["missed_events"]["rows"]:
-        lows = ";".join(repr(float(v)) for v in row["lows"])
-        lines.append(",".join([
-            row["patient_id"], _fmt(row["sensitivity"]), str(row["predicted_events"]),
-            str(row["missed_events"]), lows, str(row["severe_count"])]))
-    (out / "missed_events.csv").write_text("\n".join(lines) + "\n")
-    outputs["missed_events.csv"] = _sha256_file(out / "missed_events.csv")
-    return outputs
+    missed = [{**row, "lowest_bgs": ";".join(repr(float(v)) for v in row["lows"])}
+              for row in summary["missed_events"]["rows"]]
+    tables = {
+        "performance.csv": (("allocation", "fold", "seed", "tp", "fn", "fp", "tn",
+                             "accuracy", "sensitivity", "specificity"), summary["per_run"]),
+        "per_patient.csv": (("patient_id", "dm_type", "n_points", "n_hypo",
+                             "accuracy", "sensitivity", "specificity"), summary["per_patient"]),
+        "missed_events.csv": (("patient_id", "sensitivity", "predicted_events",
+                               "missed_events", "lowest_bgs", "severe_count"), missed),
+    }
+    return {name: _write_table(out / name, columns, rows)
+            for name, (columns, rows) in tables.items()}
 
 
 def _config_doc(cfg: PipelineConfig, seed: int) -> dict:
@@ -254,9 +268,7 @@ def _cmd_evaluate(args) -> int:
     dm_types = {}
     inputs = {args.features: _sha256_file(Path(args.features))}
     if args.cohort is not None:
-        cohort_doc = json.loads(Path(args.cohort).read_text())
-        dm_types = {pat["id"]: pat.get("dm_type", "other")
-                    for pat in cohort_doc.get("patients", [])}
+        dm_types = {pid: dm_type for pid, dm_type, _ in _read_cohort_json(Path(args.cohort))}
         inputs[args.cohort] = _sha256_file(Path(args.cohort))
 
     report = cross_validate(instances, cfg, seed=args.seed)
@@ -349,7 +361,9 @@ def _cmd_anova(args) -> int:
     if not rows:
         raise DataValidationError("summary has no per_patient table")
     groups: dict[str, list[float]] = {}
-    for row in rows:
+    for k, row in enumerate(rows):
+        if args.group_by not in row:
+            raise DataValidationError(f"per_patient[{k}] has no {args.group_by!r}")
         value = row.get(args.metric)
         if value is None:
             continue
@@ -429,17 +443,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataValidationError, TreeDocumentError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # incl. DataValidationError, TreeDocumentError
         print(f"error[data]: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error[data]: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error[data]: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SystemExit:
-        raise
     except Exception as exc:  # invariant violations and other surprises
         print(f"error[internal]: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

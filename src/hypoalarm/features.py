@@ -10,21 +10,18 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-
-import numpy as np
 
 from .cgm_data import (
     DataValidationError,
     PatientSeries,
     PipelineConfig,
+    label_hypoglycemia,
     sample_at,
 )
 
-_EPOCH = datetime(2000, 1, 1)
 _TS_FORMAT = "%Y-%m-%dT%H:%M"
 
 FEATURE_COLUMNS = ("patient_id", "meal_time", "peak_time", "peak_value",
@@ -64,14 +61,11 @@ def find_postprandial_peak(series: PatientSeries, meal_time: datetime,
     present reading.
     """
     cfg = cfg or PipelineConfig()
-    window_end = meal_time + timedelta(minutes=cfg.peak_window_min)
-    best = None
-    for s in series.samples:
-        if s.bg is None or s.timestamp < meal_time or s.timestamp > window_end:
-            continue
-        if best is None or s.bg > best[1]:
-            best = (s.timestamp, s.bg)
-    return best
+    i = series.window_max(meal_time, meal_time + timedelta(minutes=cfg.peak_window_min))
+    if i is None:
+        return None
+    peak = series.samples[i]
+    return (peak.timestamp, peak.bg)
 
 
 def _horizon_in_daytime(t: datetime, cfg: PipelineConfig) -> bool:
@@ -117,7 +111,7 @@ def horizon_label(series: PatientSeries, t: datetime,
     if not readings:
         return None
     low = min(readings)
-    return (1 if low <= cfg.hypo_threshold else 0, low)
+    return (label_hypoglycemia(low, cfg.hypo_threshold), low)
 
 
 def rate_of_decrease(peak_value: float, peak_time: datetime,
@@ -129,54 +123,21 @@ def rate_of_decrease(peak_value: float, peak_time: datetime,
     return (peak_value - current_value) / minutes
 
 
-def _minutes(ts: datetime) -> int:
-    return int((ts - _EPOCH).total_seconds() // 60)
-
-
-class _SeriesIndex:
-    """Array view of a series for fast snapped lookups."""
-
-    def __init__(self, series: PatientSeries):
-        self.ts = np.array([_minutes(s.timestamp) for s in series.samples], dtype=np.int64)
-        self.bg = np.array([math.nan if s.bg is None else s.bg for s in series.samples])
-
-    def nearest_present(self, nominal: int, tol: float) -> int | None:
-        lo = int(np.searchsorted(self.ts, nominal - tol, side="left"))
-        hi = int(np.searchsorted(self.ts, nominal + tol, side="right"))
-        best = None
-        best_delta = None
-        for i in range(lo, hi):
-            if math.isnan(self.bg[i]):
-                continue
-            delta = abs(int(self.ts[i]) - nominal)
-            if delta <= tol and (best is None or delta < best_delta):
-                best, best_delta = i, delta
-        return best
-
-    def window_max(self, start: int, end: int) -> int | None:
-        lo = int(np.searchsorted(self.ts, start, side="left"))
-        hi = int(np.searchsorted(self.ts, end, side="right"))
-        if lo >= hi or bool(np.isnan(self.bg[lo:hi]).all()):
-            return None
-        return lo + int(np.nanargmax(self.bg[lo:hi]))  # first index wins ties
-
-
 def meal_episodes(series: PatientSeries,
                   cfg: PipelineConfig | None = None) -> list[MealEpisode]:
     """Per-meal peak and surviving decision grid, before sample snapping."""
     cfg = cfg or PipelineConfig()
-    idx = _SeriesIndex(series)
     meals = series.meal_times
     episodes = []
     for k, meal in enumerate(meals):
         next_meal = meals[k + 1] if k + 1 < len(meals) else None
-        peak_i = idx.window_max(_minutes(meal), _minutes(meal) + cfg.peak_window_min)
-        if peak_i is None:
+        peak = find_postprandial_peak(series, meal, cfg)
+        if peak is None:
             continue
         episodes.append(MealEpisode(
             meal_time=meal,
-            peak_time=series.samples[peak_i].timestamp,
-            peak_value=float(idx.bg[peak_i]),
+            peak_time=peak[0],
+            peak_value=peak[1],
             decision_times=tuple(decision_grid(meal, next_meal, cfg)),
         ))
     return episodes
@@ -191,35 +152,28 @@ def build_instances(series: PatientSeries,
     peak (the rate would be ill-defined there).
     """
     cfg = cfg or PipelineConfig()
-    idx = _SeriesIndex(series)
+    min_gap = timedelta(minutes=series.sampling_period_min)
     instances = []
     for episode in meal_episodes(series, cfg):
-        h_min = _minutes(episode.peak_time)
         for t in episode.decision_times:
-            t_min = _minutes(t)
-            if t_min - h_min < series.sampling_period_min:
+            if t - episode.peak_time < min_gap:
                 continue
-            cur_i = idx.nearest_present(t_min, cfg.snap_tolerance_min)
-            if cur_i is None:
+            current = sample_at(series, t, cfg.snap_tolerance_min)
+            if current is None:
                 continue
-            readings = []
-            for offset in cfg.horizon_offsets_min:
-                hz_i = idx.nearest_present(t_min + offset, cfg.snap_tolerance_min)
-                if hz_i is not None:
-                    readings.append(float(idx.bg[hz_i]))
-            if not readings:
+            horizon = horizon_label(series, t, cfg)
+            if horizon is None:
                 continue
-            low = min(readings)
-            x_t = float(idx.bg[cur_i])
+            label, low = horizon
             instances.append(DecisionInstance(
                 patient_id=series.patient_id,
                 meal_time=episode.meal_time,
                 peak_time=episode.peak_time,
                 peak_value=episode.peak_value,
                 decision_time=t,
-                x_t=x_t,
-                rate=rate_of_decrease(episode.peak_value, episode.peak_time, x_t, t),
-                label=1 if low <= cfg.hypo_threshold else 0,
+                x_t=current.bg,
+                rate=rate_of_decrease(episode.peak_value, episode.peak_time, current.bg, t),
+                label=label,
                 ph_min_bg=low,
             ))
     return instances
@@ -227,9 +181,11 @@ def build_instances(series: PatientSeries,
 
 def write_feature_csv(instances, path) -> None:
     """One instance per row, full float precision, LF line endings."""
-    lines = [",".join(FEATURE_COLUMNS)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(FEATURE_COLUMNS)
     for inst in instances:
-        lines.append(",".join([
+        writer.writerow([
             inst.patient_id,
             inst.meal_time.strftime(_TS_FORMAT),
             inst.peak_time.strftime(_TS_FORMAT),
@@ -239,8 +195,8 @@ def write_feature_csv(instances, path) -> None:
             repr(float(inst.rate)),
             repr(float(inst.ph_min_bg)),
             str(int(inst.label)),
-        ]))
-    text = "\n".join(lines) + "\n"
+        ])
+    text = buf.getvalue()
     if hasattr(path, "write"):
         path.write(text)
     else:

@@ -5,6 +5,7 @@ no code path with the vectorized implementations under test.
 """
 
 import math
+from datetime import timedelta
 
 
 def brute_force_best_split(rows, cost_fn, cost_fp):
@@ -69,3 +70,32 @@ def f_upper_tail_by_quadrature(f_value, d1, d2):
         return 1.0
     upper, _ = quad(density, f_value, math.inf, limit=200)
     return max(0.0, min(1.0, upper))
+
+
+def linear_sample_at(series, nominal, tolerance_min):
+    """Present-BG sample nearest to `nominal` within the tolerance, by a
+    scan of every sample in exact `timedelta` arithmetic; the earlier
+    sample wins ties, None when nothing present is in reach."""
+    tol = timedelta(minutes=tolerance_min)
+    best = None
+    best_delta = None
+    for s in series.samples:
+        if s.bg is None:
+            continue
+        delta = abs(s.timestamp - nominal)
+        if delta <= tol and (best is None or delta < best_delta):
+            best, best_delta = s, delta
+    return best
+
+
+def linear_postprandial_peak(series, meal_time, peak_window_min):
+    """(timestamp, bg) of the highest present reading in [meal, meal +
+    window] by a scan of every sample; earliest on ties, None if empty."""
+    window_end = meal_time + timedelta(minutes=peak_window_min)
+    best = None
+    for s in series.samples:
+        if s.bg is None or s.timestamp < meal_time or s.timestamp > window_end:
+            continue
+        if best is None or s.bg > best[1]:
+            best = (s.timestamp, s.bg)
+    return best

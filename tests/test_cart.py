@@ -10,7 +10,6 @@ from hypoalarm import (
     Split,
     TreeDocumentError,
     best_split,
-    cost_complexity_alphas,
     grow_tree,
     leaf_class,
     node_counts,
@@ -25,7 +24,6 @@ from hypoalarm import (
 from oracle_utils import brute_force_best_split
 
 COSTS = CostMatrix(15.0, 1.0)
-UNIT = CostMatrix(1.0, 1.0)
 
 
 def random_dataset(rng, n=None, duplicates=False):
@@ -225,24 +223,6 @@ class TestPrune:
         before = serialize_tree(tree)
         prune_to_depth(tree, 2, COSTS)
         assert serialize_tree(tree) == before
-
-
-class TestCostComplexity:
-    def test_unit_cost_example(self):
-        # pure children; collapsing the root misclassifies the minority: alpha = 3
-        tree = Split("x_t", 5.0, Leaf("H", 0, 3), Leaf("N", 5, 0))
-        assert cost_complexity_alphas(tree, UNIT) == [3.0]
-
-    def test_leaf_has_no_alphas(self):
-        assert cost_complexity_alphas(Leaf("N", 4, 0), COSTS) == []
-
-    def test_alphas_non_negative_and_sorted(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            X, y = random_dataset(rng)
-            alphas = cost_complexity_alphas(grow_tree(X, y, COSTS), COSTS)
-            assert all(a >= 0 for a in alphas)
-            assert alphas == sorted(alphas)
 
 
 class TestPredict:

@@ -87,6 +87,59 @@ class TestFeatures:
         assert out.exists()
 
 
+def _rewrite_cohort(cohort_dir, edit):
+    """Apply `edit(entry, outside)` to the first cohort.json entry, where
+    `outside` is a valid record file next to (not inside) the cohort."""
+    outside = cohort_dir.parent / "outside.csv"
+    outside.write_text((cohort_dir / "p00.csv").read_text())
+    path = cohort_dir / "cohort.json"
+    doc = json.loads(path.read_text())
+    edit(doc["patients"][0], outside)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+BAD_ENTRIES = {
+    "no_id": lambda pat, outside: pat.pop("id"),
+    "no_file": lambda pat, outside: pat.pop("file"),
+    "int_id": lambda pat, outside: pat.update(id=7),
+    "file_outside": lambda pat, outside: pat.update(file=f"../{outside.name}"),
+    "file_absolute": lambda pat, outside: pat.update(file=str(outside)),
+}
+
+
+class TestCohortJson:
+    @pytest.mark.parametrize("edit", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+    def test_bad_entry_is_a_data_error_for_features(self, tmp_path, cohort_dir, capsys, edit):
+        _rewrite_cohort(cohort_dir, edit)
+        assert main(["features", "--in", str(cohort_dir),
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert "error[data]: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+    def test_bad_entry_is_a_data_error_for_evaluate(self, tmp_path, features_csv, cohort_dir,
+                                                    capsys, edit):
+        cohort = _rewrite_cohort(cohort_dir, edit)
+        assert main(["evaluate", "--features", str(features_csv), "--cohort", str(cohort),
+                     "--k", "2", "--allocations", "1", "--out", str(tmp_path / "r")]) == 2
+        assert "error[data]: " in capsys.readouterr().err
+
+    def test_patients_must_be_a_list(self, tmp_path, cohort_dir):
+        (cohort_dir / "cohort.json").write_text('{"patients": {"id": "p00"}}')
+        assert main(["features", "--in", str(cohort_dir),
+                     "--out", str(tmp_path / "f.csv")]) == 2
+
+    def test_comma_in_patient_id_round_trips_to_train(self, tmp_path, cohort_dir):
+        odd = tmp_path / "odd"
+        odd.mkdir()
+        (odd / 'a,"b".csv').write_text((cohort_dir / "p00.csv").read_text())
+        table = tmp_path / "f.csv"
+        assert main(["features", "--in", str(odd), "--out", str(table)]) == 0
+        assert table.read_text().splitlines()[1].startswith('"a,""b""",')
+        assert main(["train", "--features", str(table),
+                     "--out", str(tmp_path / "tree.json")]) == 0
+
+
 class TestTrain:
     def test_tree_document(self, tmp_path, features_csv):
         out = tmp_path / "tree.json"
@@ -201,6 +254,16 @@ class TestAnova:
         else:
             # tiny cohorts may hold a single dm_type; that is a data error
             assert code == 2
+
+
+    def test_row_without_group_key_is_a_data_error(self, tmp_path, capsys):
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"per_patient": [
+            {"dm_type": "type1", "sensitivity": 1.0},
+            {"sensitivity": 0.5},
+        ]}))
+        assert main(["anova", "--report", str(summary)]) == 2
+        assert "error[data]: " in capsys.readouterr().err
 
 
 class TestUsage:

@@ -18,7 +18,7 @@ from hypoalarm import (
 )
 from hypoalarm.synth import SynthConfig, generate_cohort
 
-from conftest import WORKED_ROWS, series_from_anchors, ts
+from conftest import WORKED_ANCHORS, WORKED_MEALS, WORKED_ROWS, series_from_anchors, ts
 
 
 class TestPeak:
@@ -186,6 +186,14 @@ class TestFeatureCsv:
         write_feature_csv(instances, buf)
         again = read_feature_csv(io.StringIO(buf.getvalue()))
         assert again == instances
+
+    @pytest.mark.parametrize("patient_id", ["a,b", 'quote"d', "line\nbreak"])
+    def test_round_trip_with_csv_special_ids(self, patient_id):
+        series = series_from_anchors(WORKED_ANCHORS, WORKED_MEALS, patient_id=patient_id)
+        instances = build_instances(series)
+        buf = io.StringIO()
+        write_feature_csv(instances, buf)
+        assert read_feature_csv(io.StringIO(buf.getvalue())) == instances
 
     def test_bad_header_rejected(self):
         with pytest.raises(DataValidationError, match="header"):
