@@ -10,7 +10,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from hypoalarm import GlucoseSample, PatientSeries, build_instances, find_postprandial_peak
+from hypoalarm import PatientSeries, build_instances, find_postprandial_peak
 
 # One synthetic day, two meals: dinner stays high, the morning meal decays
 # into an early-afternoon low.
@@ -22,24 +22,23 @@ ANCHORS = [
     ("22:57", 8.0),
 ]
 MEALS = {"8:42": 6.8, "19:07": 9.2}
+DAY_START = (datetime(2015, 9, 7) - datetime(2000, 1, 1)) // timedelta(minutes=1)
 
 
-def at(hhmm):
+def minute_of_day(hhmm):
     hour, minute = hhmm.split(":")
-    return datetime(2015, 9, 7, int(hour), int(minute))
+    return 60 * int(hour) + int(minute)
 
 
-start, end = at("7:02"), at("22:57")
-xp = [(at(h) - start).total_seconds() / 60 for h, _ in ANCHORS]
-fp = [v for _, v in ANCHORS]
-samples = []
-t = start
-while t <= end:
-    minutes = (t - start).total_seconds() / 60
-    key = f"{t.hour}:{t.minute:02d}"
-    samples.append(GlucoseSample(t, float(np.interp(minutes, xp, fp)), MEALS.get(key)))
-    t += timedelta(minutes=5)
-series = PatientSeries("demo", tuple(samples))
+# A series is one (n, 3) array: sample time in minutes since 2000-01-01,
+# sensor BG, and the meal reference BG (NaN on rows without a meal; a
+# missing sensor reading would be NaN too).
+times = np.arange(minute_of_day("7:02"), minute_of_day("22:57") + 1, 5)
+bg = np.interp(times, [minute_of_day(h) for h, _ in ANCHORS], [v for _, v in ANCHORS])
+meal_ref = np.full(len(times), np.nan)
+for hhmm, ref in MEALS.items():
+    meal_ref[times == minute_of_day(hhmm)] = ref
+series = PatientSeries("demo", np.column_stack([DAY_START + times, bg, meal_ref]))
 
 for meal in series.meal_times:
     peak_time, peak_value = find_postprandial_peak(series, meal)

@@ -35,12 +35,10 @@ from .cgm_data import (
     HYPO_THRESHOLD,
     SEVERE_THRESHOLD,
     DataValidationError,
-    GlucoseSample,
     PatientSeries,
     PipelineConfig,
     label_hypoglycemia,
     parse_cgm_file,
-    sample_at,
     series_to_csv,
     to_mg,
     to_mmol,

@@ -13,7 +13,6 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta
-from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +32,8 @@ DM_TYPES = ("type1", "type2", "other")
 _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                 "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
+SAMPLING_PERIOD_MIN = 5  # minutes between CGM readings
+
 _EPOCH = datetime(2000, 1, 1)
 _MINUTE = timedelta(minutes=1)
 
@@ -50,68 +51,79 @@ class DataValidationError(ValueError):
         super().__init__(message if row is None else f"row {row}: {message}")
 
 
-@dataclass(frozen=True)
-class GlucoseSample:
-    timestamp: datetime
-    bg: float | None              # mmol/L, None when the sensor reported N/A
-    meal_ref: float | None = None  # reference BG marking a meal at this time
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatientSeries:
-    """One patient's ordered 5-min CGM trace; immutable once built."""
+    """One patient's ordered 5-min CGM trace; immutable once built.
+
+    `samples` is a read-only ``(n, 3)`` float64 array with one row per
+    reading: minutes since 2000-01-01, sensor BG and meal reference BG
+    (mmol/L). NaN marks a missing sensor reading and a row without a meal.
+    """
 
     patient_id: str
-    samples: tuple[GlucoseSample, ...]
+    samples: np.ndarray
     dm_type: str = "other"
-    sampling_period_min: float = 5.0
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        # column-major, so each column is a contiguous view for searchsorted
+        samples = np.array(self.samples, dtype=np.float64, order="F")
+        if samples.size == 0:
+            samples = samples.reshape(0, 3)
+        if samples.ndim != 2 or samples.shape[1] != 3:
+            raise ValueError(f"samples must be an (n, 3) array, got shape {samples.shape}")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         if self.dm_type not in DM_TYPES:
             raise ValueError(f"dm_type must be one of {DM_TYPES}, got {self.dm_type!r}")
-        prev = None
-        for s in self.samples:
-            for value in (s.bg, s.meal_ref):
-                if value is not None and not (math.isfinite(value) and 0.0 < value <= BG_MAX):
-                    raise ValueError(f"BG out of range (0, {BG_MAX}]: {value!r} at {s.timestamp}")
-            if prev is not None and s.timestamp <= prev:
-                raise ValueError(f"timestamps not strictly increasing at {s.timestamp}")
-            prev = s.timestamp
+        minutes, readings = samples[:, 0], samples[:, 1:]
+        if not (np.isfinite(minutes).all() and (np.diff(minutes) > 0).all()):
+            raise ValueError("sample times must be finite and strictly increasing")
+        bad = np.flatnonzero(((readings <= 0.0) | (readings > BG_MAX)).any(axis=1))  # NaN passes
+        if len(bad):
+            raise ValueError(f"BG out of range (0, {BG_MAX}] at sample {bad[0]}")
+
+    def __eq__(self, other):
+        return (isinstance(other, PatientSeries) and self.patient_id == other.patient_id
+                and self.dm_type == other.dm_type
+                and np.array_equal(self.samples, other.samples, equal_nan=True))
+
+    @property
+    def minutes(self) -> np.ndarray:
+        """Sample times in minutes since 2000-01-01."""
+        return self.samples[:, 0]
+
+    @property
+    def bg(self) -> np.ndarray:
+        """Sensor BG per sample, NaN where the reading is missing."""
+        return self.samples[:, 1]
+
+    @property
+    def meal_ref(self) -> np.ndarray:
+        """Reference BG marking a meal, NaN on rows without one."""
+        return self.samples[:, 2]
+
+    def timestamp(self, i: int) -> datetime:
+        """Time of sample `i`."""
+        return _EPOCH + timedelta(minutes=float(self.minutes[i]))
 
     @property
     def meal_times(self) -> tuple[datetime, ...]:
-        return tuple(s.timestamp for s in self.samples if s.meal_ref is not None)
+        return tuple(self.timestamp(i) for i in np.flatnonzero(~np.isnan(self.meal_ref)))
 
     @property
     def missing_count(self) -> int:
-        return sum(1 for s in self.samples if s.bg is None)
-
-    # Read-only array view for the snapped lookups, built on first use.
-    @cached_property
-    def minutes(self) -> np.ndarray:
-        """Sample times in minutes since 2000-01-01."""
-        minutes = np.array([_minutes(s.timestamp) for s in self.samples], dtype=np.float64)
-        minutes.flags.writeable = False
-        return minutes
-
-    @cached_property
-    def bg(self) -> np.ndarray:
-        """Sensor BG per sample, NaN where the reading is missing."""
-        bg = np.array([math.nan if s.bg is None else s.bg for s in self.samples],
-                      dtype=np.float64)
-        bg.flags.writeable = False
-        return bg
+        return int(np.isnan(self.bg).sum())
 
     def nearest_present(self, nominal: datetime, tolerance_min: float) -> int | None:
         """Index of the present reading nearest `nominal` within the
-        tolerance; the earlier one on ties."""
+        tolerance; the earlier one on ties, None when none is in reach."""
+        if tolerance_min < 0:
+            raise ValueError("tolerance must be >= 0")
         minutes, bg = self.minutes, self.bg
         t = _minutes(nominal)
         lo = int(np.searchsorted(minutes, t - tolerance_min, side="left"))
         hi = int(np.searchsorted(minutes, t + tolerance_min, side="right"))
-        best = None
-        best_delta = None
+        best = best_delta = None
         for i in range(lo, hi):
             if math.isnan(bg[i]):
                 continue
@@ -190,41 +202,30 @@ def label_hypoglycemia(bg: float | None, threshold: float = HYPO_THRESHOLD) -> i
     return 1 if bg <= threshold else 0
 
 
-def sample_at(series: PatientSeries, nominal: datetime,
-              tolerance_min: float) -> GlucoseSample | None:
-    """Present-BG sample nearest to `nominal` within the tolerance.
-
-    Ties break toward the earlier sample; returns None when no present
-    reading falls inside `nominal` +/- tolerance.
-    """
-    if tolerance_min < 0:
-        raise ValueError("tolerance must be >= 0")
-    i = series.nearest_present(nominal, tolerance_min)
-    return None if i is None else series.samples[i]
-
-
-def _parse_timestamp(date_cell: str, time_cell: str, line: int) -> datetime:
+def _parse_minute(date_cell: str, time_cell: str, day_starts: dict, line: int) -> int:
+    """Minutes since 2000-01-01 of one row. `day_starts` caches the first
+    minute of each date cell, so a file parses each distinct date once."""
     try:
-        day_s, month_s, year_s = date_cell.split(".")
-        hour_s, minute_s = time_cell.split(":")
-        return datetime(2000 + int(year_s), _MONTH_NAMES.index(month_s) + 1,
-                        int(day_s), int(hour_s), int(minute_s))
-    except ValueError as exc:
-        raise DataValidationError(
-            f"malformed timestamp {date_cell!r} {time_cell!r}", row=line) from exc
+        if date_cell not in day_starts:
+            day_s, month_s, year_s = date_cell.split(".")
+            day = datetime(2000 + int(year_s), _MONTH_NAMES.index(month_s) + 1, int(day_s))
+            day_starts[date_cell] = (day - _EPOCH).days * 1440
+        hour, minute = (int(part) for part in time_cell.split(":"))
+        if 0 <= hour < 24 and 0 <= minute < 60:
+            return day_starts[date_cell] + 60 * hour + minute
+    except (ValueError, OverflowError):
+        pass
+    raise DataValidationError(f"malformed timestamp {date_cell!r} {time_cell!r}", row=line)
 
 
 def _parse_bg(cell: str, column: str, unit: str, line: int) -> float:
     try:
-        raw = float(cell)
-    except ValueError as exc:
-        raise DataValidationError(f"{column} is not a number: {cell!r}", row=line) from exc
-    if not math.isfinite(raw) or raw <= 0:
-        raise DataValidationError(f"{column} must be positive, got {cell!r}", row=line)
-    value = to_mmol(raw, unit)
-    if value > BG_MAX:
+        value = to_mmol(float(cell), unit)
+    except ValueError:
+        value = None
+    if value is None or value > BG_MAX:
         raise DataValidationError(
-            f"{column} out of range (0, {BG_MAX}] mmol/L: {cell!r}", row=line)
+            f"{column} must be a number in (0, {BG_MAX}] mmol/L, got {cell!r}", row=line)
     return value
 
 
@@ -247,7 +248,7 @@ def parse_cgm_file(text, patient_id: str = "unknown", dm_type: str = "other",
             f"expected header {','.join(CSV_COLUMNS)!r}", row=1)
 
     samples = []
-    prev_ts = None
+    day_starts = {}
     for line, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -259,26 +260,28 @@ def parse_cgm_file(text, patient_id: str = "unknown", dm_type: str = "other",
         except ValueError as exc:
             raise DataValidationError(
                 f"Sample# is not an integer: {sample_no!r}", row=line) from exc
-        ts = _parse_timestamp(date_cell, time_cell, line)
-        if prev_ts is not None and ts <= prev_ts:
+        minute = _parse_minute(date_cell, time_cell, day_starts, line)
+        if samples and minute <= samples[-1][0]:
             raise DataValidationError(
                 f"timestamps not strictly increasing at {date_cell} {time_cell}", row=line)
-        prev_ts = ts
-        meal_ref = None if meal_cell == "." else _parse_bg(meal_cell, "Meal", unit, line)
-        bg = None if bg_cell == "N/A" else _parse_bg(bg_cell, "SensorBG", unit, line)
-        samples.append(GlucoseSample(timestamp=ts, bg=bg, meal_ref=meal_ref))
+        meal_ref = math.nan if meal_cell == "." else _parse_bg(meal_cell, "Meal", unit, line)
+        bg = math.nan if bg_cell == "N/A" else _parse_bg(bg_cell, "SensorBG", unit, line)
+        samples.append((minute, bg, meal_ref))
 
-    return PatientSeries(patient_id=patient_id, samples=tuple(samples), dm_type=dm_type)
+    return PatientSeries(patient_id=patient_id, samples=samples, dm_type=dm_type)
 
 
 def series_to_csv(series: PatientSeries) -> str:
     """Render the ingestion CSV format; inverse of `parse_cgm_file`."""
     lines = [",".join(CSV_COLUMNS)]
-    for i, s in enumerate(series.samples):
-        ts = s.timestamp
-        date_cell = f"{ts.day}.{_MONTH_NAMES[ts.month - 1]}.{ts.year % 100:02d}"
-        time_cell = f"{ts.hour}:{ts.minute:02d}"
-        meal_cell = "." if s.meal_ref is None else repr(float(s.meal_ref))
-        bg_cell = "N/A" if s.bg is None else repr(float(s.bg))
-        lines.append(f"{i},{date_cell},{time_cell},{meal_cell},{bg_cell}")
+    date_cells = {}
+    for i, (minute, bg, meal_ref) in enumerate(series.samples.tolist()):
+        day, minute_of_day = divmod(int(minute), 1440)
+        if day not in date_cells:
+            d = _EPOCH + timedelta(days=day)
+            date_cells[day] = f"{d.day}.{_MONTH_NAMES[d.month - 1]}.{d.year % 100:02d}"
+        meal_cell = "." if math.isnan(meal_ref) else repr(meal_ref)
+        bg_cell = "N/A" if math.isnan(bg) else repr(bg)
+        lines.append(f"{i},{date_cells[day]},{minute_of_day // 60}:{minute_of_day % 60:02d},"
+                     f"{meal_cell},{bg_cell}")
     return "\n".join(lines) + "\n"

@@ -150,32 +150,24 @@ def _read_cohort_json(path: Path) -> list[tuple[str, str, Path]]:
 
 
 def _load_cohort(path: Path, unit: str):
-    """Parse a cohort directory (or a single CSV) into series plus dm types."""
+    """Parse a cohort directory (or a single CSV) into series plus input digests."""
     if path.is_file():
-        series = parse_cgm_file(path.read_text(), patient_id=path.stem, unit=unit)
-        return [series], {series.patient_id: series.dm_type}, {str(path): _sha256_file(path)}
-    if not path.is_dir():
+        entries = [(path.stem, "other", path)]
+    elif not path.is_dir():
         raise DataValidationError(f"no such file or directory: {path}")
-    cohort_file = path / "cohort.json"
-    if cohort_file.is_file():
-        entries = _read_cohort_json(cohort_file)
+    elif (path / "cohort.json").is_file():
+        entries = _read_cohort_json(path / "cohort.json")
     else:
         entries = [(f.stem, "other", f) for f in sorted(path.glob("*.csv"))]
     if not entries:
         raise DataValidationError(f"no patient CSV files under {path}")
-    series_list = []
-    dm_types = {}
-    inputs = {}
-    for pid, dm_type, file in entries:
-        series_list.append(parse_cgm_file(file.read_text(), patient_id=pid,
-                                          dm_type=dm_type, unit=unit))
-        dm_types[pid] = dm_type
-        inputs[str(file)] = _sha256_file(file)
-    return series_list, dm_types, inputs
+    series_list = [parse_cgm_file(file.read_text(), patient_id=pid, dm_type=dm_type, unit=unit)
+                   for pid, dm_type, file in entries]
+    return series_list, {str(file): _sha256_file(file) for _, _, file in entries}
 
 
 def _cmd_features(args) -> int:
-    series_list, _, inputs = _load_cohort(Path(args.infile), args.unit)
+    series_list, inputs = _load_cohort(Path(args.infile), args.unit)
     cfg = PipelineConfig()
     instances = []
     for series in series_list:
@@ -223,20 +215,42 @@ def _write_table(path: Path, columns: tuple, rows) -> str:
     return _sha256_file(path)
 
 
+_PERFORMANCE_COLUMNS = ("allocation", "fold", "seed", "tp", "fn", "fp", "tn",
+                        "accuracy", "sensitivity", "specificity")
+_PER_PATIENT_COLUMNS = ("patient_id", "dm_type", "n_points", "n_hypo",
+                        "accuracy", "sensitivity", "specificity")
+_MISSED_COLUMNS = ("patient_id", "sensitivity", "predicted_events", "missed_events")
+
+
 def _write_report_tables(out: Path, summary: dict) -> dict:
     """The three CSV tables, derived from the summary document alone."""
     missed = [{**row, "lowest_bgs": ";".join(repr(float(v)) for v in row["lows"])}
               for row in summary["missed_events"]["rows"]]
     tables = {
-        "performance.csv": (("allocation", "fold", "seed", "tp", "fn", "fp", "tn",
-                             "accuracy", "sensitivity", "specificity"), summary["per_run"]),
-        "per_patient.csv": (("patient_id", "dm_type", "n_points", "n_hypo",
-                             "accuracy", "sensitivity", "specificity"), summary["per_patient"]),
-        "missed_events.csv": (("patient_id", "sensitivity", "predicted_events",
-                               "missed_events", "lowest_bgs", "severe_count"), missed),
+        "performance.csv": (_PERFORMANCE_COLUMNS, summary["per_run"]),
+        "per_patient.csv": (_PER_PATIENT_COLUMNS, summary["per_patient"]),
+        "missed_events.csv": (_MISSED_COLUMNS + ("lowest_bgs", "severe_count"), missed),
     }
     return {name: _write_table(out / name, columns, rows)
             for name, (columns, rows) in tables.items()}
+
+
+def _read_summary(path: Path, tables: dict) -> dict:
+    """A summary.json document. A data error unless it is a JSON object in
+    which each dotted key of `tables` names a list of objects that hold
+    that key's columns."""
+    summary = json.loads(path.read_text())
+    for name, columns in tables.items():
+        rows = summary
+        for key in name.split("."):
+            rows = rows.get(key) if isinstance(rows, dict) else None
+        if not isinstance(rows, list):
+            raise DataValidationError(f"summary has no {name} list")
+        for k, row in enumerate(rows):
+            absent = [c for c in columns if not isinstance(row, dict) or c not in row]
+            if absent:
+                raise DataValidationError(f"summary {name}[{k}] has no {absent[0]!r}")
+    return summary
 
 
 def _config_doc(cfg: PipelineConfig, seed: int) -> dict:
@@ -331,10 +345,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summary = json.loads(Path(args.summary).read_text())
-    for key in ("per_run", "per_patient", "missed_events"):
-        if key not in summary:
-            raise DataValidationError(f"summary is missing {key!r}")
+    summary = _read_summary(Path(args.summary), {
+        "per_run": _PERFORMANCE_COLUMNS, "per_patient": _PER_PATIENT_COLUMNS,
+        "missed_events.rows": _MISSED_COLUMNS + ("lows", "severe_count")})
+    if not all(isinstance(row["lows"], list) for row in summary["missed_events"]["rows"]):
+        raise DataValidationError("summary missed_events.rows 'lows' must be lists")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = _write_report_tables(out, summary)
@@ -356,14 +371,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_anova(args) -> int:
-    summary = json.loads(Path(args.report).read_text())
-    rows = summary.get("per_patient")
-    if not rows:
-        raise DataValidationError("summary has no per_patient table")
+    rows = _read_summary(Path(args.report), {"per_patient": (args.group_by,)})["per_patient"]
     groups: dict[str, list[float]] = {}
-    for k, row in enumerate(rows):
-        if args.group_by not in row:
-            raise DataValidationError(f"per_patient[{k}] has no {args.group_by!r}")
+    for row in rows:
         value = row.get(args.metric)
         if value is None:
             continue
@@ -443,7 +453,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:  # incl. DataValidationError, TreeDocumentError
+    except (ValueError, OSError) as exc:  # incl. DataValidationError, TreeDocumentError
         print(f"error[data]: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # invariant violations and other surprises

@@ -15,11 +15,11 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 from .cgm_data import (
+    SAMPLING_PERIOD_MIN,
     DataValidationError,
     PatientSeries,
     PipelineConfig,
     label_hypoglycemia,
-    sample_at,
 )
 
 _TS_FORMAT = "%Y-%m-%dT%H:%M"
@@ -62,10 +62,7 @@ def find_postprandial_peak(series: PatientSeries, meal_time: datetime,
     """
     cfg = cfg or PipelineConfig()
     i = series.window_max(meal_time, meal_time + timedelta(minutes=cfg.peak_window_min))
-    if i is None:
-        return None
-    peak = series.samples[i]
-    return (peak.timestamp, peak.bg)
+    return None if i is None else (series.timestamp(i), float(series.bg[i]))
 
 
 def _horizon_in_daytime(t: datetime, cfg: PipelineConfig) -> bool:
@@ -105,9 +102,9 @@ def horizon_label(series: PatientSeries, t: datetime,
     cfg = cfg or PipelineConfig()
     readings = []
     for offset in cfg.horizon_offsets_min:
-        s = sample_at(series, t + timedelta(minutes=offset), cfg.snap_tolerance_min)
-        if s is not None:
-            readings.append(s.bg)
+        i = series.nearest_present(t + timedelta(minutes=offset), cfg.snap_tolerance_min)
+        if i is not None:
+            readings.append(float(series.bg[i]))
     if not readings:
         return None
     low = min(readings)
@@ -152,15 +149,16 @@ def build_instances(series: PatientSeries,
     peak (the rate would be ill-defined there).
     """
     cfg = cfg or PipelineConfig()
-    min_gap = timedelta(minutes=series.sampling_period_min)
+    min_gap = timedelta(minutes=SAMPLING_PERIOD_MIN)
     instances = []
     for episode in meal_episodes(series, cfg):
         for t in episode.decision_times:
             if t - episode.peak_time < min_gap:
                 continue
-            current = sample_at(series, t, cfg.snap_tolerance_min)
+            current = series.nearest_present(t, cfg.snap_tolerance_min)
             if current is None:
                 continue
+            x_t = float(series.bg[current])
             horizon = horizon_label(series, t, cfg)
             if horizon is None:
                 continue
@@ -171,8 +169,8 @@ def build_instances(series: PatientSeries,
                 peak_time=episode.peak_time,
                 peak_value=episode.peak_value,
                 decision_time=t,
-                x_t=current.bg,
-                rate=rate_of_decrease(episode.peak_value, episode.peak_time, current.bg, t),
+                x_t=x_t,
+                rate=rate_of_decrease(episode.peak_value, episode.peak_time, x_t, t),
                 label=label,
                 ph_min_bg=low,
             ))

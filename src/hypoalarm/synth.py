@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import date
 
 import numpy as np
 
-from .cgm_data import GlucoseSample, PatientSeries
+from .cgm_data import SAMPLING_PERIOD_MIN, PatientSeries
 
-_COHORT_START = datetime(2015, 9, 7)  # arbitrary fixed start date
-_STEP_MIN = 5
+# an arbitrary fixed start date, in minutes since 2000-01-01
+_COHORT_START_MIN = (date(2015, 9, 7) - date(2000, 1, 1)).days * 1440
 
 # meal slots as minutes into a day: breakfast, lunch, dinner
 _SLOTS = ((435.0, 505.0), (705.0, 780.0), (1050.0, 1140.0))
@@ -70,6 +70,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_patients", "days_min", "days_max",
+                     "meals_per_day_min", "meals_per_day_max", "seed"):
+            if type(getattr(self, name)) is not int:  # bool and float are not counts
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_patients < 1 or self.days_min < 1:
             raise ValueError("degenerate config: need >= 1 patient and >= 1 day")
         if not self.days_min <= self.days_max:
@@ -114,7 +118,8 @@ def _generate_patient(cfg: SynthConfig, pidx: int) -> PatientSeries:
         n_meals = int(rng_struct.integers(cfg.meals_per_day_min, cfg.meals_per_day_max + 1))
         slots = [rng_struct.uniform(lo, hi) for lo, hi in _SLOTS]
         pick = sorted(rng_struct.permutation(len(_SLOTS))[:n_meals])
-        meal_minutes += [day * 1440 + _STEP_MIN * round(slots[j] / _STEP_MIN) for j in pick]
+        meal_minutes += [day * 1440 + SAMPLING_PERIOD_MIN * round(slots[j] / SAMPLING_PERIOD_MIN)
+                         for j in pick]
     meal_minutes.sort()
 
     total_min = n_days * 1440
@@ -133,7 +138,7 @@ def _generate_patient(cfg: SynthConfig, pidx: int) -> PatientSeries:
 
     for k, meal in enumerate(meal_minutes):
         next_meal = meal_minutes[k + 1] if k + 1 < len(meal_minutes) else total_min + 1440
-        cap = next_meal - _STEP_MIN
+        cap = next_meal - SAMPLING_PERIOD_MIN
 
         # one fixed block of draws per meal; the dip flag selects among them
         peak_delay = float(np.clip(rng_params.normal(cfg.peak_delay_mean, cfg.peak_delay_sd),
@@ -183,8 +188,8 @@ def _generate_patient(cfg: SynthConfig, pidx: int) -> PatientSeries:
 
     push(total_min, relax(total_min))
 
-    n_samples = total_min // _STEP_MIN
-    grid = np.arange(n_samples) * _STEP_MIN
+    n_samples = total_min // SAMPLING_PERIOD_MIN
+    grid = np.arange(n_samples) * SAMPLING_PERIOD_MIN
     curve = np.interp(grid, anchors_t, anchors_v)
 
     # AR(1) sensor noise: smooth enough that the rate clamp below rarely bites
@@ -199,8 +204,8 @@ def _generate_patient(cfg: SynthConfig, pidx: int) -> PatientSeries:
     noise = np.clip(noise, -cfg.noise_clip, cfg.noise_clip)
 
     raw = curve + noise
-    max_down = cfg.max_drop_rate * _STEP_MIN
-    max_up = cfg.max_rise_rate * _STEP_MIN
+    max_down = cfg.max_drop_rate * SAMPLING_PERIOD_MIN
+    max_up = cfg.max_rise_rate * SAMPLING_PERIOD_MIN
     values = raw.tolist()
     prev = min(max(values[0], cfg.bg_floor), cfg.bg_ceil)
     bg = [prev]
@@ -211,25 +216,10 @@ def _generate_patient(cfg: SynthConfig, pidx: int) -> PatientSeries:
         prev = v
 
     missing = rng_miss.random(n_samples) < cfg.missing_prob
-    meal_set = set(meal_minutes)
+    meal_idx = np.array(meal_minutes, dtype=np.int64) // SAMPLING_PERIOD_MIN
     ref_jitter = rng_params.normal(0.0, 0.25, len(meal_minutes))
 
-    samples = []
-    meal_seen = 0
-    for i in range(n_samples):
-        t = int(grid[i])
-        ts = _COHORT_START + timedelta(minutes=t)
-        meal_ref = None
-        if t in meal_set:
-            meal_ref = max(cfg.bg_floor, float(curve[i] + ref_jitter[meal_seen]))
-            meal_seen += 1
-        samples.append(GlucoseSample(
-            timestamp=ts,
-            bg=None if missing[i] else float(bg[i]),
-            meal_ref=meal_ref,
-        ))
-    return PatientSeries(
-        patient_id=f"p{pidx:02d}",
-        samples=tuple(samples),
-        dm_type=dm_type,
-    )
+    meal_ref = np.full(n_samples, np.nan)
+    meal_ref[meal_idx] = np.maximum(cfg.bg_floor, curve[meal_idx] + ref_jitter)
+    samples = np.column_stack([_COHORT_START_MIN + grid, np.where(missing, np.nan, bg), meal_ref])
+    return PatientSeries(patient_id=f"p{pidx:02d}", samples=samples, dm_type=dm_type)

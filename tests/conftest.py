@@ -1,16 +1,23 @@
 """Shared fixtures: hand-built series with known peaks, rates, and labels."""
 
+import math
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from hypoalarm import GlucoseSample, PatientSeries
+from hypoalarm import PatientSeries
+from oracle_utils import EPOCH
 
 
 def ts(hhmm: str, day: int = 7) -> datetime:
     hour, minute = hhmm.split(":")
     return datetime(2015, 9, day, int(hour), int(minute))
+
+
+def minutes(t: datetime) -> float:
+    """`t` in the sample-time unit of `PatientSeries.samples`."""
+    return (t - EPOCH) / timedelta(minutes=1)
 
 
 def series_from_anchors(anchors, meals=None, missing=None, start="7:02", end="22:57",
@@ -26,13 +33,13 @@ def series_from_anchors(anchors, meals=None, missing=None, start="7:02", end="22
     xp = [(ts(h) - t_start).total_seconds() / 60.0 for h, _ in anchors]
     fp = [v for _, v in anchors]
     n = int((t_end - t_start).total_seconds() // 60 // 5) + 1
-    samples = []
+    rows = []
     for i in range(n):
         t = t_start + timedelta(minutes=5 * i)
         key = f"{t.hour}:{t.minute:02d}"
-        bg = None if key in missing else float(np.interp(5.0 * i, xp, fp))
-        samples.append(GlucoseSample(timestamp=t, bg=bg, meal_ref=meals.get(key)))
-    return PatientSeries(patient_id=patient_id, samples=tuple(samples), dm_type=dm_type)
+        bg = math.nan if key in missing else float(np.interp(5.0 * i, xp, fp))
+        rows.append((minutes(t), bg, meals.get(key, math.nan)))
+    return PatientSeries(patient_id=patient_id, samples=rows, dm_type=dm_type)
 
 
 # Two meals in one day. The morning meal decays into an afternoon low

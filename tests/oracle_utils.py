@@ -5,7 +5,9 @@ no code path with the vectorized implementations under test.
 """
 
 import math
-from datetime import timedelta
+from datetime import datetime, timedelta
+
+EPOCH = datetime(2000, 1, 1)  # sample times are minutes since this instant
 
 
 def brute_force_best_split(rows, cost_fn, cost_fp):
@@ -72,30 +74,39 @@ def f_upper_tail_by_quadrature(f_value, d1, d2):
     return max(0.0, min(1.0, upper))
 
 
-def linear_sample_at(series, nominal, tolerance_min):
-    """Present-BG sample nearest to `nominal` within the tolerance, by a
-    scan of every sample in exact `timedelta` arithmetic; the earlier
-    sample wins ties, None when nothing present is in reach."""
+def timed_rows(series):
+    """(timestamp, bg) per sample of `series`, its minute column converted
+    to datetimes in exact `timedelta` arithmetic; the oracles below scan
+    this list."""
+    return [(EPOCH + timedelta(minutes=minute), bg)
+            for minute, bg, _ in series.samples.tolist()]
+
+
+def linear_sample_at(rows, nominal, tolerance_min):
+    """Index of the present reading nearest to `nominal` within the
+    tolerance, by a scan of every row of `timed_rows`; the earlier sample
+    wins ties, None when nothing present is in reach."""
     tol = timedelta(minutes=tolerance_min)
     best = None
     best_delta = None
-    for s in series.samples:
-        if s.bg is None:
+    for i, (timestamp, bg) in enumerate(rows):
+        if math.isnan(bg):
             continue
-        delta = abs(s.timestamp - nominal)
+        delta = abs(timestamp - nominal)
         if delta <= tol and (best is None or delta < best_delta):
-            best, best_delta = s, delta
+            best, best_delta = i, delta
     return best
 
 
-def linear_postprandial_peak(series, meal_time, peak_window_min):
+def linear_postprandial_peak(rows, meal_time, peak_window_min):
     """(timestamp, bg) of the highest present reading in [meal, meal +
-    window] by a scan of every sample; earliest on ties, None if empty."""
+    window] by a scan of every row of `timed_rows`; earliest on ties, None
+    if empty."""
     window_end = meal_time + timedelta(minutes=peak_window_min)
     best = None
-    for s in series.samples:
-        if s.bg is None or s.timestamp < meal_time or s.timestamp > window_end:
+    for timestamp, bg in rows:
+        if math.isnan(bg) or timestamp < meal_time or timestamp > window_end:
             continue
-        if best is None or s.bg > best[1]:
-            best = (s.timestamp, s.bg)
+        if best is None or bg > best[1]:
+            best = (timestamp, bg)
     return best

@@ -1,3 +1,4 @@
+import math
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -5,19 +6,17 @@ import pytest
 
 from hypoalarm import (
     DataValidationError,
-    GlucoseSample,
     PatientSeries,
     PipelineConfig,
     label_hypoglycemia,
     parse_cgm_file,
-    sample_at,
     series_to_csv,
     to_mg,
     to_mmol,
 )
 from hypoalarm.synth import SynthConfig, generate_cohort
 
-from conftest import ts
+from conftest import minutes, ts
 
 HEADER = "Sample#,Date,Time,Meal,SensorBG"
 
@@ -34,13 +33,11 @@ class TestParse:
             "2,7.Sep.15,9:32,10.2,11.8",
             "3,7.Sep.15,9:37,.,12.2",
         ), patient_id="p0")
-        assert len(series.samples) == 4
-        meal_row = series.samples[2]
-        assert meal_row.timestamp == datetime(2015, 9, 7, 9, 32)
-        assert meal_row.bg == 11.8
-        assert meal_row.meal_ref == 10.2
-        assert series.samples[0].meal_ref is None
-        assert series.samples[0].bg == 11.8
+        assert series.samples.shape == (4, 3)
+        assert series.samples[2].tolist() == [minutes(datetime(2015, 9, 7, 9, 32)), 11.8, 10.2]
+        assert series.timestamp(2) == datetime(2015, 9, 7, 9, 32)
+        assert math.isnan(series.meal_ref[0])
+        assert series.bg[0] == 11.8
         assert series.meal_times == (datetime(2015, 9, 7, 9, 32),)
 
     def test_na_becomes_missing_but_row_is_kept(self):
@@ -50,7 +47,7 @@ class TestParse:
             "2,7.Sep.15,9:32,.,11.9",
         ))
         assert len(series.samples) == 3
-        assert series.samples[1].bg is None
+        assert math.isnan(series.bg[1])
         assert series.missing_count == 1
 
     def test_file_like_input(self):
@@ -63,17 +60,22 @@ class TestParse:
             "0,7.Sep.15,23:57,.,6.0",
             "1,8.Sep.15,0:02,.,6.1",
         ))
-        assert series.samples[1].timestamp == datetime(2015, 9, 8, 0, 2)
+        assert series.timestamp(1) == datetime(2015, 9, 8, 0, 2)
+        assert series.minutes[1] - series.minutes[0] == 5
 
     def test_mg_unit_converts_both_bg_columns(self):
         series = parse_cgm_file(make_csv("0,7.Sep.15,9:22,180,70"), unit="mg")
-        assert series.samples[0].bg == pytest.approx(3.885, abs=1e-3)
-        assert series.samples[0].meal_ref == pytest.approx(180 / 18.016, abs=1e-9)
+        assert series.bg[0] == pytest.approx(3.885, abs=1e-3)
+        assert series.meal_ref[0] == pytest.approx(180 / 18.016, abs=1e-9)
 
     @pytest.mark.parametrize("row,fragment", [
         ("1,7.Sept.15,9:27,.,11.4", "malformed timestamp"),
         ("1,7.Sep.15,9h27,.,11.4", "malformed timestamp"),
         ("1,32.Sep.15,9:27,.,11.4", "malformed timestamp"),
+        ("1,7.Sep.15,24:00,.,11.4", "malformed timestamp"),
+        ("1,7.Sep.15,9:60,.,11.4", "malformed timestamp"),
+        ("1,29.Feb.15,9:27,.,11.4", "malformed timestamp"),
+        ("1,31.Sep.15,9:27,.,11.4", "malformed timestamp"),
         ("1,7.Sep.15,9:27,.,-2.0", "SensorBG"),
         ("1,7.Sep.15,9:27,.,0", "SensorBG"),
         ("1,7.Sep.15,9:27,.,99", "SensorBG"),
@@ -160,67 +162,72 @@ class TestLabel:
 
 
 def make_series(times_bgs):
-    return PatientSeries("p", tuple(
-        GlucoseSample(ts(t), bg) for t, bg in times_bgs))
+    return PatientSeries("p", [(minutes(ts(t)), math.nan if bg is None else bg, math.nan)
+                               for t, bg in times_bgs])
 
 
 class TestSampleAt:
+    """`PatientSeries.nearest_present`, the snapped reading at a time."""
+
     def test_exact_hit(self):
         series = make_series([("9:27", 5.0), ("9:32", 6.0), ("9:37", 7.0)])
-        assert sample_at(series, ts("9:32"), 2.5).bg == 6.0
+        assert series.nearest_present(ts("9:32"), 2.5) == 1
 
     def test_nearest_within_tolerance(self):
         series = make_series([("9:27", 5.0), ("9:32", 6.0), ("9:37", 7.0)])
-        assert sample_at(series, ts("9:34"), 2.5).bg == 6.0
+        assert series.nearest_present(ts("9:34"), 2.5) == 1
 
     def test_out_of_range_is_none(self):
         series = make_series([("9:27", 5.0), ("9:32", 6.0), ("9:37", 7.0)])
-        assert sample_at(series, ts("9:45"), 2.5) is None
+        assert series.nearest_present(ts("9:45"), 2.5) is None
 
     def test_tie_goes_to_earlier(self):
         series = make_series([("9:30", 5.0), ("9:34", 7.0)])
-        assert sample_at(series, ts("9:32"), 2.5).bg == 5.0
+        assert series.nearest_present(ts("9:32"), 2.5) == 0
 
     def test_skips_missing_bg(self):
         series = make_series([("9:27", 5.0), ("9:32", None), ("9:37", 7.0)])
-        assert sample_at(series, ts("9:32"), 2.5) is None
-        assert sample_at(series, ts("9:35"), 2.5).bg == 7.0
+        assert series.nearest_present(ts("9:32"), 2.5) is None
+        assert series.nearest_present(ts("9:35"), 2.5) == 2
 
     def test_negative_tolerance_rejected(self):
         series = make_series([("9:27", 5.0)])
         with pytest.raises(ValueError):
-            sample_at(series, ts("9:27"), -1)
+            series.nearest_present(ts("9:27"), -1)
 
     def test_never_beyond_tolerance(self):
         rng = np.random.default_rng(2)
         base = ts("8:00")
         times = sorted(rng.choice(600, size=60, replace=False).tolist())
-        series = PatientSeries("p", tuple(
-            GlucoseSample(base + timedelta(minutes=int(m)), float(rng.uniform(3, 10)))
-            for m in times))
+        series = PatientSeries("p", [(minutes(base) + m, float(rng.uniform(3, 10)), math.nan)
+                                     for m in times])
         for _ in range(200):
             nominal = base + timedelta(minutes=float(rng.uniform(0, 600)))
             tol = float(rng.uniform(0, 10))
-            hit = sample_at(series, nominal, tol)
+            hit = series.nearest_present(nominal, tol)
             if hit is not None:
-                assert abs((hit.timestamp - nominal).total_seconds()) / 60 <= tol
+                assert abs((series.timestamp(hit) - nominal).total_seconds()) / 60 <= tol
 
 
 class TestSeriesValidation:
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            PatientSeries("p", (
-                GlucoseSample(ts("9:32"), 5.0),
-                GlucoseSample(ts("9:27"), 5.0),
-            ))
+            make_series([("9:32", 5.0), ("9:27", 5.0)])
+        with pytest.raises(ValueError, match="increasing"):
+            make_series([("9:32", 5.0), ("9:32", 6.0)])
 
     def test_bg_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
-            PatientSeries("p", (GlucoseSample(ts("9:32"), 41.0),))
+            make_series([("9:32", 41.0)])
 
     def test_bad_dm_type_rejected(self):
         with pytest.raises(ValueError, match="dm_type"):
             PatientSeries("p", (), dm_type="type3")
+
+    @pytest.mark.parametrize("samples", [[(0.0, 5.0)], [[0.0, 5.0, 1.0, 2.0]], [0.0, 5.0, 1.0]])
+    def test_samples_must_be_rows_of_three(self, samples):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            PatientSeries("p", samples)
 
 
 class TestPipelineConfig:

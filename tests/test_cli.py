@@ -44,6 +44,15 @@ class TestSynth:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert "error[data]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [{"seed": 1.5}, {"n_patients": 2.5},
+                                        {"meals_per_day_max": 2.5}, {"days_max": True}])
+    def test_non_integer_count_rejected(self, tmp_path, capsys, fields):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(fields))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestIngest:
     def test_summary_line(self, cohort_dir, capsys):
@@ -62,6 +71,10 @@ class TestIngest:
 
     def test_missing_file_is_a_data_error(self, tmp_path, capsys):
         assert main(["ingest", "--in", str(tmp_path / "nope.csv")]) == 2
+
+    def test_directory_is_a_data_error(self, tmp_path, capsys):
+        assert main(["ingest", "--in", str(tmp_path)]) == 2
+        assert "error[data]: " in capsys.readouterr().err
 
     def test_mg_unit_flag(self, tmp_path, capsys):
         mg = tmp_path / "mg.csv"
@@ -146,6 +159,11 @@ class TestTrain:
         assert main(["train", "--features", str(features_csv), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert "feature" in doc or "class" in doc
+
+    def test_directory_is_a_data_error(self, tmp_path, capsys):
+        assert main(["train", "--features", str(tmp_path),
+                     "--out", str(tmp_path / "tree.json")]) == 2
+        assert "error[data]: " in capsys.readouterr().err
 
 
 class TestPredict:
@@ -235,6 +253,23 @@ class TestReport:
         for name in ("performance.csv", "per_patient.csv", "missed_events.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["missed_events"].pop("rows"),
+        lambda doc: doc["per_run"][3].pop("sensitivity"),
+        lambda doc: doc["per_patient"].__setitem__(0, "p00"),
+    ], ids=["missed_events_without_rows", "per_run_row_without_column", "row_not_an_object"])
+    def test_malformed_summary_is_a_data_error(self, tmp_path, features_csv, capsys, edit):
+        report = tmp_path / "report"
+        assert main(["evaluate", "--features", str(features_csv), "--out", str(report)]) == 0
+        doc = json.loads((report / "summary.json").read_text())
+        edit(doc)
+        (report / "summary.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--summary", str(report / "summary.json"),
+                     "--out", str(tmp_path / "again")]) == 2
+        assert "error[data]: summary " in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
 
 class TestAnova:
     def test_prints_f_and_p(self, tmp_path, features_csv, cohort_dir, capsys):
@@ -262,6 +297,12 @@ class TestAnova:
             {"dm_type": "type1", "sensitivity": 1.0},
             {"sensitivity": 0.5},
         ]}))
+        assert main(["anova", "--report", str(summary)]) == 2
+        assert "error[data]: " in capsys.readouterr().err
+
+    def test_summary_not_an_object_is_a_data_error(self, tmp_path, capsys):
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps([{"dm_type": "type1", "sensitivity": 1.0}]))
         assert main(["anova", "--report", str(summary)]) == 2
         assert "error[data]: " in capsys.readouterr().err
 

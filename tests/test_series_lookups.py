@@ -13,19 +13,15 @@ import numpy as np
 import pytest
 
 from hypoalarm import (
-    GlucoseSample,
     PatientSeries,
     PipelineConfig,
-    build_instances,
     find_postprandial_peak,
     horizon_label,
     label_hypoglycemia,
-    meal_episodes,
-    sample_at,
 )
 
-from conftest import WORKED_ANCHORS, WORKED_MEALS, series_from_anchors
-from oracle_utils import linear_postprandial_peak, linear_sample_at
+from conftest import minutes
+from oracle_utils import linear_postprandial_peak, linear_sample_at, timed_rows
 
 BASE = datetime(2015, 9, 7, 6, 0)
 LEVELS = (3.5, 3.9, 6.2, 9.0, 12.7)
@@ -34,15 +30,15 @@ TOLERANCES = (0.0, 0.5, 1.0, 2.0, 2.5, 5.0)
 
 def random_series(rng) -> PatientSeries:
     steps = rng.choice([1, 2, 4, 5, 5, 5, 5, 10, 45], size=int(rng.integers(1, 70)))
-    samples = []
+    rows = []
     for m in np.cumsum(steps):
-        bg = None if rng.random() < 0.25 else float(rng.choice(LEVELS))
-        samples.append(GlucoseSample(BASE + timedelta(minutes=int(m)), bg))
-    return PatientSeries("r", tuple(samples))
+        bg = math.nan if rng.random() < 0.25 else float(rng.choice(LEVELS))
+        rows.append((minutes(BASE) + int(m), bg, math.nan))
+    return PatientSeries("r", rows)
 
 
 def probe_times(rng, series: PatientSeries) -> list[datetime]:
-    times = [s.timestamp for s in series.samples]
+    times = [timestamp for timestamp, _ in timed_rows(series)]
     probes = list(times)
     probes += [a + (b - a) / 2 for a, b in zip(times, times[1:])]  # equal-distance ties
     first, last = times[0], times[-1]
@@ -58,24 +54,31 @@ def probe_times(rng, series: PatientSeries) -> list[datetime]:
 
 
 class TestSampleAtOracle:
+    """`PatientSeries.nearest_present`, the snapped reading at a time."""
+
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(20)
         checked = 0
         for _ in range(60):
             series = random_series(rng)
+            rows = timed_rows(series)
             for nominal in probe_times(rng, series):
                 for tol in TOLERANCES + (float(rng.uniform(0, 6)),):
-                    assert sample_at(series, nominal, tol) is linear_sample_at(
-                        series, nominal, tol), (nominal, tol)
+                    assert series.nearest_present(nominal, tol) == linear_sample_at(
+                        rows, nominal, tol), (nominal, tol)
                     checked += 1
         assert checked > 10_000
 
-    def test_nan_reading_is_rejected_not_a_gap(self):
-        with pytest.raises(ValueError, match="range"):
-            PatientSeries("p", (GlucoseSample(BASE, 5.0),
-                                GlucoseSample(BASE + timedelta(minutes=5), math.nan)))
-        with pytest.raises(ValueError, match="range"):
-            PatientSeries("p", (GlucoseSample(BASE, 5.0, meal_ref=math.nan),))
+    def test_nan_reading_is_a_gap_inf_and_41_are_rejected(self):
+        t0, t1 = minutes(BASE), minutes(BASE) + 5
+        series = PatientSeries("p", [(t0, 5.0, math.nan), (t1, math.nan, math.nan)])
+        assert series.missing_count == 1 and series.meal_times == ()
+        assert series.nearest_present(BASE + timedelta(minutes=5), 2.5) is None
+        for bad in (math.inf, -math.inf, 41.0):
+            with pytest.raises(ValueError, match="range"):
+                PatientSeries("p", [(t0, 5.0, math.nan), (t1, bad, math.nan)])
+            with pytest.raises(ValueError, match="range"):
+                PatientSeries("p", [(t0, 5.0, bad)])
 
 
 class TestPeakOracle:
@@ -85,9 +88,10 @@ class TestPeakOracle:
         rng = np.random.default_rng(21)
         for _ in range(60):
             series = random_series(rng)
+            rows = timed_rows(series)
             for meal in probe_times(rng, series):
                 assert find_postprandial_peak(series, meal, cfg) == linear_postprandial_peak(
-                    series, meal, window), meal
+                    rows, meal, window), meal
 
 
 class TestHorizonOracle:
@@ -96,36 +100,26 @@ class TestHorizonOracle:
         rng = np.random.default_rng(22)
         for _ in range(60):
             series = random_series(rng)
+            rows = timed_rows(series)
             for t in probe_times(rng, series):
-                readings = [s.bg for s in (
-                    linear_sample_at(series, t + timedelta(minutes=off), cfg.snap_tolerance_min)
-                    for off in cfg.horizon_offsets_min) if s is not None]
+                hits = (linear_sample_at(rows, t + timedelta(minutes=off), cfg.snap_tolerance_min)
+                        for off in cfg.horizon_offsets_min)
+                readings = [rows[i][1] for i in hits if i is not None]
                 expected = (label_hypoglycemia(min(readings)), min(readings)) if readings else None
                 assert horizon_label(series, t, cfg) == expected, t
 
 
 class TestArrayView:
     def test_arrays_mirror_the_samples(self):
-        series = random_series(np.random.default_rng(23))
-        assert len(series.minutes) == len(series.bg) == len(series.samples)
-        assert np.all(np.diff(series.minutes) > 0)
-        missing = [s.bg is None for s in series.samples]
-        assert np.isnan(series.bg).tolist() == missing
-        assert not series.minutes.flags.writeable and not series.bg.flags.writeable
-
-    def test_built_once_per_series(self, monkeypatch):
-        calls = {"minutes": 0, "bg": 0}
-        for name in calls:
-            prop = PatientSeries.__dict__[name]
-            build = prop.func
-
-            def counted(self, build=build, name=name):
-                calls[name] += 1
-                return build(self)
-
-            monkeypatch.setattr(prop, "func", counted)
-        series = series_from_anchors(WORKED_ANCHORS, WORKED_MEALS)
-        assert build_instances(series)
-        meal_episodes(series)
-        sample_at(series, series.samples[3].timestamp, 2.5)
-        assert calls == {"minutes": 1, "bg": 1}
+        rows = random_series(np.random.default_rng(23)).samples.tolist()
+        source = np.array(rows)
+        series = PatientSeries("r", source)
+        source[0, 1] = 1.0  # the series holds its own copy
+        assert series.samples.shape == (len(rows), 3)
+        assert np.array_equal(series.samples, rows, equal_nan=True)
+        for col, column in enumerate((series.minutes, series.bg, series.meal_ref)):
+            assert np.shares_memory(column, series.samples)
+            assert np.array_equal(column, [row[col] for row in rows], equal_nan=True)
+            assert not column.flags.writeable
+        assert not series.samples.flags.writeable
+        assert series.missing_count == sum(math.isnan(row[1]) for row in rows)

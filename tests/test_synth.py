@@ -1,7 +1,12 @@
+import math
+from datetime import timedelta
+
 import pytest
 
 from hypoalarm import build_instances, series_to_csv
 from hypoalarm.synth import SynthConfig, generate_cohort
+
+from oracle_utils import EPOCH
 
 
 def cohort_instances(cfg):
@@ -57,16 +62,17 @@ class TestSignalShape:
     def test_bg_bounds_and_step_limits(self):
         cfg = SynthConfig(n_patients=4, seed=3)
         for series in generate_cohort(cfg):
-            readings = [(s.timestamp, s.bg) for s in series.samples if s.bg is not None]
+            readings = [(m, bg) for m, bg, _ in series.samples.tolist() if not math.isnan(bg)]
             assert all(1.5 < bg <= 25.0 for _, bg in readings)
             for (t1, v1), (t2, v2) in zip(readings, readings[1:]):
-                minutes = (t2 - t1).total_seconds() / 60.0
+                minutes = t2 - t1
                 assert v2 - v1 >= -cfg.max_drop_rate * minutes - 1e-9
                 assert v2 - v1 <= cfg.max_rise_rate * minutes + 1e-9
 
     def test_meal_markers_sit_on_the_sample_grid(self):
         for series in generate_cohort(SynthConfig(n_patients=4, seed=4)):
-            stamps = {s.timestamp for s in series.samples}
+            stamps = {EPOCH + timedelta(minutes=m) for m in series.minutes.tolist()}
+            assert all(m % 5 == 0 for m in series.minutes.tolist())
             assert series.meal_times
             assert all(m in stamps for m in series.meal_times)
 
