@@ -18,7 +18,6 @@ from hypoalarm import (
     leaf_class,
     parse_tree,
     predict,
-    prune_to_depth,
     serialize_tree,
     weighted_gini,
 )
@@ -37,7 +36,7 @@ for series in generate_cohort(SynthConfig(seed=4)):
 X, y = instances_to_arrays(instances)
 print(f"training on {len(instances)} decisions, {int(y.sum())} of them alarms")
 
-tree = prune_to_depth(grow_tree(X, y, costs), depth=3, costs=costs)
+tree = grow_tree(X, y, costs, max_depth=3)
 print(format_tree(tree))
 print()
 

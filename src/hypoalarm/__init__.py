@@ -2,7 +2,7 @@
 
 Pipeline: parse 5-min CGM records with meal markers, turn each post-meal
 window into two-predictor decision instances (current BG and the rate of
-decrease from the post-meal peak), fit a cost-weighted depth-pruned
+decrease from the post-meal peak), fit a cost-weighted depth-limited
 classification tree, and evaluate it with repeated seeded k-fold
 cross-validation plus per-patient and severity reporting.
 """
@@ -26,7 +26,7 @@ from .cart import (
     node_counts,
     parse_tree,
     predict,
-    prune_to_depth,
+    predict_batch,
     serialize_tree,
     tree_depth,
     weighted_gini,

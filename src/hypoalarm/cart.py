@@ -129,8 +129,12 @@ def best_split(X, y, costs: CostMatrix) -> SplitCandidate | None:
     return best
 
 
-def grow_tree(X, y, costs: CostMatrix) -> TreeNode:
-    """Grow an unpruned tree; nodes stop at purity or when unsplittable."""
+def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None) -> TreeNode:
+    """Grow a tree; nodes stop at purity, when unsplittable, or at `max_depth`.
+
+    A node `max_depth` edges below the root becomes a leaf labeled by
+    `leaf_class` over its own rows; None grows every path to purity.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if y.size == 0:
@@ -141,12 +145,14 @@ def grow_tree(X, y, costs: CostMatrix) -> TreeNode:
         raise ValueError("features must be finite")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
+    if max_depth is not None and max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
 
     root: TreeNode | None = None
-    stack: list[tuple[Split | None, str, np.ndarray, np.ndarray]] = [(None, "", X, y)]
+    stack: list[tuple[Split | None, str, np.ndarray, np.ndarray, int]] = [(None, "", X, y, 0)]
     while stack:
-        parent, side, Xn, yn = stack.pop()
-        cand = best_split(Xn, yn, costs)
+        parent, side, Xn, yn, depth = stack.pop()
+        cand = None if depth == max_depth else best_split(Xn, yn, costs)
         node: TreeNode
         if cand is None:
             n_h = int(yn.sum())
@@ -154,8 +160,8 @@ def grow_tree(X, y, costs: CostMatrix) -> TreeNode:
         else:
             node = Split(cand.feature, cand.threshold, None, None)  # children filled below
             mask = Xn[:, FEATURES.index(cand.feature)] < cand.threshold
-            stack.append((node, "left", Xn[mask], yn[mask]))
-            stack.append((node, "right", Xn[~mask], yn[~mask]))
+            stack.append((node, "left", Xn[mask], yn[mask], depth + 1))
+            stack.append((node, "right", Xn[~mask], yn[~mask], depth + 1))
         if parent is None:
             root = node
         else:
@@ -192,41 +198,31 @@ def tree_depth(node: TreeNode) -> int:
     return deepest
 
 
-def prune_to_depth(tree: TreeNode, depth: int = 3, costs: CostMatrix = CostMatrix()) -> TreeNode:
-    """Copy of `tree` with at most `depth` splits on any root-to-leaf path.
-
-    A split nested below the limit collapses into a leaf labeled by
-    `leaf_class` over the training counts routed through it; everything
-    shallower is kept as-is.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-
-    def build(node: TreeNode, level: int) -> TreeNode:
+def predict_batch(tree: TreeNode, X) -> np.ndarray:
+    """Class label of each row of `X` (columns x_t, rate): the row sets are
+    routed down the tree, one mask per split; `feature >= threshold` goes
+    right."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != len(FEATURES):
+        raise ValueError(f"X must have shape (n, {len(FEATURES)})")
+    if not np.isfinite(X).all():
+        raise ValueError("predictors must be finite")
+    labels = np.empty(X.shape[0], dtype="<U1")
+    stack = [(tree, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
         if isinstance(node, Leaf):
-            return Leaf(node.label, node.n_n, node.n_h)
-        if level > depth:
-            n_n, n_h = node_counts(node)
-            return Leaf(leaf_class(n_n, n_h, costs), n_n, n_h)
-        return Split(
-            node.feature,
-            node.threshold,
-            build(node.left, level + 1),
-            build(node.right, level + 1),
-        )
-
-    return build(tree, 1)
+            labels[rows] = node.label
+        else:
+            left = X[rows, FEATURES.index(node.feature)] < node.threshold
+            stack.append((node.left, rows[left]))
+            stack.append((node.right, rows[~left]))
+    return labels
 
 
 def predict(tree: TreeNode, x_t: float, rate: float) -> str:
-    """Route one instance to a leaf; `feature >= threshold` goes right."""
-    if not (math.isfinite(x_t) and math.isfinite(rate)):
-        raise ValueError("predictors must be finite")
-    node = tree
-    while isinstance(node, Split):
-        value = x_t if node.feature == "x_t" else rate
-        node = node.left if value < node.threshold else node.right
-    return node.label
+    """Class label of one instance."""
+    return str(predict_batch(tree, [[x_t, rate]])[0])
 
 
 def serialize_tree(tree: TreeNode) -> dict:

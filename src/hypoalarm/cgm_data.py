@@ -208,6 +208,8 @@ def _parse_minute(date_cell: str, time_cell: str, day_starts: dict, line: int) -
     try:
         if date_cell not in day_starts:
             day_s, month_s, year_s = date_cell.split(".")
+            if not (len(year_s) == 2 and year_s.isascii() and year_s.isdigit()):
+                raise ValueError("the year must be two digits")
             day = datetime(2000 + int(year_s), _MONTH_NAMES.index(month_s) + 1, int(day_s))
             day_starts[date_cell] = (day - _EPOCH).days * 1440
         hour, minute = (int(part) for part in time_cell.split(":"))

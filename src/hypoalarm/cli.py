@@ -22,7 +22,6 @@ from .cart import (
     grow_tree,
     parse_tree,
     predict,
-    prune_to_depth,
     serialize_tree,
     tree_depth,
 )
@@ -161,9 +160,14 @@ def _load_cohort(path: Path, unit: str):
         entries = [(f.stem, "other", f) for f in sorted(path.glob("*.csv"))]
     if not entries:
         raise DataValidationError(f"no patient CSV files under {path}")
-    series_list = [parse_cgm_file(file.read_text(), patient_id=pid, dm_type=dm_type, unit=unit)
-                   for pid, dm_type, file in entries]
-    return series_list, {str(file): _sha256_file(file) for _, _, file in entries}
+    series_list = []
+    inputs = {}
+    for pid, dm_type, file in entries:
+        data = file.read_bytes()
+        inputs[str(file)] = hashlib.sha256(data).hexdigest()
+        series_list.append(parse_cgm_file(data.decode(), patient_id=pid, dm_type=dm_type,
+                                          unit=unit))
+    return series_list, inputs
 
 
 def _cmd_features(args) -> int:
@@ -188,7 +192,7 @@ def _cmd_train(args) -> int:
         raise DataValidationError("feature table is empty")
     cfg = PipelineConfig()
     X, y = instances_to_arrays(instances)
-    tree = prune_to_depth(grow_tree(X, y, cfg.costs), cfg.prune_depth, cfg.costs)
+    tree = grow_tree(X, y, cfg.costs, cfg.prune_depth)
     out = Path(args.out)
     _write_json(out, serialize_tree(tree))
     _write_manifest(out.with_suffix(".manifest.json"), "train",
@@ -373,7 +377,10 @@ def _cmd_predict(args) -> int:
 def _cmd_anova(args) -> int:
     rows = _read_summary(Path(args.report), {"per_patient": (args.group_by,)})["per_patient"]
     groups: dict[str, list[float]] = {}
-    for row in rows:
+    for k, row in enumerate(rows):
+        if not isinstance(row[args.group_by], str):
+            raise DataValidationError(
+                f"summary per_patient[{k}] {args.group_by!r} must be a string")
         value = row.get(args.metric)
         if value is None:
             continue
@@ -409,7 +416,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="feature table CSV path")
     p.set_defaults(func=_cmd_features)
 
-    p = sub.add_parser("train", help="fit a pruned cost-weighted tree")
+    p = sub.add_parser("train", help="fit a depth-limited cost-weighted tree")
     p.add_argument("--features", required=True, help="feature table CSV")
     p.add_argument("--out", required=True, help="tree JSON path")
     p.set_defaults(func=_cmd_train)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .cart import CLASS_H, TreeNode, grow_tree, predict, prune_to_depth
+from .cart import CLASS_H, TreeNode, grow_tree, predict_batch
 from .cgm_data import SEVERE_THRESHOLD, PipelineConfig
 
 
@@ -113,19 +113,12 @@ def confusion(predictions, labels) -> ConfusionMatrix:
         raise ValueError("predictions and labels differ in length")
     if len(predictions) == 0:
         raise ValueError("nothing to score")
-    tp = fn = fp = tn = 0
-    for pred, truth in zip(predictions, labels):
-        if truth == 1:
-            if pred == CLASS_H:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == CLASS_H:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp, fn, fp, tn)
+    alarm = np.asarray(predictions) == CLASS_H
+    hypo = np.asarray(labels) == 1
+    tp = int(np.count_nonzero(alarm & hypo))
+    fp = int(np.count_nonzero(alarm)) - tp
+    fn = int(np.count_nonzero(hypo)) - tp
+    return ConfusionMatrix(tp, fn, fp, len(alarm) - tp - fn - fp)
 
 
 def metrics(cm: ConfusionMatrix) -> PerformanceVector:
@@ -171,7 +164,7 @@ def _mean_defined(values):
 
 
 def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) -> RunReport:
-    """Repeated k-fold CV: one grown-and-pruned tree per (allocation, fold).
+    """Repeated k-fold CV: one depth-limited tree per (allocation, fold).
 
     Allocation r shuffles with seed `seed + r`. Aggregates are means over
     the defined (non-None) per-run values. A training split holding a
@@ -192,10 +185,8 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
             test = np.array(test_idx, dtype=int)
             train_mask = np.ones(n, dtype=bool)
             train_mask[test] = False
-            tree = prune_to_depth(grow_tree(X[train_mask], y[train_mask], cfg.costs),
-                                  cfg.prune_depth, cfg.costs)
-            preds = [predict(tree, float(X[i, 0]), float(X[i, 1])) for i in test]
-            cm = confusion(preds, [int(y[i]) for i in test])
+            tree = grow_tree(X[train_mask], y[train_mask], cfg.costs, cfg.prune_depth)
+            cm = confusion(predict_batch(tree, X[test]), y[test])
             runs.append(RunEntry(allocation, fold, alloc_seed, cm, metrics(cm), tree))
     aggregate = {
         name: _mean_defined([getattr(entry.vector, name) for entry in runs])
@@ -245,8 +236,8 @@ def evaluate_per_patient(tree: TreeNode, instances, dm_types=None) -> list[Patie
     groups = _group_by_patient(instances)
     for pid in sorted(groups):
         group = groups[pid]
-        preds = [predict(tree, inst.x_t, inst.rate) for inst in group]
-        cm = confusion(preds, [inst.label for inst in group])
+        X, y = instances_to_arrays(group)
+        cm = confusion(predict_batch(tree, X), y)
         vec = metrics(cm)
         rows.append(PatientRow(
             patient_id=pid,
@@ -273,18 +264,17 @@ def missed_event_analysis(tree: TreeNode, instances,
     groups = _group_by_patient(instances)
     for pid in sorted(groups):
         group = groups[pid]
-        preds = [predict(tree, inst.x_t, inst.rate) for inst in group]
-        caught = sum(1 for p, inst in zip(preds, group) if inst.label == 1 and p == CLASS_H)
-        lows = tuple(inst.ph_min_bg for p, inst in zip(preds, group)
-                     if inst.label == 1 and p != CLASS_H)
-        if not lows:
+        X, y = instances_to_arrays(group)
+        preds = predict_batch(tree, X)
+        cm = confusion(preds, y)
+        if not cm.fn:
             continue
-        cm = confusion(preds, [inst.label for inst in group])
+        lows = tuple(group[i].ph_min_bg for i in np.flatnonzero((preds != CLASS_H) & (y == 1)))
         severe = sum(1 for low in lows if low <= severe_threshold)
         rows.append(SeverityRow(
             patient_id=pid,
             sensitivity=metrics(cm).sensitivity,
-            predicted_events=caught,
+            predicted_events=cm.tp,
             missed_events=len(lows),
             lows=lows,
             severe_count=severe,

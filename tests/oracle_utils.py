@@ -7,6 +7,8 @@ no code path with the vectorized implementations under test.
 import math
 from datetime import datetime, timedelta
 
+from hypoalarm import Leaf, Split
+
 EPOCH = datetime(2000, 1, 1)  # sample times are minutes since this instant
 
 
@@ -52,6 +54,43 @@ def brute_force_best_split(rows, cost_fn, cost_fp):
             if decrease > 0.0 and (best is None or decrease > best[2]):
                 best = (fi, threshold, decrease)
     return best
+
+
+def oracle_prune(tree, depth, costs):
+    """Copy of a grown `tree` with at most `depth` splits on any
+    root-to-leaf path: a split nested below the limit collapses into a leaf
+    over the training counts of the leaves under it, labeled H when
+    ``cost_fn * n_H >= cost_fp * n_N``. Everything shallower is copied."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+
+    def counts(node):
+        if isinstance(node, Leaf):
+            return node.n_n, node.n_h
+        (ln, lh), (rn, rh) = counts(node.left), counts(node.right)
+        return ln + rn, lh + rh
+
+    def build(node, level):
+        if isinstance(node, Leaf):
+            return Leaf(node.label, node.n_n, node.n_h)
+        if level > depth:
+            n_n, n_h = counts(node)
+            label = "H" if costs.cost_fn * n_h >= costs.cost_fp * n_n else "N"
+            return Leaf(label, n_n, n_h)
+        return Split(node.feature, node.threshold,
+                     build(node.left, level + 1), build(node.right, level + 1))
+
+    return build(tree, 1)
+
+
+def loop_predict(tree, x_t, rate):
+    """Class label of one instance, by walking the tree one node at a time;
+    ``feature >= threshold`` goes right."""
+    node = tree
+    while isinstance(node, Split):
+        value = x_t if node.feature == "x_t" else rate
+        node = node.left if value < node.threshold else node.right
+    return node.label
 
 
 def f_upper_tail_by_quadrature(f_value, d1, d2):

@@ -26,7 +26,6 @@ from hypoalarm import (
     missed_event_analysis,
     one_way_anova,
     predict,
-    prune_to_depth,
     select_best_tree,
     tree_depth,
     weighted_gini,
@@ -37,7 +36,7 @@ from hypoalarm.features import DecisionInstance
 from hypoalarm.synth import SynthConfig, generate_cohort
 
 from conftest import WORKED_ROWS, WORKED_ANCHORS, WORKED_MEALS, series_from_anchors, ts
-from oracle_utils import brute_force_best_split, f_upper_tail_by_quadrature
+from oracle_utils import brute_force_best_split, f_upper_tail_by_quadrature, oracle_prune
 
 COSTS = CostMatrix(15.0, 1.0)
 
@@ -180,16 +179,18 @@ def test_c05_gini_weighting_and_cost_monotonicity():
 
 
 def test_c06_pruning_bounds_every_path_to_three_edges():
-    """After prune_to_depth(tree, 3) no root-to-leaf path exceeds 3 edges,
-    over 1000 random grown trees, under 10 s."""
+    """A tree grown to depth 3 has no root-to-leaf path over 3 edges and
+    equals the fully grown tree pruned to depth 3, over 1000 random
+    training sets, under 10 s."""
     with Budget(10.0):
         rng = np.random.default_rng(77)
         for _ in range(1000):
             n = int(rng.integers(2, 50))
             X = np.column_stack([rng.uniform(2.0, 16.0, n), rng.uniform(-0.05, 0.12, n)])
             y = rng.integers(0, 2, size=n)
-            pruned = prune_to_depth(grow_tree(X, y, COSTS), 3, COSTS)
-            assert tree_depth(pruned) <= 3
+            tree = grow_tree(X, y, COSTS, 3)
+            assert tree_depth(tree) <= 3
+            assert tree == oracle_prune(grow_tree(X, y, COSTS), 3, COSTS)
 
 
 def test_c07_synthetic_end_to_end_signal_recovery():

@@ -15,13 +15,13 @@ from hypoalarm import (
     node_counts,
     parse_tree,
     predict,
-    prune_to_depth,
+    predict_batch,
     serialize_tree,
     tree_depth,
     weighted_gini,
 )
 
-from oracle_utils import brute_force_best_split
+from oracle_utils import brute_force_best_split, loop_predict, oracle_prune
 
 COSTS = CostMatrix(15.0, 1.0)
 
@@ -191,13 +191,15 @@ def chain_tree(n_splits):
 
 
 class TestPrune:
+    """The pruning oracle that depth-limited growth is checked against."""
+
     def test_shallow_tree_unchanged(self):
         tree = chain_tree(2)
-        assert prune_to_depth(tree, 3, COSTS) == tree
+        assert oracle_prune(tree, 3, COSTS) == tree
 
     def test_deep_chain_collapses(self):
         tree = chain_tree(5)
-        pruned = prune_to_depth(tree, 3, COSTS)
+        pruned = oracle_prune(tree, 3, COSTS)
         assert tree_depth(pruned) == 3
         # the two deepest splits merged into one leaf holding their counts
         node = pruned
@@ -211,18 +213,56 @@ class TestPrune:
         rng = np.random.default_rng(8)
         for _ in range(50):
             X, y = random_dataset(rng)
-            pruned = prune_to_depth(grow_tree(X, y, COSTS), 3, COSTS)
+            pruned = oracle_prune(grow_tree(X, y, COSTS), 3, COSTS)
             assert tree_depth(pruned) <= 3
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError):
-            prune_to_depth(Leaf("N", 1, 0), 0, COSTS)
+            oracle_prune(Leaf("N", 1, 0), 0, COSTS)
 
     def test_original_not_mutated(self):
         tree = chain_tree(5)
         before = serialize_tree(tree)
-        prune_to_depth(tree, 2, COSTS)
+        oracle_prune(tree, 2, COSTS)
         assert serialize_tree(tree) == before
+
+
+def depth_limit_cases(rng):
+    """Random (X, y): plain and rounded-duplicate values, single-class sets
+    and single instances."""
+    for _ in range(40):
+        yield random_dataset(rng)
+        yield random_dataset(rng, duplicates=True)
+    for label in (0, 1):
+        X, _ = random_dataset(rng, duplicates=True)
+        yield X, np.full(len(X), label)
+        yield X[:1], np.array([label])
+    X, _ = random_dataset(rng, n=400, duplicates=True)
+    yield X, (X[:, 0] < rng.uniform(4.0, 8.0)).astype(int) ^ (rng.random(400) < 0.1)
+
+
+class TestDepthLimitedGrowth:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_equals_grow_then_prune(self, depth):
+        rng = np.random.default_rng(20 + depth)
+        for X, y in depth_limit_cases(rng):
+            limited = grow_tree(X, y, COSTS, depth)
+            assert serialize_tree(limited) == \
+                serialize_tree(oracle_prune(grow_tree(X, y, COSTS), depth, COSTS))
+            assert tree_depth(limited) <= depth
+            assert node_counts(limited) == (int((y == 0).sum()), int((y == 1).sum()))
+
+    def test_none_grows_to_purity(self):
+        rng = np.random.default_rng(25)
+        X, y = random_dataset(rng, n=200)
+        tree = grow_tree(X, y, COSTS, None)
+        assert tree_depth(tree) > 4
+        assert serialize_tree(tree) == serialize_tree(grow_tree(X, y, COSTS))
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_bad_depth_rejected(self, depth):
+        with pytest.raises(ValueError, match="max_depth"):
+            grow_tree(np.array([[5.0, 0.1]]), np.array([1]), COSTS, depth)
 
 
 class TestPredict:
@@ -246,6 +286,61 @@ class TestPredict:
     def test_non_finite_rejected(self, x_t, rate):
         with pytest.raises(ValueError):
             predict(Leaf("N", 1, 0), x_t, rate)
+
+
+def threshold_rows(tree):
+    """For each split: rows at its threshold and one float either side, on
+    the split's feature, with the other predictor at 0."""
+    rows = []
+    for node in _walk(tree):
+        if isinstance(node, Split):
+            col = 0 if node.feature == "x_t" else 1
+            for value in (np.nextafter(node.threshold, -np.inf), node.threshold,
+                          np.nextafter(node.threshold, np.inf)):
+                row = [0.0, 0.0]
+                row[col] = value
+                rows.append(row)
+    return np.array(rows).reshape(-1, 2)
+
+
+class TestPredictBatch:
+    def test_matches_per_row_walk_on_random_trees(self):
+        rng = np.random.default_rng(30)
+        for case in range(40):
+            X, y = random_dataset(rng, duplicates=bool(case % 2))
+            tree = grow_tree(X, y, COSTS, None if case % 3 else 3)
+            queries = np.vstack([X, random_dataset(rng, n=50)[0], threshold_rows(tree)])
+            got = predict_batch(tree, queries)
+            assert got.shape == (len(queries),)
+            assert list(got) == [loop_predict(tree, a, b) for a, b in queries]
+            assert [predict(tree, a, b) for a, b in queries[:10]] == list(got[:10])
+
+    def test_threshold_goes_right(self):
+        tree = Split("x_t", 6.45, Leaf("H", 1, 10),
+                     Split("rate", 0.05, Leaf("N", 5, 0), Leaf("H", 0, 5)))
+        X = [[6.45, 0.05], [6.45, 0.049], [np.nextafter(6.45, 0.0), 0.05]]
+        assert list(predict_batch(tree, X)) == ["H", "N", "H"]
+
+    def test_empty_rows(self):
+        tree = Split("x_t", 6.45, Leaf("H", 1, 10), Leaf("N", 50, 0))
+        assert predict_batch(tree, np.empty((0, 2))).shape == (0,)
+        assert predict_batch(Leaf("N", 1, 0), np.empty((0, 2))).shape == (0,)
+
+    def test_single_leaf_labels_every_row(self):
+        assert list(predict_batch(Leaf("H", 0, 1), [[12.0, -0.5], [3.0, 0.2]])) == ["H", "H"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("col", [0, 1])
+    def test_non_finite_row_rejected(self, bad, col):
+        X = np.array([[5.0, 0.01], [6.0, 0.02], [7.0, 0.03]])
+        X[1, col] = bad
+        with pytest.raises(ValueError, match="predictors must be finite"):
+            predict_batch(Split("x_t", 6.45, Leaf("H", 1, 10), Leaf("N", 50, 0)), X)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            predict_batch(Leaf("N", 1, 0), np.zeros(shape))
 
 
 class TestSerialization:

@@ -76,6 +76,9 @@ class TestParse:
         ("1,7.Sep.15,9:60,.,11.4", "malformed timestamp"),
         ("1,29.Feb.15,9:27,.,11.4", "malformed timestamp"),
         ("1,31.Sep.15,9:27,.,11.4", "malformed timestamp"),
+        ("1,7.Sep.2015,9:27,.,11.4", "malformed timestamp"),
+        ("1,7.Sep.-1,9:27,.,11.4", "malformed timestamp"),
+        ("1,7.Sep.5,9:27,.,11.4", "malformed timestamp"),
         ("1,7.Sep.15,9:27,.,-2.0", "SensorBG"),
         ("1,7.Sep.15,9:27,.,0", "SensorBG"),
         ("1,7.Sep.15,9:27,.,99", "SensorBG"),

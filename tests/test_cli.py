@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -98,6 +99,19 @@ class TestFeatures:
         assert main(["features", "--in", str(cohort_dir / "p00.csv"),
                      "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_crlf_record_gives_the_lf_table(self, tmp_path, cohort_dir):
+        text = (cohort_dir / "p00.csv").read_bytes()
+        tables = []
+        for name, data in (("lf", text), ("crlf", text.replace(b"\n", b"\r\n"))):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "p00.csv").write_bytes(data)
+            out = tmp_path / f"{name}.csv"
+            assert main(["features", "--in", str(tmp_path / name), "--out", str(out)]) == 0
+            inputs = json.loads(out.with_suffix(".manifest.json").read_text())["inputs"]
+            assert inputs == {str(tmp_path / name / "p00.csv"): hashlib.sha256(data).hexdigest()}
+            tables.append(out.read_bytes())
+        assert b"\r\n" not in tables[0] and tables[0] == tables[1]
 
 
 def _rewrite_cohort(cohort_dir, edit):
@@ -305,6 +319,18 @@ class TestAnova:
         summary.write_text(json.dumps([{"dm_type": "type1", "sensitivity": 1.0}]))
         assert main(["anova", "--report", str(summary)]) == 2
         assert "error[data]: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [(["type1"], "type2"), (1, "b")], ids=["list", "int"])
+    def test_non_string_group_value_is_a_data_error(self, tmp_path, capsys, values):
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"per_patient": [
+            {"dm_type": "type2", "sensitivity": 0.5},
+            {"dm_type": values[0], "sensitivity": 1.0},
+            {"dm_type": values[1], "sensitivity": 0.8},
+        ]}))
+        assert main(["anova", "--report", str(summary)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and "per_patient[1]" in err
 
 
 class TestUsage:

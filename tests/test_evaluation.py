@@ -26,7 +26,7 @@ from hypoalarm import (
 )
 from hypoalarm.features import DecisionInstance
 
-from oracle_utils import f_upper_tail_by_quadrature
+from oracle_utils import f_upper_tail_by_quadrature, loop_predict
 
 
 def make_instance(x_t, rate, label, patient_id="p00", ph_min_bg=None, minute=0):
@@ -65,6 +65,18 @@ class TestConfusion:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             confusion([], [])
+
+    def test_arrays_count_like_lists(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 100):
+            preds = rng.choice(["H", "N"], size=n)
+            labels = rng.integers(0, 2, size=n)
+            pairs = list(zip(preds.tolist(), labels.tolist()))
+            expected = (pairs.count(("H", 1)), pairs.count(("N", 1)),
+                        pairs.count(("H", 0)), pairs.count(("N", 0)))
+            for p, y in ((preds, labels), (preds.tolist(), labels.tolist())):
+                cm = confusion(p, y)
+                assert (cm.tp, cm.fn, cm.fp, cm.tn) == expected
 
 
 class TestMetrics:
@@ -243,6 +255,17 @@ class TestSelectBest:
 
 ALWAYS_N = Leaf("N", 1, 0)
 SPLIT_AT_SIX = Split("x_t", 6.0, Leaf("H", 0, 1), Leaf("N", 1, 0))
+DEPTH_TWO = Split("x_t", 6.0, Split("rate", 0.02, Leaf("N", 3, 0), Leaf("H", 0, 2)),
+                  Leaf("N", 1, 0))
+
+
+def random_cohort_instances(seed, n=300):
+    rng = np.random.default_rng(seed)
+    return [make_instance(float(rng.choice([6.0, rng.uniform(3.0, 9.0)])),
+                          float(rng.choice([0.02, rng.uniform(-0.05, 0.1)])),
+                          int(rng.random() < 0.3), f"p{int(rng.integers(0, 12)):02d}",
+                          ph_min_bg=float(rng.uniform(2.0, 4.0)), minute=i)
+            for i in range(n)]
 
 
 class TestPerPatient:
@@ -273,6 +296,18 @@ class TestPerPatient:
         instances = [make_instance(9.0, 0.0, 1, "d", minute=i) for i in range(2)]
         rows = evaluate_per_patient(ALWAYS_N, instances)
         assert rows[0].sensitivity == 0.0
+
+    def test_matches_per_row_scoring(self):
+        instances = random_cohort_instances(12)
+        rows = evaluate_per_patient(DEPTH_TWO, instances)
+        assert [r.patient_id for r in rows] == sorted({i.patient_id for i in instances})
+        for row in rows:
+            group = [i for i in instances if i.patient_id == row.patient_id]
+            preds = [loop_predict(DEPTH_TWO, i.x_t, i.rate) for i in group]
+            vec = metrics(confusion(preds, [i.label for i in group]))
+            assert (row.n_points, row.n_hypo) == (len(group), sum(i.label for i in group))
+            assert (row.accuracy, row.sensitivity, row.specificity) == \
+                (vec.accuracy, vec.sensitivity, vec.specificity)
 
 
 class TestMissedEvents:
@@ -313,6 +348,26 @@ class TestMissedEvents:
         assert report.total_missed == 22
         assert report.total_severe == 5
         assert len(report.rows) == 16
+
+    def test_matches_per_row_scoring(self):
+        instances = random_cohort_instances(13)
+        report = missed_event_analysis(DEPTH_TWO, instances, severe_threshold=2.8)
+        expected = {}
+        for inst in instances:
+            alarm = loop_predict(DEPTH_TWO, inst.x_t, inst.rate) == "H"
+            entry = expected.setdefault(inst.patient_id, [0, []])
+            if inst.label == 1 and alarm:
+                entry[0] += 1
+            elif inst.label == 1:
+                entry[1].append(inst.ph_min_bg)
+        expected = {pid: v for pid, v in sorted(expected.items()) if v[1]}
+        assert [r.patient_id for r in report.rows] == list(expected)
+        for row in report.rows:
+            caught, lows = expected[row.patient_id]
+            assert (row.predicted_events, row.lows) == (caught, tuple(lows))
+            assert row.severe_count == sum(low <= 2.8 for low in lows)
+            assert row.sensitivity == caught / (caught + len(lows))
+        assert report.total_missed == sum(len(v[1]) for v in expected.values())
 
 
 class TestAnova:
