@@ -10,7 +10,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from hypoalarm import PatientSeries, build_instances, find_postprandial_peak
+from hypoalarm import PatientSeries, build_instances
 
 # One synthetic day, two meals: dinner stays high, the morning meal decays
 # into an early-afternoon low.
@@ -40,12 +40,15 @@ for hhmm, ref in MEALS.items():
     meal_ref[times == minute_of_day(hhmm)] = ref
 series = PatientSeries("demo", np.column_stack([DAY_START + times, bg, meal_ref]))
 
-for meal in series.meal_times:
-    peak_time, peak_value = find_postprandial_peak(series, meal)
+# Every instance carries its meal's post-meal peak: the highest reading in
+# the 2 h after the meal, the earliest one on ties.
+instances = build_instances(series)
+peaks = {inst.meal_time: (inst.peak_time, inst.peak_value) for inst in instances}
+for meal, (peak_time, peak_value) in peaks.items():
     print(f"meal {meal:%H:%M}: peak {peak_value} mmol/L at {peak_time:%H:%M}")
 
 print()
 print("decision   x_t    rate      low-in-horizon  label")
-for inst in build_instances(series):
+for inst in instances:
     print(f"{inst.decision_time:%H:%M}      {inst.x_t:<6.3g} {inst.rate:<9.3f} "
           f"{inst.ph_min_bg:<15.3g} {inst.label}")

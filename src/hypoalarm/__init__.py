@@ -66,12 +66,7 @@ from .evaluation import (
 )
 from .features import (
     DecisionInstance,
-    MealEpisode,
     build_instances,
-    decision_grid,
-    find_postprandial_peak,
-    horizon_label,
-    meal_episodes,
     rate_of_decrease,
     read_feature_csv,
     write_feature_csv,

@@ -1,4 +1,4 @@
-"""CGM record files: parsing, validation, unit conversion, grid lookups.
+"""CGM record files: parsing, validation, unit conversion, config constants.
 
 The on-disk format is a five-column CSV (``Sample#,Date,Time,Meal,SensorBG``)
 with ``D.Mon.YY`` dates, ``H:MM`` 24-hour times, ``.`` in the Meal column for
@@ -35,12 +35,6 @@ _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 SAMPLING_PERIOD_MIN = 5  # minutes between CGM readings
 
 _EPOCH = datetime(2000, 1, 1)
-_MINUTE = timedelta(minutes=1)
-
-
-def _minutes(ts: datetime) -> float:
-    """Minutes since 2000-01-01; exact for whole-minute timestamps."""
-    return (ts - _EPOCH) / _MINUTE
 
 
 class DataValidationError(ValueError):
@@ -113,33 +107,6 @@ class PatientSeries:
     @property
     def missing_count(self) -> int:
         return int(np.isnan(self.bg).sum())
-
-    def nearest_present(self, nominal: datetime, tolerance_min: float) -> int | None:
-        """Index of the present reading nearest `nominal` within the
-        tolerance; the earlier one on ties, None when none is in reach."""
-        if tolerance_min < 0:
-            raise ValueError("tolerance must be >= 0")
-        minutes, bg = self.minutes, self.bg
-        t = _minutes(nominal)
-        lo = int(np.searchsorted(minutes, t - tolerance_min, side="left"))
-        hi = int(np.searchsorted(minutes, t + tolerance_min, side="right"))
-        best = best_delta = None
-        for i in range(lo, hi):
-            if math.isnan(bg[i]):
-                continue
-            delta = abs(minutes[i] - t)
-            if delta <= tolerance_min and (best is None or delta < best_delta):
-                best, best_delta = i, delta
-        return best
-
-    def window_max(self, start: datetime, end: datetime) -> int | None:
-        """Index of the highest present reading in [start, end]; the
-        earliest one on ties."""
-        lo = int(np.searchsorted(self.minutes, _minutes(start), side="left"))
-        hi = int(np.searchsorted(self.minutes, _minutes(end), side="right"))
-        if lo >= hi or bool(np.isnan(self.bg[lo:hi]).all()):
-            return None
-        return lo + int(np.nanargmax(self.bg[lo:hi]))
 
 
 @dataclass(frozen=True)
@@ -244,7 +211,7 @@ def parse_cgm_file(text, patient_id: str = "unknown", dm_type: str = "other",
     if unit not in ("mmol", "mg"):
         raise ValueError(f"unknown unit {unit!r}, expected 'mmol' or 'mg'")
 
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(text, newline="")))  # any of \n, \r\n, \r ends a row
     if not rows or tuple(cell.strip() for cell in rows[0]) != CSV_COLUMNS:
         raise DataValidationError(
             f"expected header {','.join(CSV_COLUMNS)!r}", row=1)

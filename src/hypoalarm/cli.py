@@ -25,7 +25,7 @@ from .cart import (
     serialize_tree,
     tree_depth,
 )
-from .cgm_data import DataValidationError, PipelineConfig, parse_cgm_file, series_to_csv
+from .cgm_data import DM_TYPES, DataValidationError, PipelineConfig, parse_cgm_file, series_to_csv
 from .evaluation import (
     cross_validate,
     evaluate_per_patient,
@@ -127,8 +127,8 @@ def _cmd_ingest(args) -> int:
 def _read_cohort_json(path: Path) -> list[tuple[str, str, Path]]:
     """(id, dm_type, record file) for each patient entry of a cohort.json.
 
-    Every entry needs a string ``id`` and ``file``, and the file must sit
-    inside the cohort directory.
+    Every entry needs a string ``id`` and a string ``file`` inside the cohort
+    directory; an optional ``dm_type`` is one of `DM_TYPES` ("other" if absent).
     """
     doc = json.loads(path.read_text())
     patients = doc.get("patients", []) if isinstance(doc, dict) else None
@@ -138,8 +138,9 @@ def _read_cohort_json(path: Path) -> list[tuple[str, str, Path]]:
     entries = []
     for k, pat in enumerate(patients):
         if not (isinstance(pat, dict) and isinstance(pat.get("id"), str)
-                and isinstance(pat.get("file"), str)):
-            raise DataValidationError(f"{path}: patients[{k}] needs a string 'id' and 'file'")
+                and isinstance(pat.get("file"), str) and pat.get("dm_type", "other") in DM_TYPES):
+            raise DataValidationError(f"{path}: patients[{k}] needs a string 'id' and 'file'"
+                                      f" and, if it has a 'dm_type', one of {DM_TYPES}")
         file = path.parent / pat["file"]
         if not file.resolve().is_relative_to(root):
             raise DataValidationError(
@@ -384,6 +385,9 @@ def _cmd_anova(args) -> int:
         value = row.get(args.metric)
         if value is None:
             continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DataValidationError(
+                f"summary per_patient[{k}] {args.metric!r} must be a number or null")
         groups.setdefault(row[args.group_by], []).append(float(value))
     if len(groups) < 2:
         raise DataValidationError(

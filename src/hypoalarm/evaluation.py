@@ -153,7 +153,7 @@ def allocate_folds(n: int, k: int, seed) -> FoldPlan:
 
 def instances_to_arrays(instances):
     """(X, y) arrays for the tree: columns are x_t and rate."""
-    X = np.array([[inst.x_t, inst.rate] for inst in instances], dtype=float)
+    X = np.array([[inst.x_t, inst.rate] for inst in instances], dtype=float).reshape(-1, 2)
     y = np.array([inst.label for inst in instances], dtype=int)
     return X, y
 
@@ -219,10 +219,11 @@ def select_best_tree(report: RunReport) -> TreeNode:
 
 
 def _group_by_patient(instances):
-    groups: dict[str, list] = {}
-    for inst in instances:
-        groups.setdefault(inst.patient_id, []).append(inst)
-    return groups
+    """(patient id, row indices) per patient, in id order."""
+    groups: dict[str, list[int]] = {}
+    for i, inst in enumerate(instances):
+        groups.setdefault(inst.patient_id, []).append(i)
+    return [(pid, np.array(groups[pid])) for pid in sorted(groups)]
 
 
 def evaluate_per_patient(tree: TreeNode, instances, dm_types=None) -> list[PatientRow]:
@@ -232,17 +233,16 @@ def evaluate_per_patient(tree: TreeNode, instances, dm_types=None) -> list[Patie
     report "other".
     """
     dm_types = dm_types or {}
+    X, y = instances_to_arrays(instances)
+    preds = predict_batch(tree, X)
     rows = []
-    groups = _group_by_patient(instances)
-    for pid in sorted(groups):
-        group = groups[pid]
-        X, y = instances_to_arrays(group)
-        cm = confusion(predict_batch(tree, X), y)
+    for pid, idx in _group_by_patient(instances):
+        cm = confusion(preds[idx], y[idx])
         vec = metrics(cm)
         rows.append(PatientRow(
             patient_id=pid,
             dm_type=dm_types.get(pid, "other"),
-            n_points=len(group),
+            n_points=len(idx),
             n_hypo=cm.tp + cm.fn,
             accuracy=vec.accuracy,
             sensitivity=vec.sensitivity,
@@ -258,18 +258,17 @@ def missed_event_analysis(tree: TreeNode, instances,
     A missed event is severe when that low sits at or under the severe
     threshold. Patients without false negatives contribute no row.
     """
+    X, y = instances_to_arrays(instances)
+    preds = predict_batch(tree, X)
+    missed = (preds != CLASS_H) & (y == 1)
     rows = []
     total_missed = 0
     total_severe = 0
-    groups = _group_by_patient(instances)
-    for pid in sorted(groups):
-        group = groups[pid]
-        X, y = instances_to_arrays(group)
-        preds = predict_batch(tree, X)
-        cm = confusion(preds, y)
+    for pid, idx in _group_by_patient(instances):
+        cm = confusion(preds[idx], y[idx])
         if not cm.fn:
             continue
-        lows = tuple(group[i].ph_min_bg for i in np.flatnonzero((preds != CLASS_H) & (y == 1)))
+        lows = tuple(instances[i].ph_min_bg for i in idx[missed[idx]])
         severe = sum(1 for low in lows if low <= severe_threshold)
         rows.append(SeverityRow(
             patient_id=pid,

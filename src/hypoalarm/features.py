@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import date, datetime, time, timedelta
 from pathlib import Path
+
+import numpy as np
 
 from .cgm_data import (
     SAMPLING_PERIOD_MIN,
@@ -26,16 +28,6 @@ _TS_FORMAT = "%Y-%m-%dT%H:%M"
 
 FEATURE_COLUMNS = ("patient_id", "meal_time", "peak_time", "peak_value",
                    "decision_time", "x_t", "rate", "ph_min_bg", "label")
-
-
-@dataclass(frozen=True)
-class MealEpisode:
-    """One meal's peak and the decision times that survived filtering."""
-
-    meal_time: datetime
-    peak_time: datetime
-    peak_value: float
-    decision_times: tuple[datetime, ...]
 
 
 @dataclass(frozen=True)
@@ -53,64 +45,6 @@ class DecisionInstance:
     ph_min_bg: float  # lowest present horizon reading, kept for severity analysis
 
 
-def find_postprandial_peak(series: PatientSeries, meal_time: datetime,
-                           cfg: PipelineConfig | None = None):
-    """Highest present BG in [meal, meal + peak window]; earliest on ties.
-
-    Returns (peak_time, peak_value) or None when the window holds no
-    present reading.
-    """
-    cfg = cfg or PipelineConfig()
-    i = series.window_max(meal_time, meal_time + timedelta(minutes=cfg.peak_window_min))
-    return None if i is None else (series.timestamp(i), float(series.bg[i]))
-
-
-def _horizon_in_daytime(t: datetime, cfg: PipelineConfig) -> bool:
-    start = t + timedelta(minutes=cfg.horizon_offsets_min[0])
-    end = t + timedelta(minutes=cfg.horizon_offsets_min[-1])
-    if start.date() != end.date():
-        return False
-    return cfg.daytime_start <= start.time() and end.time() <= cfg.daytime_end
-
-
-def decision_grid(meal_time: datetime, next_meal: datetime | None,
-                  cfg: PipelineConfig | None = None) -> list[datetime]:
-    """Nominal decision times for one meal.
-
-    Drops times at or after the next meal, and times whose horizon does
-    not sit fully inside daytime hours.
-    """
-    cfg = cfg or PipelineConfig()
-    grid = []
-    for offset in cfg.decision_offsets_min:
-        t = meal_time + timedelta(minutes=offset)
-        if next_meal is not None and t >= next_meal:
-            continue
-        if not _horizon_in_daytime(t, cfg):
-            continue
-        grid.append(t)
-    return grid
-
-
-def horizon_label(series: PatientSeries, t: datetime,
-                  cfg: PipelineConfig | None = None):
-    """(label, lowest horizon BG) for a decision at `t`.
-
-    Label is 1 iff any present reading snapped to t+15/t+20/t+25 is at or
-    under the threshold; None when all three are missing.
-    """
-    cfg = cfg or PipelineConfig()
-    readings = []
-    for offset in cfg.horizon_offsets_min:
-        i = series.nearest_present(t + timedelta(minutes=offset), cfg.snap_tolerance_min)
-        if i is not None:
-            readings.append(float(series.bg[i]))
-    if not readings:
-        return None
-    low = min(readings)
-    return (label_hypoglycemia(low, cfg.hypo_threshold), low)
-
-
 def rate_of_decrease(peak_value: float, peak_time: datetime,
                      current_value: float, current_time: datetime) -> float:
     """(peak - current) / minutes elapsed; positive means BG is falling."""
@@ -120,60 +54,81 @@ def rate_of_decrease(peak_value: float, peak_time: datetime,
     return (peak_value - current_value) / minutes
 
 
-def meal_episodes(series: PatientSeries,
-                  cfg: PipelineConfig | None = None) -> list[MealEpisode]:
-    """Per-meal peak and surviving decision grid, before sample snapping."""
-    cfg = cfg or PipelineConfig()
-    meals = series.meal_times
-    episodes = []
-    for k, meal in enumerate(meals):
-        next_meal = meals[k + 1] if k + 1 < len(meals) else None
-        peak = find_postprandial_peak(series, meal, cfg)
-        if peak is None:
-            continue
-        episodes.append(MealEpisode(
-            meal_time=meal,
-            peak_time=peak[0],
-            peak_value=peak[1],
-            decision_times=tuple(decision_grid(meal, next_meal, cfg)),
-        ))
-    return episodes
+def _minute_of_day(clock: time) -> float:
+    return (datetime.combine(date.min, clock) - datetime.min) / timedelta(minutes=1)
+
+
+def _snap(minutes: np.ndarray, values: np.ndarray, times: np.ndarray,
+          tolerance: float) -> np.ndarray:
+    """`values` of the sample nearest each of `times` within the tolerance,
+    ends included; the earlier sample on ties, NaN where none is in reach.
+    `minutes` holds the sample times, increasing and non-empty."""
+    after = np.searchsorted(minutes, times)
+    before = np.maximum(after - 1, 0)
+    after = np.minimum(after, len(minutes) - 1)
+    to_before = np.abs(times - minutes[before])
+    to_after = np.abs(minutes[after] - times)
+    nearest = np.where(to_after < to_before, after, before)
+    return np.where(np.minimum(to_before, to_after) <= tolerance, values[nearest], np.nan)
 
 
 def build_instances(series: PatientSeries,
                     cfg: PipelineConfig | None = None) -> list[DecisionInstance]:
     """All alarm decision instances for one patient, ordered by (meal, t).
 
-    A grid time is skipped when it has no snapped reading, when its whole
-    horizon is missing, or when it falls within one sampling period of the
-    peak (the rate would be ill-defined there).
+    A meal's peak is its highest present reading in [meal, meal + peak
+    window], the earliest on ties; a meal without one yields nothing. Its
+    grid time t is kept when t comes before the next meal, the horizon
+    [t + 15, t + 25] lies within one day's daytime hours, t is at least one
+    sampling period past the peak (the rate is ill-defined nearer), the
+    reading snapped to t is present and so is at least one horizon reading.
     """
     cfg = cfg or PipelineConfig()
-    min_gap = timedelta(minutes=SAMPLING_PERIOD_MIN)
+    present = np.flatnonzero(~np.isnan(series.bg))
+    meal_rows = np.flatnonzero(~np.isnan(series.meal_ref))
+    if not len(present) or not len(meal_rows):
+        return []
+    minutes, bg = series.minutes[present], series.bg[present]
+    meals = series.minutes[meal_rows]
+
+    lo = np.searchsorted(minutes, meals, side="left")
+    hi = np.searchsorted(minutes, meals + cfg.peak_window_min, side="right")
+    peak = np.array([a + int(np.argmax(bg[a:b])) if a < b else -1 for a, b in zip(lo, hi)])
+    peak_minutes = np.where(peak >= 0, minutes[peak], np.nan)
+
+    t = meals[:, None] + np.asarray(cfg.decision_offsets_min, dtype=float)
+    first = t + cfg.horizon_offsets_min[0]
+    last = t + cfg.horizon_offsets_min[-1]
+    # both ends from the midnight before `first`: a horizon across midnight
+    # ends at or past 24:00, after any daytime end
+    midnight = 1440 * np.floor(first / 1440)
+    keep = ((t < np.append(meals[1:], np.inf)[:, None])
+            & (first - midnight >= _minute_of_day(cfg.daytime_start))
+            & (last - midnight <= _minute_of_day(cfg.daytime_end))
+            & (t - peak_minutes[:, None] >= SAMPLING_PERIOD_MIN))
+    meal_k, offset_k = np.nonzero(keep)
+    snapped = _snap(minutes, bg, t[keep][:, None] + np.array((0, *cfg.horizon_offsets_min)),
+                    cfg.snap_tolerance_min)
+    ok = ~np.isnan(snapped[:, 0]) & ~np.isnan(snapped[:, 1:]).all(axis=1)
+
+    meal_times = [series.timestamp(i) for i in meal_rows]
+    peaks = [(series.timestamp(present[p]), float(bg[p])) if p >= 0 else None for p in peak]
     instances = []
-    for episode in meal_episodes(series, cfg):
-        for t in episode.decision_times:
-            if t - episode.peak_time < min_gap:
-                continue
-            current = series.nearest_present(t, cfg.snap_tolerance_min)
-            if current is None:
-                continue
-            x_t = float(series.bg[current])
-            horizon = horizon_label(series, t, cfg)
-            if horizon is None:
-                continue
-            label, low = horizon
-            instances.append(DecisionInstance(
-                patient_id=series.patient_id,
-                meal_time=episode.meal_time,
-                peak_time=episode.peak_time,
-                peak_value=episode.peak_value,
-                decision_time=t,
-                x_t=x_t,
-                rate=rate_of_decrease(episode.peak_value, episode.peak_time, x_t, t),
-                label=label,
-                ph_min_bg=low,
-            ))
+    for k, offset, x, low in zip(meal_k[ok], offset_k[ok], snapped[ok, 0].tolist(),
+                                 np.nanmin(snapped[ok, 1:], axis=1).tolist()):
+        peak_time, peak_value = peaks[k]
+        decision_time = meal_times[k] + timedelta(minutes=cfg.decision_offsets_min[offset])
+        instances.append(DecisionInstance(
+            patient_id=series.patient_id,
+            meal_time=meal_times[k],
+            peak_time=peak_time,
+            peak_value=peak_value,
+            decision_time=decision_time,
+            x_t=x,
+            rate=rate_of_decrease(peak_value, peak_time, x, decision_time),
+            label=label_hypoglycemia(low, cfg.hypo_threshold),
+            ph_min_bg=low,
+        ))
     return instances
 
 
@@ -181,9 +136,11 @@ def write_feature_csv(instances, path) -> None:
     """One instance per row, full float precision, LF line endings."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # the minimal writer leaves a "\r" unquoted, and no reader takes that back
+    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(FEATURE_COLUMNS)
     for inst in instances:
-        writer.writerow([
+        (quote_all if "\r" in inst.patient_id else writer).writerow([
             inst.patient_id,
             inst.meal_time.strftime(_TS_FORMAT),
             inst.peak_time.strftime(_TS_FORMAT),
@@ -206,8 +163,8 @@ def read_feature_csv(path) -> list[DecisionInstance]:
     if hasattr(path, "read"):
         text = path.read()
     else:
-        text = Path(path).read_text()
-    rows = list(csv.reader(io.StringIO(text)))
+        text = Path(path).read_bytes().decode()  # no newline translation: keeps a quoted "\r"
+    rows = list(csv.reader(io.StringIO(text, newline="")))  # any of \n, \r\n, \r ends a row
     if not rows or tuple(c.strip() for c in rows[0]) != FEATURE_COLUMNS:
         raise DataValidationError(f"expected header {','.join(FEATURE_COLUMNS)!r}", row=1)
     instances = []

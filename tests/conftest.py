@@ -6,7 +6,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from hypoalarm import PatientSeries
+from hypoalarm import PatientSeries, PipelineConfig, build_instances
 from oracle_utils import EPOCH
 
 
@@ -18,6 +18,20 @@ def ts(hhmm: str, day: int = 7) -> datetime:
 def minutes(t: datetime) -> float:
     """`t` in the sample-time unit of `PatientSeries.samples`."""
     return (t - EPOCH) / timedelta(minutes=1)
+
+
+def decision_at(rows, probe, cfg=None):
+    """The instance `build_instances` emits for the decision at minute
+    `probe`, or None. `rows` are (minute, bg) pairs, bg None or NaN for a
+    missing reading. A meal row holding a 30 mmol/L peak is added one
+    decision offset before `probe`, so `probe` is its first grid time."""
+    cfg = cfg or PipelineConfig()
+    meal = probe - cfg.decision_offsets_min[0]
+    samples = sorted([(m, math.nan if bg is None else bg, math.nan) for m, bg in rows]
+                     + [(meal, 30.0, 6.0)])
+    hits = [inst for inst in build_instances(PatientSeries("p", samples), cfg)
+            if minutes(inst.decision_time) == probe]
+    return hits[0] if hits else None
 
 
 def series_from_anchors(anchors, meals=None, missing=None, start="7:02", end="22:57",

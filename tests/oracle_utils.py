@@ -7,7 +7,8 @@ no code path with the vectorized implementations under test.
 import math
 from datetime import datetime, timedelta
 
-from hypoalarm import Leaf, Split
+from hypoalarm import DecisionInstance, Leaf, Split
+from hypoalarm.cgm_data import SAMPLING_PERIOD_MIN
 
 EPOCH = datetime(2000, 1, 1)  # sample times are minutes since this instant
 
@@ -149,3 +150,47 @@ def linear_postprandial_peak(rows, meal_time, peak_window_min):
         if best is None or bg > best[1]:
             best = (timestamp, bg)
     return best
+
+
+def loop_build_instances(series, cfg):
+    """Decision instances of `series`, one decision at a time: per meal, the
+    linear-scan peak; per grid time t before the next meal whose horizon
+    lies within one day's daytime hours and that is at least a sampling
+    period past the peak, the linear-scan readings at t and at each horizon
+    offset, all in `datetime` arithmetic."""
+    rows = timed_rows(series)
+    meals = [EPOCH + timedelta(minutes=minute)
+             for minute, _, meal_ref in series.samples.tolist() if not math.isnan(meal_ref)]
+    tol = cfg.snap_tolerance_min
+    instances = []
+    for k, meal in enumerate(meals):
+        peak = linear_postprandial_peak(rows, meal, cfg.peak_window_min)
+        if peak is None:
+            continue
+        peak_time, peak_value = peak
+        for offset in cfg.decision_offsets_min:
+            t = meal + timedelta(minutes=offset)
+            start = t + timedelta(minutes=cfg.horizon_offsets_min[0])
+            end = t + timedelta(minutes=cfg.horizon_offsets_min[-1])
+            if k + 1 < len(meals) and t >= meals[k + 1]:
+                continue
+            if (start.date() != end.date() or start.time() < cfg.daytime_start
+                    or end.time() > cfg.daytime_end):
+                continue
+            if t - peak_time < timedelta(minutes=SAMPLING_PERIOD_MIN):
+                continue
+            current = linear_sample_at(rows, t, tol)
+            if current is None:
+                continue
+            hits = (linear_sample_at(rows, t + timedelta(minutes=h), tol)
+                    for h in cfg.horizon_offsets_min)
+            readings = [rows[i][1] for i in hits if i is not None]
+            if not readings:
+                continue
+            x_t, low = rows[current][1], min(readings)
+            instances.append(DecisionInstance(
+                patient_id=series.patient_id, meal_time=meal, peak_time=peak_time,
+                peak_value=peak_value, decision_time=t, x_t=x_t,
+                rate=(peak_value - x_t) / ((t - peak_time).total_seconds() / 60.0),
+                label=1 if low <= cfg.hypo_threshold else 0, ph_min_bg=low))
+    return instances

@@ -1,5 +1,5 @@
 import math
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hypoalarm import (
 )
 from hypoalarm.synth import SynthConfig, generate_cohort
 
-from conftest import minutes, ts
+from conftest import decision_at, minutes, ts
 
 HEADER = "Sample#,Date,Time,Meal,SensorBG"
 
@@ -169,47 +169,62 @@ def make_series(times_bgs):
                                for t, bg in times_bgs])
 
 
+def snapped(times_bgs, probe, tol=2.5):
+    """x_t that `build_instances` snaps for a decision at `probe` (H:MM),
+    with present readings 15/20/25 min later; None when it emits none."""
+    at = minutes(ts(probe))
+    rows = [(minutes(ts(t)), bg) for t, bg in times_bgs] + [(at + h, 6.0) for h in (15, 20, 25)]
+    inst = decision_at(rows, at, PipelineConfig(snap_tolerance_min=tol))
+    return None if inst is None else inst.x_t
+
+
 class TestSampleAt:
-    """`PatientSeries.nearest_present`, the snapped reading at a time."""
+    """The reading `build_instances` snaps to a decision time."""
 
     def test_exact_hit(self):
-        series = make_series([("9:27", 5.0), ("9:32", 6.0), ("9:37", 7.0)])
-        assert series.nearest_present(ts("9:32"), 2.5) == 1
+        assert snapped([("9:27", 5.0), ("9:32", 6.0), ("9:37", 7.0)], "9:32") == 6.0
 
     def test_nearest_within_tolerance(self):
-        series = make_series([("9:27", 5.0), ("9:32", 6.0), ("9:37", 7.0)])
-        assert series.nearest_present(ts("9:34"), 2.5) == 1
+        assert snapped([("9:27", 5.0), ("9:32", 6.0), ("9:37", 7.0)], "9:34") == 6.0
 
     def test_out_of_range_is_none(self):
-        series = make_series([("9:27", 5.0), ("9:32", 6.0), ("9:37", 7.0)])
-        assert series.nearest_present(ts("9:45"), 2.5) is None
+        assert snapped([("9:27", 5.0), ("9:32", 6.0), ("9:37", 7.0)], "9:45") is None
 
     def test_tie_goes_to_earlier(self):
-        series = make_series([("9:30", 5.0), ("9:34", 7.0)])
-        assert series.nearest_present(ts("9:32"), 2.5) == 0
+        assert snapped([("9:30", 5.0), ("9:34", 7.0)], "9:32") == 5.0
 
     def test_skips_missing_bg(self):
-        series = make_series([("9:27", 5.0), ("9:32", None), ("9:37", 7.0)])
-        assert series.nearest_present(ts("9:32"), 2.5) is None
-        assert series.nearest_present(ts("9:35"), 2.5) == 2
+        times_bgs = [("9:27", 5.0), ("9:32", None), ("9:37", 7.0)]
+        assert snapped(times_bgs, "9:32") is None
+        assert snapped(times_bgs, "9:35") == 7.0
 
     def test_negative_tolerance_rejected(self):
-        series = make_series([("9:27", 5.0)])
-        with pytest.raises(ValueError):
-            series.nearest_present(ts("9:27"), -1)
+        with pytest.raises(ValueError, match="tolerance"):
+            PipelineConfig(snap_tolerance_min=-1)
 
     def test_never_beyond_tolerance(self):
+        # whole-minute readings against quarter-minute decision times, so the
+        # added meal and horizon rows never share a reading's time
         rng = np.random.default_rng(2)
-        base = ts("8:00")
-        times = sorted(rng.choice(600, size=60, replace=False).tolist())
-        series = PatientSeries("p", [(minutes(base) + m, float(rng.uniform(3, 10)), math.nan)
-                                     for m in times])
+        base = minutes(ts("8:00"))
+        times = base + np.sort(rng.choice(600, size=60, replace=False))
+        bgs = rng.uniform(3, 10, size=60)
+        rows = list(zip(times.tolist(), bgs.tolist()))
+        found = 0
         for _ in range(200):
-            nominal = base + timedelta(minutes=float(rng.uniform(0, 600)))
+            probe = base + int(rng.integers(0, 600)) + int(rng.integers(1, 4)) / 4
             tol = float(rng.uniform(0, 10))
-            hit = series.nearest_present(nominal, tol)
-            if hit is not None:
-                assert abs((series.timestamp(hit) - nominal).total_seconds()) / 60 <= tol
+            frame = [(probe + h, 6.0) for h in (15, 20, 25)]
+            inst = decision_at(rows + frame, probe, PipelineConfig(snap_tolerance_min=tol))
+            distance = np.abs(times - probe)
+            if inst is None:
+                assert (distance > tol).all()
+                continue
+            found += 1
+            (hit,) = np.flatnonzero(bgs == inst.x_t)
+            assert distance[hit] <= tol
+            assert hit == np.argmin(distance)  # nearest, the earlier one on ties
+        assert found > 50
 
 
 class TestSeriesValidation:

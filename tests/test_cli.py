@@ -103,7 +103,8 @@ class TestFeatures:
     def test_crlf_record_gives_the_lf_table(self, tmp_path, cohort_dir):
         text = (cohort_dir / "p00.csv").read_bytes()
         tables = []
-        for name, data in (("lf", text), ("crlf", text.replace(b"\n", b"\r\n"))):
+        for name, data in (("lf", text), ("crlf", text.replace(b"\n", b"\r\n")),
+                           ("cr", text.replace(b"\n", b"\r"))):
             (tmp_path / name).mkdir()
             (tmp_path / name / "p00.csv").write_bytes(data)
             out = tmp_path / f"{name}.csv"
@@ -111,7 +112,7 @@ class TestFeatures:
             inputs = json.loads(out.with_suffix(".manifest.json").read_text())["inputs"]
             assert inputs == {str(tmp_path / name / "p00.csv"): hashlib.sha256(data).hexdigest()}
             tables.append(out.read_bytes())
-        assert b"\r\n" not in tables[0] and tables[0] == tables[1]
+        assert b"\r" not in tables[0] and tables[0] == tables[1] == tables[2]
 
 
 def _rewrite_cohort(cohort_dir, edit):
@@ -132,6 +133,8 @@ BAD_ENTRIES = {
     "int_id": lambda pat, outside: pat.update(id=7),
     "file_outside": lambda pat, outside: pat.update(file=f"../{outside.name}"),
     "file_absolute": lambda pat, outside: pat.update(file=str(outside)),
+    "dm_type_list": lambda pat, outside: pat.update(dm_type=["x"]),
+    "dm_type_unknown": lambda pat, outside: pat.update(dm_type="type9"),
 }
 
 
@@ -327,6 +330,19 @@ class TestAnova:
             {"dm_type": "type2", "sensitivity": 0.5},
             {"dm_type": values[0], "sensitivity": 1.0},
             {"dm_type": values[1], "sensitivity": 0.8},
+        ]}))
+        assert main(["anova", "--report", str(summary)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and "per_patient[1]" in err
+
+    @pytest.mark.parametrize("value", [[0.5], True, "0.5"], ids=["list", "bool", "string"])
+    def test_non_number_metric_is_a_data_error(self, tmp_path, capsys, value):
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"per_patient": [
+            {"dm_type": "type1", "sensitivity": 0.5},
+            {"dm_type": "type1", "sensitivity": value},
+            {"dm_type": "type2", "sensitivity": 0.8},
+            {"dm_type": "type2", "sensitivity": None},
         ]}))
         assert main(["anova", "--report", str(summary)]) == 2
         err = capsys.readouterr().err

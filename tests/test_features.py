@@ -1,103 +1,144 @@
 import io
-from datetime import timedelta
+import math
+from datetime import time, timedelta
 
 import pytest
 
 from hypoalarm import (
     DataValidationError,
+    PatientSeries,
     PipelineConfig,
     build_instances,
-    decision_grid,
-    find_postprandial_peak,
-    horizon_label,
     label_hypoglycemia,
-    meal_episodes,
     rate_of_decrease,
     read_feature_csv,
     write_feature_csv,
 )
 from hypoalarm.synth import SynthConfig, generate_cohort
 
-from conftest import WORKED_ANCHORS, WORKED_MEALS, WORKED_ROWS, series_from_anchors, ts
+from conftest import (
+    WORKED_ANCHORS,
+    WORKED_MEALS,
+    WORKED_ROWS,
+    decision_at,
+    minutes,
+    series_from_anchors,
+    ts,
+)
+
+
+def peaks(series):
+    """(peak time, peak value) per meal that yields an instance."""
+    return {inst.meal_time: (inst.peak_time, inst.peak_value)
+            for inst in build_instances(series)}
+
+
+def flat_series(meals, start, end):
+    """A full 5-min trace at 6 mmol/L from `start` to `end` with meal rows
+    at the `meals` datetimes."""
+    rows = []
+    t = start
+    while t <= end:
+        rows.append((minutes(t), 6.0, 6.0 if t in meals else math.nan))
+        t += timedelta(minutes=5)
+    return PatientSeries("flat", rows)
+
+
+def decision_times(meal, series, cfg=None):
+    return [inst.decision_time for inst in build_instances(series, cfg) if inst.meal_time == meal]
 
 
 class TestPeak:
     def test_worked_evening_peak(self, worked_series):
-        assert find_postprandial_peak(worked_series, ts("19:07")) == (ts("19:32"), 15.7)
+        assert peaks(worked_series)[ts("19:07")] == (ts("19:32"), 15.7)
 
     def test_worked_morning_peak(self, worked_series):
-        assert find_postprandial_peak(worked_series, ts("8:42")) == (ts("9:17"), 12.7)
+        assert peaks(worked_series)[ts("8:42")] == (ts("9:17"), 12.7)
 
     def test_decreasing_bg_peaks_at_the_meal(self):
         series = series_from_anchors([("9:02", 11.0), ("12:02", 5.0)], {"9:02": 10.8},
                                      start="9:02", end="12:02")
-        assert find_postprandial_peak(series, ts("9:02")) == (ts("9:02"), 11.0)
+        assert peaks(series) == {ts("9:02"): (ts("9:02"), 11.0)}
 
     def test_earliest_tie_wins(self):
         series = series_from_anchors(
-            [("9:02", 10.0), ("9:27", 15.7), ("9:52", 15.7), ("11:02", 8.0)],
-            start="9:02", end="11:02")
+            [("9:02", 10.0), ("9:27", 15.7), ("9:52", 15.7), ("11:02", 8.0)], {"9:02": 9.0},
+            start="9:02", end="12:02")
         # interpolation keeps the plateau at 15.7 between the two anchors
-        assert find_postprandial_peak(series, ts("9:02")) == (ts("9:27"), 15.7)
+        assert peaks(series) == {ts("9:02"): (ts("9:27"), 15.7)}
 
     def test_empty_window_is_none(self):
-        series = series_from_anchors([("9:02", 10.0), ("12:02", 10.0)],
-                                     start="9:02", end="12:02",
-                                     missing=[f"{h}:{m:02d}" for h in (9, 10, 11, 12)
-                                              for m in (2, 7, 12, 17, 22, 27, 32, 37, 42, 47, 52, 57)])
-        assert find_postprandial_peak(series, ts("9:02")) is None
+        # every reading of the meal's 2 h window is missing; later decisions
+        # have their reading and horizon but no peak to measure from
+        window = [f"{h}:{m:02d}" for h in (9, 10) for m in range(2, 60, 5)] + ["11:02"]
+        series = series_from_anchors([("9:02", 10.0), ("13:02", 10.0)], {"9:02": 9.0},
+                                     start="9:02", end="13:02", missing=window)
+        assert build_instances(series) == []
+        series = series_from_anchors([("9:02", 10.0), ("13:02", 10.0)], {"9:02": 9.0},
+                                     start="9:02", end="13:02", missing=window[:-1])
+        assert peaks(series) == {ts("9:02"): (ts("11:02"), 10.0)}
 
 
 class TestDecisionGrid:
     def test_first_three_evening_decisions(self):
-        grid = decision_grid(ts("19:07"), None)
-        assert grid[:3] == [ts("21:07"), ts("21:22"), ts("21:37")]
+        series = flat_series({ts("19:07")}, ts("19:02"), ts("23:57"))
+        assert decision_times(ts("19:07"), series)[:3] == [ts("21:07"), ts("21:22"), ts("21:37")]
 
     def test_morning_rows(self):
-        grid = decision_grid(ts("8:42"), None)
+        series = flat_series({ts("8:42")}, ts("8:42"), ts("12:57"))
+        grid = decision_times(ts("8:42"), series)
         assert ts("10:42") in grid and ts("10:57") in grid and ts("11:12") in grid
         assert len(grid) == 7
 
     def test_late_meal_truncates_at_daytime_end(self):
         # horizons must end by 23:00, so only the 20:30 meal's first decision survives
-        grid = decision_grid(ts("20:30"), None)
+        series = flat_series({ts("20:30")}, ts("20:30"), ts("23:55"))
+        grid = decision_times(ts("20:30"), series)
         assert grid == [ts("22:30")]
         assert all(t + timedelta(minutes=25) <= ts("23:00") for t in grid)
 
     def test_early_meal_waits_for_daytime_start(self):
-        grid = decision_grid(ts("4:00", day=8), None)
+        series = flat_series({ts("4:00", day=8)}, ts("4:00", day=8), ts("8:00", day=8))
+        grid = decision_times(ts("4:00", day=8), series)
+        assert grid == [ts(hhmm, day=8) for hhmm in ("6:45", "7:00", "7:15", "7:30")]
         assert all(t + timedelta(minutes=15) >= ts("7:00", day=8) for t in grid)
-        assert ts("6:00", day=8) not in grid
-        assert ts("6:45", day=8) in grid
 
     def test_next_meal_truncates(self):
-        grid = decision_grid(ts("8:42"), ts("11:12"))
-        assert grid == [ts("10:42"), ts("10:57")]
+        series = flat_series({ts("8:42"), ts("11:12")}, ts("8:42"), ts("14:57"))
+        assert decision_times(ts("8:42"), series) == [ts("10:42"), ts("10:57")]
 
     def test_overnight_horizon_dropped(self):
-        assert decision_grid(ts("22:00"), None) == []
+        series = flat_series({ts("22:00")}, ts("22:00"), ts("2:00", day=8))
+        assert build_instances(series) == []
+        # with daytime spanning the whole clock only the one horizon across
+        # midnight (23:55 to 00:05 after the 23:40 decision) is dropped
+        cfg = PipelineConfig(daytime_start=time(0, 0), daytime_end=time(23, 59))
+        series = flat_series({ts("21:40")}, ts("21:40"), ts("2:00", day=8))
+        grid = decision_times(ts("21:40"), series, cfg)
+        assert grid == [ts("21:40") + timedelta(minutes=m) for m in (135, 150, 165, 180, 195, 210)]
 
 
 class TestHorizonLabel:
-    def _series(self, bgs, missing=()):
-        anchors = [("9:00", bgs[0]), ("9:15", bgs[0]), ("9:20", bgs[1]), ("9:25", bgs[2])]
-        return series_from_anchors(anchors, start="9:00", end="9:25", missing=missing)
+    def _instance(self, bgs, missing=()):
+        """The decision at 9:00 over readings 9:15/9:20/9:25 (one per `bgs`)."""
+        readings = (("9:00", bgs[0]), ("9:15", bgs[0]), ("9:20", bgs[1]), ("9:25", bgs[2]))
+        rows = [(minutes(ts(hhmm)), None if hhmm in missing else bg) for hhmm, bg in readings]
+        return decision_at(rows, minutes(ts("9:00")))
 
     def test_any_low_reading_flags(self):
-        series = self._series([4.1, 3.8, 4.0])
-        assert horizon_label(series, ts("9:00")) == (1, 3.8)
+        inst = self._instance([4.1, 3.8, 4.0])
+        assert (inst.label, inst.ph_min_bg) == (1, 3.8)
 
     def test_all_high_readings_stay_zero(self):
-        series = self._series([8.0, 7.7, 7.5])
-        assert horizon_label(series, ts("9:00")) == (0, 7.5)
+        inst = self._instance([8.0, 7.7, 7.5])
+        assert (inst.label, inst.ph_min_bg) == (0, 7.5)
 
     def test_all_missing_is_none(self):
-        series = self._series([8.0, 7.7, 7.5], missing=("9:15", "9:20", "9:25"))
-        assert horizon_label(series, ts("9:00")) is None
+        assert self._instance([8.0, 7.7, 7.5], missing=("9:15", "9:20", "9:25")) is None
 
     def test_partial_horizon_still_labels(self):
-        series = self._series([8.0, 3.5, 7.5], missing=("9:20",))
-        assert horizon_label(series, ts("9:00")) == (0, 7.5)
+        inst = self._instance([8.0, 3.5, 7.5], missing=("9:20",))
+        assert (inst.label, inst.ph_min_bg) == (0, 7.5)
 
 
 class TestRate:
@@ -149,9 +190,8 @@ class TestBuildInstances:
         assert build_instances(series) == []
 
     def test_zero_meals_marker_required(self, worked_series):
-        episodes = meal_episodes(worked_series)
-        assert [e.meal_time for e in episodes] == [ts("8:42"), ts("19:07")]
-        assert episodes[0].peak_value == 12.7
+        assert list(peaks(worked_series)) == [ts("8:42"), ts("19:07")]
+        assert peaks(worked_series)[ts("8:42")][1] == 12.7
 
     def test_rate_times_dt_recovers_bg_drop(self, worked_series):
         for inst in build_instances(worked_series):
@@ -187,13 +227,23 @@ class TestFeatureCsv:
         again = read_feature_csv(io.StringIO(buf.getvalue()))
         assert again == instances
 
-    @pytest.mark.parametrize("patient_id", ["a,b", 'quote"d', "line\nbreak"])
-    def test_round_trip_with_csv_special_ids(self, patient_id):
+    @pytest.mark.parametrize("patient_id", ["a,b", 'quote"d', "line\nbreak", "cr\rlf\r\n"])
+    def test_round_trip_with_csv_special_ids(self, patient_id, tmp_path):
         series = series_from_anchors(WORKED_ANCHORS, WORKED_MEALS, patient_id=patient_id)
         instances = build_instances(series)
         buf = io.StringIO()
         write_feature_csv(instances, buf)
         assert read_feature_csv(io.StringIO(buf.getvalue())) == instances
+        write_feature_csv(instances, tmp_path / "f.csv")
+        assert read_feature_csv(tmp_path / "f.csv") == instances
+
+    def test_cr_and_crlf_line_endings_read_like_lf(self, worked_series, tmp_path):
+        instances = build_instances(worked_series)
+        buf = io.StringIO()
+        write_feature_csv(instances, buf)
+        for ending in ("\r", "\r\n"):
+            (tmp_path / "f.csv").write_bytes(buf.getvalue().replace("\n", ending).encode())
+            assert read_feature_csv(tmp_path / "f.csv") == instances
 
     def test_bad_header_rejected(self):
         with pytest.raises(DataValidationError, match="header"):
