@@ -14,7 +14,7 @@ from hypoalarm import (
     generate_cohort,
     missed_event_analysis,
     one_way_anova,
-    select_best_tree,
+    select_best_run,
 )
 
 cohort = generate_cohort(SynthConfig(seed=6))
@@ -23,7 +23,7 @@ instances = []
 for series in cohort:
     instances.extend(build_instances(series))
 
-tree = select_best_tree(cross_validate(instances, seed=0))
+tree = select_best_run(cross_validate(instances, seed=0)).tree
 
 rows = evaluate_per_patient(tree, instances, dm_types)
 print("patient  type   points  lows  accuracy  sensitivity  specificity")

@@ -23,7 +23,6 @@ from .cart import (
     format_tree,
     grow_tree,
     leaf_class,
-    node_counts,
     parse_tree,
     predict,
     predict_batch,
@@ -40,7 +39,6 @@ from .cgm_data import (
     label_hypoglycemia,
     parse_cgm_file,
     series_to_csv,
-    to_mg,
     to_mmol,
 )
 from .evaluation import (
@@ -62,7 +60,7 @@ from .evaluation import (
     missed_event_analysis,
     one_way_anova,
     select_best_run,
-    select_best_tree,
+    summary_document,
 )
 from .features import (
     DecisionInstance,

@@ -169,21 +169,6 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None) -> TreeNode
     return root
 
 
-def node_counts(node: TreeNode) -> tuple[int, int]:
-    """Training (n_N, n_H) routed through a node, summed over its leaves."""
-    n_n = n_h = 0
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Leaf):
-            n_n += cur.n_n
-            n_h += cur.n_h
-        else:
-            stack.append(cur.left)
-            stack.append(cur.right)
-    return n_n, n_h
-
-
 def tree_depth(node: TreeNode) -> int:
     """Maximum number of edges on any root-to-leaf path."""
     deepest = 0

@@ -34,6 +34,10 @@ _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 
 SAMPLING_PERIOD_MIN = 5  # minutes between CGM readings
 
+# every valid time cell, H:MM or HH:MM, to its minute of the day
+_DAY_MINUTES = {f"{hour:{width}}:{minute:02d}": 60 * hour + minute
+                for hour in range(24) for minute in range(60) for width in ("", "02")}
+
 _EPOCH = datetime(2000, 1, 1)
 
 
@@ -155,18 +159,16 @@ def to_mmol(value: float, unit: str) -> float:
     return float(value) if unit == "mmol" else value / MG_PER_DL_PER_MMOL_L
 
 
-def to_mg(value: float) -> float:
-    """mmol/L to mg/dL, the inverse of `to_mmol(..., "mg")`."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"BG must be finite and positive, got {value!r}")
-    return value * MG_PER_DL_PER_MMOL_L
-
-
 def label_hypoglycemia(bg: float | None, threshold: float = HYPO_THRESHOLD) -> int | None:
     """1 when BG is at or under the threshold, 0 above, None when missing."""
     if bg is None:
         return None
     return 1 if bg <= threshold else 0
+
+
+def _is_digits(cell: str, widths=range(1, 3)) -> bool:
+    """True when `cell` is plain ASCII digits, as many as one of `widths`."""
+    return len(cell) in widths and cell.isascii() and cell.isdigit()
 
 
 def _parse_minute(date_cell: str, time_cell: str, day_starts: dict, line: int) -> int:
@@ -175,16 +177,14 @@ def _parse_minute(date_cell: str, time_cell: str, day_starts: dict, line: int) -
     try:
         if date_cell not in day_starts:
             day_s, month_s, year_s = date_cell.split(".")
-            if not (len(year_s) == 2 and year_s.isascii() and year_s.isdigit()):
-                raise ValueError("the year must be two digits")
+            if not (_is_digits(day_s) and _is_digits(year_s, (2,))):
+                raise ValueError("the day must be one or two digits, the year two")
             day = datetime(2000 + int(year_s), _MONTH_NAMES.index(month_s) + 1, int(day_s))
             day_starts[date_cell] = (day - _EPOCH).days * 1440
-        hour, minute = (int(part) for part in time_cell.split(":"))
-        if 0 <= hour < 24 and 0 <= minute < 60:
-            return day_starts[date_cell] + 60 * hour + minute
-    except (ValueError, OverflowError):
-        pass
-    raise DataValidationError(f"malformed timestamp {date_cell!r} {time_cell!r}", row=line)
+        return day_starts[date_cell] + _DAY_MINUTES[time_cell]
+    except (KeyError, ValueError, OverflowError):
+        raise DataValidationError(
+            f"malformed timestamp {date_cell!r} {time_cell!r}", row=line) from None
 
 
 def _parse_bg(cell: str, column: str, unit: str, line: int) -> float:
@@ -224,11 +224,9 @@ def parse_cgm_file(text, patient_id: str = "unknown", dm_type: str = "other",
         if len(row) != 5:
             raise DataValidationError(f"expected 5 columns, got {len(row)}", row=line)
         sample_no, date_cell, time_cell, meal_cell, bg_cell = (c.strip() for c in row)
-        try:
-            int(sample_no)
-        except ValueError as exc:
+        if not (sample_no.isascii() and sample_no.isdigit()):
             raise DataValidationError(
-                f"Sample# is not an integer: {sample_no!r}", row=line) from exc
+                f"Sample# is not a non-negative integer: {sample_no!r}", row=line)
         minute = _parse_minute(date_cell, time_cell, day_starts, line)
         if samples and minute <= samples[-1][0]:
             raise DataValidationError(

@@ -33,6 +33,7 @@ from .evaluation import (
     missed_event_analysis,
     one_way_anova,
     select_best_run,
+    summary_document,
 )
 from .features import build_instances, read_feature_csv, write_feature_csv
 from .synth import SynthConfig, generate_cohort
@@ -258,23 +259,6 @@ def _read_summary(path: Path, tables: dict) -> dict:
     return summary
 
 
-def _config_doc(cfg: PipelineConfig, seed: int) -> dict:
-    return {
-        "allocations": cfg.allocations,
-        "costs": dataclasses.asdict(cfg.costs),
-        "daytime": [f"{cfg.daytime_start:%H:%M}", f"{cfg.daytime_end:%H:%M}"],
-        "decision_offsets_min": list(cfg.decision_offsets_min),
-        "folds": cfg.folds,
-        "horizon_offsets_min": list(cfg.horizon_offsets_min),
-        "hypo_threshold": cfg.hypo_threshold,
-        "lead_time_min": cfg.lead_time_min,
-        "peak_window_min": cfg.peak_window_min,
-        "prune_depth": cfg.prune_depth,
-        "seed": seed,
-        "snap_tolerance_min": cfg.snap_tolerance_min,
-    }
-
-
 def _cmd_evaluate(args) -> int:
     instances = read_feature_csv(Path(args.features))
     if not instances:
@@ -294,46 +278,7 @@ def _cmd_evaluate(args) -> int:
     best = select_best_run(report)
     per_patient = evaluate_per_patient(best.tree, instances, dm_types)
     severity = missed_event_analysis(best.tree, instances)
-
-    summary = {
-        "aggregate": report.aggregate,
-        "allocations": report.allocations,
-        "best_run": {"allocation": best.allocation, "fold": best.fold},
-        "best_tree": serialize_tree(best.tree),
-        "class_counts": {
-            "hypo": int(sum(inst.label for inst in instances)),
-            "non_hypo": int(sum(1 - inst.label for inst in instances)),
-        },
-        "config": _config_doc(cfg, args.seed),
-        "fold_sizes": [[len(g) for g in plan.groups] for plan in report.fold_plans],
-        "k": report.k,
-        "missed_events": {
-            "rows": [{
-                "patient_id": row.patient_id,
-                "sensitivity": row.sensitivity,
-                "predicted_events": row.predicted_events,
-                "missed_events": row.missed_events,
-                "lows": list(row.lows),
-                "severe_count": row.severe_count,
-            } for row in severity.rows],
-            "total_missed": severity.total_missed,
-            "total_severe": severity.total_severe,
-        },
-        "n_instances": report.n_instances,
-        "per_patient": [dataclasses.asdict(row) for row in per_patient],
-        "per_run": [{
-            "allocation": e.allocation,
-            "fold": e.fold,
-            "seed": e.seed,
-            "tp": e.cm.tp, "fn": e.cm.fn, "fp": e.cm.fp, "tn": e.cm.tn,
-            "accuracy": e.vector.accuracy,
-            "sensitivity": e.vector.sensitivity,
-            "specificity": e.vector.specificity,
-            "tree": serialize_tree(e.tree),
-        } for e in report.runs],
-        "seed": report.seed,
-        "seeds": [report.seed + r for r in range(report.allocations)],
-    }
+    summary = summary_document(instances, cfg, args.seed, report, best, per_patient, severity)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -385,9 +330,10 @@ def _cmd_anova(args) -> int:
         value = row.get(args.metric)
         if value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:  # NaN, ±inf and huge ints fail
             raise DataValidationError(
-                f"summary per_patient[{k}] {args.metric!r} must be a number or null")
+                f"summary per_patient[{k}] {args.metric!r} must be a finite number or null")
         groups.setdefault(row[args.group_by], []).append(float(value))
     if len(groups) < 2:
         raise DataValidationError(

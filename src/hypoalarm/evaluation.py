@@ -1,17 +1,18 @@
 """Evaluation protocol: confusion metrics, repeated k-fold cross-validation
 over decision instances, best-tree selection, per-patient tables,
-missed-event severity, and one-way ANOVA across patient groups.
+missed-event severity, one-way ANOVA across patient groups, and the
+summary document that records them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import betainc
 
-from .cart import CLASS_H, TreeNode, grow_tree, predict_batch
+from .cart import CLASS_H, TreeNode, grow_tree, predict_batch, serialize_tree
 from .cgm_data import SEVERE_THRESHOLD, PipelineConfig
 
 
@@ -48,12 +49,6 @@ class FoldPlan:
     n: int
     k: int
     groups: tuple[tuple[int, ...], ...]
-
-    def assignment(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=int)
-        for g, idxs in enumerate(self.groups):
-            out[list(idxs)] = g
-        return out
 
 
 @dataclass(frozen=True)
@@ -214,10 +209,6 @@ def select_best_run(report: RunReport) -> RunEntry:
     return best
 
 
-def select_best_tree(report: RunReport) -> TreeNode:
-    return select_best_run(report).tree
-
-
 def _group_by_patient(instances):
     """(patient id, row indices) per patient, in id order."""
     groups: dict[str, list[int]] = {}
@@ -282,6 +273,38 @@ def missed_event_analysis(tree: TreeNode, instances,
         total_severe += severe
     return SeverityReport(rows=tuple(rows), total_missed=total_missed,
                           total_severe=total_severe)
+
+
+def summary_document(instances, cfg: PipelineConfig, seed: int, report: RunReport,
+                     best: RunEntry, per_patient, severity: SeverityReport) -> dict:
+    """The ``summary.json`` document of one evaluation, each section
+    serialized from the type that holds it."""
+    config = asdict(cfg)
+    config["daytime"] = [f"{config.pop(key):%H:%M}" for key in ("daytime_start", "daytime_end")]
+    config["seed"] = seed
+    n_hypo = int(sum(inst.label for inst in instances))
+    return {
+        "aggregate": report.aggregate,
+        "allocations": report.allocations,
+        "best_run": {"allocation": best.allocation, "fold": best.fold},
+        "best_tree": serialize_tree(best.tree),
+        "class_counts": {"hypo": n_hypo, "non_hypo": len(instances) - n_hypo},
+        "config": config,
+        "fold_sizes": [[len(g) for g in plan.groups] for plan in report.fold_plans],
+        "k": report.k,
+        "missed_events": {
+            "rows": [asdict(row) for row in severity.rows],
+            "total_missed": severity.total_missed,
+            "total_severe": severity.total_severe,
+        },
+        "n_instances": report.n_instances,
+        "per_patient": [asdict(row) for row in per_patient],
+        "per_run": [{"allocation": e.allocation, "fold": e.fold, "seed": e.seed,
+                     **asdict(e.cm), **asdict(e.vector), "tree": serialize_tree(e.tree)}
+                    for e in report.runs],
+        "seed": report.seed,
+        "seeds": [report.seed + r for r in range(report.allocations)],
+    }
 
 
 def f_upper_tail(f_stat: float, d1: int, d2: int) -> float:

@@ -12,7 +12,8 @@ makes the "high BG now" region genuinely safe for a classifier to learn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from datetime import date
 
 import numpy as np
@@ -29,6 +30,9 @@ _SLOTS = ((435.0, 505.0), (705.0, 780.0), (1050.0, 1140.0))
 @dataclass(frozen=True)
 class SynthConfig:
     """Cohort shape parameters; all rates are (mmol/L)/min.
+
+    Every float field must be finite, every rate > 0 and every `*_min` at
+    most its `*_max`.
 
     `max_drop_rate` stays well under 2.55/15 so a reading at or above 6.45
     mmol/L cannot reach 3.9 within the 15-min lead time (at the default
@@ -70,21 +74,26 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_patients", "days_min", "days_max",
-                     "meals_per_day_min", "meals_per_day_max", "seed"):
-            if type(getattr(self, name)) is not int:  # bool and float are not counts
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for f in fields(self):  # each *_min field comes before its *_max
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:  # bool and float are not counts
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if f.type == "float" and not (number and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if "rate" in f.name and not value > 0:
+                raise ValueError(f"{f.name} must be > 0, got {value!r}")
+            if f.name.endswith("_max") and not getattr(self, f.name[:-4] + "_min") <= value:
+                raise ValueError(f"{f.name[:-4]}_min must not exceed {f.name}")
         if self.n_patients < 1 or self.days_min < 1:
             raise ValueError("degenerate config: need >= 1 patient and >= 1 day")
-        if not self.days_min <= self.days_max:
-            raise ValueError("days_min must not exceed days_max")
         if not 1 <= self.meals_per_day_min <= self.meals_per_day_max <= len(_SLOTS):
             raise ValueError(f"meals per day must fit 1..{len(_SLOTS)}")
         for name in ("hypo_pressure", "missing_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p!r}")
-        if not 0.0 < self.max_drop_rate < 2.55 / 15.0:
+        if not self.max_drop_rate < 2.55 / 15.0:
             raise ValueError("max_drop_rate must stay under 2.55/15 mmol/L per min")
         if self.dip_fall_rate_max >= self.max_drop_rate:
             raise ValueError("dip fall rates must stay under the drop clamp")

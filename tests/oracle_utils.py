@@ -57,6 +57,33 @@ def brute_force_best_split(rows, cost_fn, cost_fp):
     return best
 
 
+def brute_force_tree(rows, costs, max_depth, depth=0):
+    """Recursive tree over (x_t, rate, label) rows: split by
+    `brute_force_best_split` until a node is `max_depth` edges deep or has
+    no improving split, then a leaf labeled H when
+    ``cost_fn * n_H >= cost_fp * n_N``."""
+    split = None if depth == max_depth else brute_force_best_split(
+        rows, costs.cost_fn, costs.cost_fp)
+    if split is None:
+        n_h = sum(r[2] for r in rows)
+        n_n = len(rows) - n_h
+        return Leaf("H" if costs.cost_fn * n_h >= costs.cost_fp * n_n else "N", n_n, n_h)
+    fi, threshold, _ = split
+    return Split(("x_t", "rate")[fi], threshold,
+                 brute_force_tree([r for r in rows if r[fi] < threshold], costs, max_depth,
+                                  depth + 1),
+                 brute_force_tree([r for r in rows if r[fi] >= threshold], costs, max_depth,
+                                  depth + 1))
+
+
+def node_counts(node):
+    """Training (n_N, n_H) routed through a node, summed over its leaves."""
+    if isinstance(node, Leaf):
+        return node.n_n, node.n_h
+    (ln, lh), (rn, rh) = node_counts(node.left), node_counts(node.right)
+    return ln + rn, lh + rh
+
+
 def oracle_prune(tree, depth, costs):
     """Copy of a grown `tree` with at most `depth` splits on any
     root-to-leaf path: a split nested below the limit collapses into a leaf
@@ -65,17 +92,11 @@ def oracle_prune(tree, depth, costs):
     if depth < 1:
         raise ValueError("depth must be >= 1")
 
-    def counts(node):
-        if isinstance(node, Leaf):
-            return node.n_n, node.n_h
-        (ln, lh), (rn, rh) = counts(node.left), counts(node.right)
-        return ln + rn, lh + rh
-
     def build(node, level):
         if isinstance(node, Leaf):
             return Leaf(node.label, node.n_n, node.n_h)
         if level > depth:
-            n_n, n_h = counts(node)
+            n_n, n_h = node_counts(node)
             label = "H" if costs.cost_fn * n_h >= costs.cost_fp * n_n else "N"
             return Leaf(label, n_n, n_h)
         return Split(node.feature, node.threshold,

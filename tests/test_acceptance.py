@@ -26,7 +26,7 @@ from hypoalarm import (
     missed_event_analysis,
     one_way_anova,
     predict,
-    select_best_tree,
+    select_best_run,
     tree_depth,
     weighted_gini,
 )
@@ -209,7 +209,7 @@ def test_c07_synthetic_end_to_end_signal_recovery():
             report = cross_validate(instances, seed=seed)
             assert report.aggregate["sensitivity"] >= 0.70, f"seed {seed}"
             assert report.aggregate["specificity"] >= 0.70, f"seed {seed}"
-            best = select_best_tree(report)
+            best = select_best_run(report).tree
             assert isinstance(best, Split) and best.feature == "x_t", f"seed {seed}"
             high_side = [inst for inst in instances if inst.x_t >= best.threshold]
             assert high_side, f"seed {seed}: empty high-BG side"

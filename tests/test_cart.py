@@ -12,7 +12,6 @@ from hypoalarm import (
     best_split,
     grow_tree,
     leaf_class,
-    node_counts,
     parse_tree,
     predict,
     predict_batch,
@@ -21,7 +20,13 @@ from hypoalarm import (
     weighted_gini,
 )
 
-from oracle_utils import brute_force_best_split, loop_predict, oracle_prune
+from oracle_utils import (
+    brute_force_best_split,
+    brute_force_tree,
+    loop_predict,
+    node_counts,
+    oracle_prune,
+)
 
 COSTS = CostMatrix(15.0, 1.0)
 
@@ -251,6 +256,16 @@ class TestDepthLimitedGrowth:
                 serialize_tree(oracle_prune(grow_tree(X, y, COSTS), depth, COSTS))
             assert tree_depth(limited) <= depth
             assert node_counts(limited) == (int((y == 0).sum()), int((y == 1).sum()))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_brute_force_tree(self, depth):
+        rng = np.random.default_rng(30 + depth)
+        for costs in (COSTS, CostMatrix(1.0, 1.0), CostMatrix(1.0, 4.0)):
+            for _ in range(15):
+                for duplicates in (False, True):
+                    X, y = random_dataset(rng, duplicates=duplicates)
+                    rows = [(float(a), float(b), int(c)) for (a, b), c in zip(X, y)]
+                    assert grow_tree(X, y, costs, depth) == brute_force_tree(rows, costs, depth)
 
     def test_none_grows_to_purity(self):
         rng = np.random.default_rng(25)

@@ -11,9 +11,9 @@ from hypoalarm import (
     label_hypoglycemia,
     parse_cgm_file,
     series_to_csv,
-    to_mg,
     to_mmol,
 )
+from hypoalarm.cgm_data import MG_PER_DL_PER_MMOL_L
 from hypoalarm.synth import SynthConfig, generate_cohort
 
 from conftest import decision_at, minutes, ts
@@ -79,11 +79,17 @@ class TestParse:
         ("1,7.Sep.2015,9:27,.,11.4", "malformed timestamp"),
         ("1,7.Sep.-1,9:27,.,11.4", "malformed timestamp"),
         ("1,7.Sep.5,9:27,.,11.4", "malformed timestamp"),
+        ("1,1_0.Sep.15,9:27,.,11.4", "malformed timestamp"),
+        ("1,+7.Sep.15,9:27,.,11.4", "malformed timestamp"),
+        ("1,7.Sep.15,7:3_0,.,11.4", "malformed timestamp"),
+        ("1,7.Sep.15,\u0667:30,.,11.4", "malformed timestamp"),
+        ("1,7.Sep.15,7:5,.,11.4", "malformed timestamp"),
         ("1,7.Sep.15,9:27,.,-2.0", "SensorBG"),
         ("1,7.Sep.15,9:27,.,0", "SensorBG"),
         ("1,7.Sep.15,9:27,.,99", "SensorBG"),
         ("1,7.Sep.15,9:27,x,11.4", "Meal"),
         ("x,7.Sep.15,9:27,.,11.4", "Sample#"),
+        ("1_0,7.Sep.15,9:27,.,11.4", "Sample#"),
         ("1,7.Sep.15,9:27,11.4", "5 columns"),
     ])
     def test_bad_rows_carry_the_row_number(self, row, fragment):
@@ -141,7 +147,7 @@ class TestUnits:
     def test_involution(self):
         rng = np.random.default_rng(0)
         for x in rng.uniform(1e-6, 40.0, 500):
-            assert to_mmol(to_mg(float(x)), "mg") == pytest.approx(x, abs=1e-9)
+            assert to_mmol(float(x) * MG_PER_DL_PER_MMOL_L, "mg") == pytest.approx(x, abs=1e-9)
 
 
 class TestLabel:

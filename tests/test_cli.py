@@ -1,7 +1,10 @@
 import hashlib
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +55,24 @@ class TestSynth:
         config.write_text(json.dumps(fields))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("fields", [
+        {"baseline_min": math.nan, "baseline_max": math.nan},
+        {"decay_rate_min": 0, "decay_rate_max": 0},
+        {"noise_sd": math.inf},
+        {"rise_max": 10**400},
+        {"noise_sd": True},
+        {"max_rise_rate": -1.0},
+        {"recovery_rate_min": 0.06},
+        {"nadir_delay_min": 230.0},
+    ], ids=["nan", "zero_rates", "inf", "int_past_float", "bool", "negative_rate",
+            "min_over_max_rate", "min_over_max_delay"])
+    def test_bad_float_field_rejected(self, tmp_path, capsys, fields):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(fields))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error[data]: bad synth config: ")
         assert not (tmp_path / "x").exists()
 
 
@@ -335,7 +356,9 @@ class TestAnova:
         err = capsys.readouterr().err
         assert err.startswith("error[data]: ") and "per_patient[1]" in err
 
-    @pytest.mark.parametrize("value", [[0.5], True, "0.5"], ids=["list", "bool", "string"])
+    @pytest.mark.parametrize("value", [[0.5], True, "0.5", math.nan, math.inf, -math.inf, 10**400],
+                             ids=["list", "bool", "string", "nan", "infinity", "-infinity",
+                                  "int_past_float"])
     def test_non_number_metric_is_a_data_error(self, tmp_path, capsys, value):
         summary = tmp_path / "summary.json"
         summary.write_text(json.dumps({"per_patient": [
@@ -358,7 +381,10 @@ class TestUsage:
         assert main(["frobnicate"]) == 1
 
     def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")  # this tree, installed or not
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "hypoalarm.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "synth" in proc.stdout and "evaluate" in proc.stdout

@@ -22,7 +22,6 @@ from hypoalarm import (
     missed_event_analysis,
     one_way_anova,
     select_best_run,
-    select_best_tree,
 )
 from hypoalarm.features import DecisionInstance
 
@@ -144,12 +143,6 @@ class TestAllocateFolds:
             sizes = [len(g) for g in plan.groups]
             assert max(sizes) - min(sizes) <= 1
 
-    def test_assignment_matches_groups(self):
-        plan = allocate_folds(20, 3, seed=5)
-        assignment = plan.assignment()
-        for g, idxs in enumerate(plan.groups):
-            assert all(assignment[i] == g for i in idxs)
-
 
 def separable_instances(n=40, prefix="p"):
     """Low x_t with high rate is hypoglycemic; everything else is not."""
@@ -250,7 +243,7 @@ class TestSelectBest:
 
     def test_select_best_tree_returns_the_tree(self):
         report = fake_report([fake_entry(0, 0, 0.8, 0.9, 0.9)])
-        assert select_best_tree(report) == Leaf("N", 1, 0)
+        assert select_best_run(report).tree == Leaf("N", 1, 0)
 
 
 ALWAYS_N = Leaf("N", 1, 0)

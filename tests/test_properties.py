@@ -1,6 +1,8 @@
-"""Round trips of the record and feature CSV formats over generated inputs."""
+"""Round trips of the record CSV, feature CSV and tree JSON formats over
+generated inputs."""
 
 import io
+import json
 import math
 import tempfile
 from datetime import datetime
@@ -11,10 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoalarm import (
+    FEATURES,
     DecisionInstance,
+    Leaf,
     PatientSeries,
+    Split,
     parse_cgm_file,
+    parse_tree,
     read_feature_csv,
+    serialize_tree,
     series_to_csv,
     write_feature_csv,
 )
@@ -65,3 +72,26 @@ def test_feature_csv_round_trip(instances):
         path = Path(tmp) / "features.csv"
         write_feature_csv(instances, path)
         assert read_feature_csv(path) == instances
+
+
+# thresholds at the edges of the float range as well as arbitrary finite ones
+THRESHOLD = st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                             1.7976931348623157e308]) | FINITE
+COUNT = st.integers(0, 2**53) | st.integers(0, 10**30)
+
+
+def trees(depth):
+    """Any tree at most `depth` splits deep."""
+    leaf = st.builds(Leaf, st.sampled_from(("N", "H")), COUNT, COUNT)
+    if depth == 0:
+        return leaf
+    return leaf | st.builds(Split, st.sampled_from(FEATURES), THRESHOLD,
+                            trees(depth - 1), trees(depth - 1))
+
+
+@SETTINGS
+@given(trees(4))
+def test_tree_json_round_trip(tree):
+    parsed = parse_tree(json.loads(json.dumps(serialize_tree(tree))))
+    assert parsed == tree
+    assert repr(parsed) == repr(tree)  # also tells -0.0 from 0.0
