@@ -122,7 +122,7 @@ def best_split(X, y, costs: CostMatrix) -> SplitCandidate | None:
         j = int(np.argmax(decrease))
         if decrease[j] > 0.0 and (best is None or decrease[j] > best.impurity_decrease):
             lo, hi = xs[cut[j]], xs[cut[j] + 1]
-            threshold = (lo + hi) / 2.0
+            threshold = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 can overflow
             if not threshold > lo:  # midpoint of adjacent floats can round down
                 threshold = hi
             best = SplitCandidate(FEATURES[fi], float(threshold), float(decrease[j]))

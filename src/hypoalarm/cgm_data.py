@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -37,6 +39,13 @@ SAMPLING_PERIOD_MIN = 5  # minutes between CGM readings
 # every valid time cell, H:MM or HH:MM, to its minute of the day
 _DAY_MINUTES = {f"{hour:{width}}:{minute:02d}": 60 * hour + minute
                 for hour in range(24) for minute in range(60) for width in ("", "02")}
+# the time cell `series_to_csv` writes for each minute of the day
+_TIME_CELLS = tuple(f"{minute // 60}:{minute % 60:02d}" for minute in range(1440))
+
+# the characters `str.strip` removes, other than the LF that ends a row:
+# the ASCII ones, and a pattern for any text
+_ASCII_INNER_SPACE = " \t\v\f\x1c\x1d\x1e\x1f"
+_INNER_SPACE = re.compile(r"[^\S\n]")
 
 _EPOCH = datetime(2000, 1, 1)
 
@@ -171,31 +180,61 @@ def _is_digits(cell: str, widths=range(1, 3)) -> bool:
     return len(cell) in widths and cell.isascii() and cell.isdigit()
 
 
-def _parse_minute(date_cell: str, time_cell: str, day_starts: dict, line: int) -> int:
-    """Minutes since 2000-01-01 of one row. `day_starts` caches the first
-    minute of each date cell, so a file parses each distinct date once."""
+def _day_start(date_cell: str) -> float:
+    """First minute of a ``D.Mon.YY`` date cell since 2000-01-01, NaN when
+    the cell is malformed."""
     try:
-        if date_cell not in day_starts:
-            day_s, month_s, year_s = date_cell.split(".")
-            if not (_is_digits(day_s) and _is_digits(year_s, (2,))):
-                raise ValueError("the day must be one or two digits, the year two")
+        day_s, month_s, year_s = date_cell.split(".")
+        if _is_digits(day_s) and _is_digits(year_s, (2,)):
             day = datetime(2000 + int(year_s), _MONTH_NAMES.index(month_s) + 1, int(day_s))
-            day_starts[date_cell] = (day - _EPOCH).days * 1440
-        return day_starts[date_cell] + _DAY_MINUTES[time_cell]
-    except (KeyError, ValueError, OverflowError):
-        raise DataValidationError(
-            f"malformed timestamp {date_cell!r} {time_cell!r}", row=line) from None
-
-
-def _parse_bg(cell: str, column: str, unit: str, line: int) -> float:
-    try:
-        value = to_mmol(float(cell), unit)
+            return (day - _EPOCH).days * 1440
     except ValueError:
-        value = None
-    if value is None or value > BG_MAX:
-        raise DataValidationError(
-            f"{column} must be a number in (0, {BG_MAX}] mmol/L, got {cell!r}", row=line)
-    return value
+        pass
+    return math.nan
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _bg_column(cells: list, missing_cell: str, unit: str) -> tuple[np.ndarray, np.ndarray]:
+    """mmol/L values of one BG column, NaN where the cell is `missing_cell`,
+    and the mask of cells that are neither missing nor a number in (0, BG_MAX]."""
+    cells = np.array(cells, dtype=object)
+    present = cells != missing_cell
+    raw = np.full(len(cells), math.nan)
+    try:
+        raw[present] = np.fromiter(map(float, cells[present].tolist()), float)
+    except ValueError:  # rescan this column only; a cell that is no number becomes NaN
+        raw[present] = np.fromiter(map(_float_or_nan, cells[present].tolist()), float)
+    value = raw if unit == "mmol" else raw / MG_PER_DL_PER_MMOL_L
+    bad = present & ~((raw > 0) & (value <= BG_MAX))  # NaN fails both, inf the second
+    return value, bad
+
+
+def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool]:
+    """Header cells, body cells in row order, each body row's cell count,
+    and whether a cell may need stripping.
+
+    A row ends at CRLF, CR or LF, as for `csv.reader`, which splits only
+    text holding a quote, where a cell may span commas and line ends.
+    """
+    if '"' in text:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        body = rows[1:]
+        widths = np.fromiter(map(len, body), np.intp, len(body))
+        return (rows[0] if rows else []), list(chain.from_iterable(body)), widths, True
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    header, *body = text.split("\n")  # not str.splitlines, which also splits at \v, \x85, ...
+    widths = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body)) + 1
+    cells = ",".join(body).split(",") if body else []
+    padded = (any(c in text for c in _ASCII_INNER_SPACE) if text.isascii()
+              else _INNER_SPACE.search(text) is not None)
+    return header.split(","), cells, widths, padded
 
 
 def parse_cgm_file(text, patient_id: str = "unknown", dm_type: str = "other",
@@ -204,51 +243,83 @@ def parse_cgm_file(text, patient_id: str = "unknown", dm_type: str = "other",
 
     `text` may be a string or a file-like object. Malformed rows are
     rejected with their 1-based line number; `unit="mg"` converts both BG
-    columns from mg/dL on the way in.
+    columns from mg/dL on the way in. Cells may be CSV-quoted.
     """
     if hasattr(text, "read"):
         text = text.read()
     if unit not in ("mmol", "mg"):
         raise ValueError(f"unknown unit {unit!r}, expected 'mmol' or 'mg'")
 
-    rows = list(csv.reader(io.StringIO(text, newline="")))  # any of \n, \r\n, \r ends a row
-    if not rows or tuple(cell.strip() for cell in rows[0]) != CSV_COLUMNS:
+    header, cells, widths, padded = _split_cells(text)
+    if tuple(map(str.strip, header)) != CSV_COLUMNS:
         raise DataValidationError(
             f"expected header {','.join(CSV_COLUMNS)!r}", row=1)
+    if padded:
+        cells = list(map(str.strip, cells))
+    lines = np.arange(2, len(widths) + 2)
+    if "" in cells or not widths.all():  # drop rows whose cells are all blank
+        filled = np.concatenate(([0], np.cumsum(np.array(cells, dtype=object).astype(bool))))
+        ends = np.cumsum(widths)
+        keep = filled[ends] > filled[ends - widths]
+        cells = list(compress(cells, np.repeat(keep, widths)))
+        widths, lines = widths[keep], lines[keep]
+    short = np.flatnonzero(widths != 5)
+    if len(short):  # rows before the first misshapen one are checked first
+        cells = cells[:5 * short[0]]
 
-    samples = []
-    day_starts = {}
-    for line, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 5:
-            raise DataValidationError(f"expected 5 columns, got {len(row)}", row=line)
-        sample_no, date_cell, time_cell, meal_cell, bg_cell = (c.strip() for c in row)
-        if not (sample_no.isascii() and sample_no.isdigit()):
-            raise DataValidationError(
-                f"Sample# is not a non-negative integer: {sample_no!r}", row=line)
-        minute = _parse_minute(date_cell, time_cell, day_starts, line)
-        if samples and minute <= samples[-1][0]:
-            raise DataValidationError(
-                f"timestamps not strictly increasing at {date_cell} {time_cell}", row=line)
-        meal_ref = math.nan if meal_cell == "." else _parse_bg(meal_cell, "Meal", unit, line)
-        bg = math.nan if bg_cell == "N/A" else _parse_bg(bg_cell, "SensorBG", unit, line)
-        samples.append((minute, bg, meal_ref))
+    sample_col, date_col, time_col, meal_col, bg_col = (cells[i::5] for i in range(5))
+    n = len(sample_col)
+    digits = "".join(sample_col)
+    bad_sample = np.zeros(n, bool)
+    if "" in sample_col or not (digits.isascii() and digits.isdigit()):
+        bad_sample = ~(np.fromiter(map(str.isascii, sample_col), bool, n)
+                       & np.fromiter(map(str.isdigit, sample_col), bool, n))
+    day_starts = {cell: _day_start(cell) for cell in set(date_col)}
+    minute = (np.fromiter(map(day_starts.__getitem__, date_col), float, n)
+              + np.fromiter(map(_DAY_MINUTES.get, time_col, repeat(math.nan)), float, n))
+    bad_order = np.zeros(n, bool)
+    bad_order[1:] = ~(np.diff(minute) > 0)
+    meal_ref, bad_meal = _bg_column(meal_col, ".", unit)
+    bg, bad_bg = _bg_column(bg_col, "N/A", unit)
 
-    return PatientSeries(patient_id=patient_id, samples=samples, dm_type=dm_type)
+    checks = (bad_sample, np.isnan(minute), bad_order, bad_meal, bad_bg)  # row parser order
+    failed = np.logical_or.reduce(checks)
+    if failed.any():
+        i = int(np.argmax(failed))
+        check = next(k for k, mask in enumerate(checks) if mask[i])
+        message = (f"Sample# is not a non-negative integer: {sample_col[i]!r}",
+                   f"malformed timestamp {date_col[i]!r} {time_col[i]!r}",
+                   f"timestamps not strictly increasing at {date_col[i]} {time_col[i]}",
+                   f"Meal must be a number in (0, {BG_MAX}] mmol/L, got {meal_col[i]!r}",
+                   f"SensorBG must be a number in (0, {BG_MAX}] mmol/L, got {bg_col[i]!r}")
+        raise DataValidationError(message[check], row=int(lines[i]))
+    if len(short):
+        k = short[0]
+        raise DataValidationError(f"expected 5 columns, got {widths[k]}", row=int(lines[k]))
+    return PatientSeries(patient_id=patient_id, samples=np.column_stack((minute, bg, meal_ref)),
+                         dm_type=dm_type)
+
+
+def _value_cells(column: np.ndarray, missing_cell: str) -> list:
+    """`repr` of each value of `column`, `missing_cell` where it is NaN."""
+    present = ~np.isnan(column)
+    cells = np.full(len(column), missing_cell, dtype=object)
+    cells[present] = np.array(list(map(repr, column[present].tolist())), dtype=object)
+    return cells.tolist()
+
+
+def _date_cell(day: int) -> str:
+    d = _EPOCH + timedelta(days=day)
+    return f"{d.day}.{_MONTH_NAMES[d.month - 1]}.{d.year % 100:02d}"
 
 
 def series_to_csv(series: PatientSeries) -> str:
     """Render the ingestion CSV format; inverse of `parse_cgm_file`."""
-    lines = [",".join(CSV_COLUMNS)]
-    date_cells = {}
-    for i, (minute, bg, meal_ref) in enumerate(series.samples.tolist()):
-        day, minute_of_day = divmod(int(minute), 1440)
-        if day not in date_cells:
-            d = _EPOCH + timedelta(days=day)
-            date_cells[day] = f"{d.day}.{_MONTH_NAMES[d.month - 1]}.{d.year % 100:02d}"
-        meal_cell = "." if math.isnan(meal_ref) else repr(meal_ref)
-        bg_cell = "N/A" if math.isnan(bg) else repr(bg)
-        lines.append(f"{i},{date_cells[day]},{minute_of_day // 60}:{minute_of_day % 60:02d},"
-                     f"{meal_cell},{bg_cell}")
-    return "\n".join(lines) + "\n"
+    minutes, bg, meal_ref = series.samples.T
+    day, minute_of_day = np.divmod(np.trunc(minutes), 1440)  # int() truncates, divmod floors
+    days = day.tolist()
+    date_cells = {d: _date_cell(int(d)) for d in set(days)}  # OverflowError past year 9999
+    rows = map(",".join, zip(map(str, range(len(days))), map(date_cells.__getitem__, days),
+                             map(_TIME_CELLS.__getitem__, minute_of_day.astype(np.intp).tolist()),
+                             _value_cells(meal_ref, "."), _value_cells(bg, "N/A")))
+    return "\n".join((",".join(CSV_COLUMNS), *rows)) + "\n"

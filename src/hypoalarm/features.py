@@ -12,6 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,7 @@ def build_instances(series: PatientSeries,
 
 def write_feature_csv(instances, path) -> None:
     """One instance per row, full float precision, LF line endings."""
+    stamp = cache(lambda t: t.strftime(_TS_FORMAT))  # a meal's rows share its times
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     # the minimal writer leaves a "\r" unquoted, and no reader takes that back
@@ -142,10 +144,10 @@ def write_feature_csv(instances, path) -> None:
     for inst in instances:
         (quote_all if "\r" in inst.patient_id else writer).writerow([
             inst.patient_id,
-            inst.meal_time.strftime(_TS_FORMAT),
-            inst.peak_time.strftime(_TS_FORMAT),
+            stamp(inst.meal_time),
+            stamp(inst.peak_time),
             repr(float(inst.peak_value)),
-            inst.decision_time.strftime(_TS_FORMAT),
+            stamp(inst.decision_time),
             repr(float(inst.x_t)),
             repr(float(inst.rate)),
             repr(float(inst.ph_min_bg)),
@@ -168,6 +170,7 @@ def read_feature_csv(path) -> list[DecisionInstance]:
     if not rows or tuple(c.strip() for c in rows[0]) != FEATURE_COLUMNS:
         raise DataValidationError(f"expected header {','.join(FEATURE_COLUMNS)!r}", row=1)
     instances = []
+    parse_time = cache(lambda cell: datetime.strptime(cell, _TS_FORMAT))
     for line, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -180,10 +183,10 @@ def read_feature_csv(path) -> list[DecisionInstance]:
                 raise ValueError(f"label must be 0 or 1, got {label}")
             instances.append(DecisionInstance(
                 patient_id=row[0],
-                meal_time=datetime.strptime(row[1], _TS_FORMAT),
-                peak_time=datetime.strptime(row[2], _TS_FORMAT),
+                meal_time=parse_time(row[1]),
+                peak_time=parse_time(row[2]),
                 peak_value=float(row[3]),
-                decision_time=datetime.strptime(row[4], _TS_FORMAT),
+                decision_time=parse_time(row[4]),
                 x_t=float(row[5]),
                 rate=float(row[6]),
                 ph_min_bg=float(row[7]),

@@ -31,8 +31,8 @@ _SLOTS = ((435.0, 505.0), (705.0, 780.0), (1050.0, 1140.0))
 class SynthConfig:
     """Cohort shape parameters; all rates are (mmol/L)/min.
 
-    Every float field must be finite, every rate > 0 and every `*_min` at
-    most its `*_max`.
+    Every float field must be finite, every rate > 0, every `*_sd` >= 0 and
+    every `*_min` at most its `*_max`.
 
     `max_drop_rate` stays well under 2.55/15 so a reading at or above 6.45
     mmol/L cannot reach 3.9 within the 15-min lead time (at the default
@@ -83,6 +83,8 @@ class SynthConfig:
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if "rate" in f.name and not value > 0:
                 raise ValueError(f"{f.name} must be > 0, got {value!r}")
+            if f.name.endswith("_sd") and not value >= 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
             if f.name.endswith("_max") and not getattr(self, f.name[:-4] + "_min") <= value:
                 raise ValueError(f"{f.name[:-4]}_min must not exceed {f.name}")
         if self.n_patients < 1 or self.days_min < 1:
@@ -97,8 +99,8 @@ class SynthConfig:
             raise ValueError("max_drop_rate must stay under 2.55/15 mmol/L per min")
         if self.dip_fall_rate_max >= self.max_drop_rate:
             raise ValueError("dip fall rates must stay under the drop clamp")
-        if self.noise_sd < 0 or self.noise_clip < 0:
-            raise ValueError("noise parameters must be >= 0")
+        if self.noise_clip < 0:
+            raise ValueError(f"noise_clip must be >= 0, got {self.noise_clip!r}")
         if not 0 < self.bg_floor < self.bg_ceil:
             raise ValueError("need 0 < bg_floor < bg_ceil")
 

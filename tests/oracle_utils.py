@@ -4,11 +4,14 @@ Everything here is deliberately plain-Python and loop-based so it shares
 no code path with the vectorized implementations under test.
 """
 
+import csv
+import io
 import math
+import re
 from datetime import datetime, timedelta
 
-from hypoalarm import DecisionInstance, Leaf, Split
-from hypoalarm.cgm_data import SAMPLING_PERIOD_MIN
+from hypoalarm import DataValidationError, DecisionInstance, Leaf, PatientSeries, Split, to_mmol
+from hypoalarm.cgm_data import BG_MAX, CSV_COLUMNS, SAMPLING_PERIOD_MIN
 
 EPOCH = datetime(2000, 1, 1)  # sample times are minutes since this instant
 
@@ -215,3 +218,66 @@ def loop_build_instances(series, cfg):
                 rate=(peak_value - x_t) / ((t - peak_time).total_seconds() / 60.0),
                 label=1 if low <= cfg.hypo_threshold else 0, ph_min_bg=low))
     return instances
+
+
+MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+          "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+TIME_CELL = re.compile(r"([01]?[0-9]|2[0-3]):([0-5][0-9])", re.ASCII)  # H:MM or HH:MM
+
+
+def loop_minute(date_cell, time_cell, line):
+    """Minutes since 2000-01-01 of one row's ``D.Mon.YY`` and ``H:MM`` cells."""
+    try:
+        day_s, month_s, year_s = date_cell.split(".")
+        hour_minute = TIME_CELL.fullmatch(time_cell)
+        if not (hour_minute and day_s.isascii() and day_s.isdigit() and len(day_s) <= 2
+                and year_s.isascii() and year_s.isdigit() and len(year_s) == 2):
+            raise ValueError("malformed")
+        day = datetime(2000 + int(year_s), MONTHS.index(month_s) + 1, int(day_s))
+    except ValueError:
+        raise DataValidationError(
+            f"malformed timestamp {date_cell!r} {time_cell!r}", row=line) from None
+    hour, minute = map(int, hour_minute.groups())
+    return (day - EPOCH).days * 1440 + 60 * hour + minute
+
+
+def loop_bg(cell, column, unit, line):
+    """One BG cell in mmol/L; it must parse as a number in (0, BG_MAX]."""
+    try:
+        value = to_mmol(float(cell), unit)
+    except ValueError:
+        value = None
+    if value is None or value > BG_MAX:
+        raise DataValidationError(
+            f"{column} must be a number in (0, {BG_MAX}] mmol/L, got {cell!r}", row=line)
+    return value
+
+
+def loop_parse_cgm_file(text, patient_id="unknown", dm_type="other", unit="mmol"):
+    """`parse_cgm_file` one `csv.reader` row at a time: rows of blank cells
+    are skipped, and the first bad row raises, with the first check it
+    fails in the order column count, Sample#, timestamp, increase, Meal,
+    SensorBG."""
+    if unit not in ("mmol", "mg"):
+        raise ValueError(f"unknown unit {unit!r}, expected 'mmol' or 'mg'")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows or tuple(cell.strip() for cell in rows[0]) != CSV_COLUMNS:
+        raise DataValidationError(f"expected header {','.join(CSV_COLUMNS)!r}", row=1)
+    samples = []
+    for line, row in enumerate(rows[1:], start=2):
+        if all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 5:
+            raise DataValidationError(f"expected 5 columns, got {len(row)}", row=line)
+        sample_no, date_cell, time_cell, meal_cell, bg_cell = (c.strip() for c in row)
+        if not (sample_no.isascii() and sample_no.isdigit()):
+            raise DataValidationError(
+                f"Sample# is not a non-negative integer: {sample_no!r}", row=line)
+        minute = loop_minute(date_cell, time_cell, line)
+        if samples and minute <= samples[-1][0]:
+            raise DataValidationError(
+                f"timestamps not strictly increasing at {date_cell} {time_cell}", row=line)
+        meal_ref = math.nan if meal_cell == "." else loop_bg(meal_cell, "Meal", unit, line)
+        bg = math.nan if bg_cell == "N/A" else loop_bg(bg_cell, "SensorBG", unit, line)
+        samples.append((minute, bg, meal_ref))
+    return PatientSeries(patient_id=patient_id, samples=samples, dm_type=dm_type)

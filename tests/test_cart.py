@@ -164,6 +164,12 @@ class TestGrowTree:
         with pytest.raises(ValueError):
             grow_tree(np.array([[np.nan, 0.0], [1.0, 0.0]]), np.array([0, 1]), COSTS)
 
+    def test_midpoint_of_huge_values_stays_finite(self):
+        tree = grow_tree([[1.7e308, 0.0], [1.79e308, 0.0]], [0, 1], CostMatrix())
+        assert isinstance(tree, Split) and tree_depth(tree) == 1
+        assert math.isfinite(tree.threshold) and 1.7e308 < tree.threshold <= 1.79e308
+        assert (tree.left, tree.right) == (Leaf("N", 1, 0), Leaf("H", 0, 1))
+
     def test_determinism_under_shuffling(self):
         rng = np.random.default_rng(5)
         X, y = random_dataset(rng, n=50, duplicates=True)

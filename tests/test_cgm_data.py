@@ -1,5 +1,6 @@
 import math
-from datetime import datetime
+import random
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -17,12 +18,40 @@ from hypoalarm.cgm_data import MG_PER_DL_PER_MMOL_L
 from hypoalarm.synth import SynthConfig, generate_cohort
 
 from conftest import decision_at, minutes, ts
+from oracle_utils import EPOCH, MONTHS, loop_parse_cgm_file
 
 HEADER = "Sample#,Date,Time,Meal,SensorBG"
 
 
 def make_csv(*rows):
     return HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+# rows that fail one parser check each when they follow a 9:22 reading
+BAD_ROWS = [
+    ("1,7.Sept.15,9:27,.,11.4", "malformed timestamp"),
+    ("1,7.Sep.15,9h27,.,11.4", "malformed timestamp"),
+    ("1,32.Sep.15,9:27,.,11.4", "malformed timestamp"),
+    ("1,7.Sep.15,24:00,.,11.4", "malformed timestamp"),
+    ("1,7.Sep.15,9:60,.,11.4", "malformed timestamp"),
+    ("1,29.Feb.15,9:27,.,11.4", "malformed timestamp"),
+    ("1,31.Sep.15,9:27,.,11.4", "malformed timestamp"),
+    ("1,7.Sep.2015,9:27,.,11.4", "malformed timestamp"),
+    ("1,7.Sep.-1,9:27,.,11.4", "malformed timestamp"),
+    ("1,7.Sep.5,9:27,.,11.4", "malformed timestamp"),
+    ("1,1_0.Sep.15,9:27,.,11.4", "malformed timestamp"),
+    ("1,+7.Sep.15,9:27,.,11.4", "malformed timestamp"),
+    ("1,7.Sep.15,7:3_0,.,11.4", "malformed timestamp"),
+    ("1,7.Sep.15,\u0667:30,.,11.4", "malformed timestamp"),
+    ("1,7.Sep.15,7:5,.,11.4", "malformed timestamp"),
+    ("1,7.Sep.15,9:27,.,-2.0", "SensorBG"),
+    ("1,7.Sep.15,9:27,.,0", "SensorBG"),
+    ("1,7.Sep.15,9:27,.,99", "SensorBG"),
+    ("1,7.Sep.15,9:27,x,11.4", "Meal"),
+    ("x,7.Sep.15,9:27,.,11.4", "Sample#"),
+    ("1_0,7.Sep.15,9:27,.,11.4", "Sample#"),
+    ("1,7.Sep.15,9:27,11.4", "5 columns"),
+]
 
 
 class TestParse:
@@ -55,6 +84,11 @@ class TestParse:
         series = parse_cgm_file(io.StringIO(make_csv("0,7.Sep.15,9:22,.,5.0")))
         assert len(series.samples) == 1
 
+    def test_quoted_row_matches_its_unquoted_twin(self):
+        plain = make_csv("0,7.Sep.15,9:22,.,11.8", "1,7.Sep.15,9:27,10.2,N/A")
+        quoted = make_csv("0,7.Sep.15,9:22,.,11.8", '"1","7.Sep.15","9:27","10.2","N/A"')
+        assert parse_cgm_file(quoted) == parse_cgm_file(plain)
+
     def test_crosses_midnight(self):
         series = parse_cgm_file(make_csv(
             "0,7.Sep.15,23:57,.,6.0",
@@ -68,30 +102,7 @@ class TestParse:
         assert series.bg[0] == pytest.approx(3.885, abs=1e-3)
         assert series.meal_ref[0] == pytest.approx(180 / 18.016, abs=1e-9)
 
-    @pytest.mark.parametrize("row,fragment", [
-        ("1,7.Sept.15,9:27,.,11.4", "malformed timestamp"),
-        ("1,7.Sep.15,9h27,.,11.4", "malformed timestamp"),
-        ("1,32.Sep.15,9:27,.,11.4", "malformed timestamp"),
-        ("1,7.Sep.15,24:00,.,11.4", "malformed timestamp"),
-        ("1,7.Sep.15,9:60,.,11.4", "malformed timestamp"),
-        ("1,29.Feb.15,9:27,.,11.4", "malformed timestamp"),
-        ("1,31.Sep.15,9:27,.,11.4", "malformed timestamp"),
-        ("1,7.Sep.2015,9:27,.,11.4", "malformed timestamp"),
-        ("1,7.Sep.-1,9:27,.,11.4", "malformed timestamp"),
-        ("1,7.Sep.5,9:27,.,11.4", "malformed timestamp"),
-        ("1,1_0.Sep.15,9:27,.,11.4", "malformed timestamp"),
-        ("1,+7.Sep.15,9:27,.,11.4", "malformed timestamp"),
-        ("1,7.Sep.15,7:3_0,.,11.4", "malformed timestamp"),
-        ("1,7.Sep.15,\u0667:30,.,11.4", "malformed timestamp"),
-        ("1,7.Sep.15,7:5,.,11.4", "malformed timestamp"),
-        ("1,7.Sep.15,9:27,.,-2.0", "SensorBG"),
-        ("1,7.Sep.15,9:27,.,0", "SensorBG"),
-        ("1,7.Sep.15,9:27,.,99", "SensorBG"),
-        ("1,7.Sep.15,9:27,x,11.4", "Meal"),
-        ("x,7.Sep.15,9:27,.,11.4", "Sample#"),
-        ("1_0,7.Sep.15,9:27,.,11.4", "Sample#"),
-        ("1,7.Sep.15,9:27,11.4", "5 columns"),
-    ])
+    @pytest.mark.parametrize("row,fragment", BAD_ROWS)
     def test_bad_rows_carry_the_row_number(self, row, fragment):
         text = make_csv("0,7.Sep.15,9:22,.,11.8", row)
         with pytest.raises(DataValidationError) as err:
@@ -126,6 +137,134 @@ class TestParse:
         again = parse_cgm_file(series_to_csv(series), patient_id=series.patient_id,
                                dm_type=series.dm_type)
         assert again == series
+
+
+def outcome(parse, text, **kwargs):
+    """The series `parse` returns, or the type and text of what it raises."""
+    try:
+        return parse(text, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def record_rows(rng, start, count, unit="mmol"):
+    """`count` valid rows of cells, 5 min apart from `start` (minutes since
+    2000-01-01), with full-precision and short readings, some missing,
+    some meals and some zero-padded hours."""
+    scale = 1.0 if unit == "mmol" else MG_PER_DL_PER_MMOL_L
+    rows = []
+    for k in range(count):
+        t = EPOCH + timedelta(minutes=start + 5 * k)
+        hour = f"{t.hour:02d}" if rng.random() < 0.3 else str(t.hour)
+        meal = repr(rng.uniform(3.0, 15.0) * scale) if rng.random() < 0.1 else "."
+        bg = ("N/A" if rng.random() < 0.05
+              else repr(round(rng.uniform(2.5, 22.0) * scale, rng.randint(0, 17))))
+        rows.append([str(k), f"{t.day}.{MONTHS[t.month - 1]}.{t:%y}", f"{hour}:{t.minute:02d}",
+                     meal, bg])
+    return rows
+
+
+BLANK_ROWS = ("", "   ", ",,,,", " , ,", "\t")
+PADS = ("", " ", "\t", "\u00a0", "\x0b")
+
+
+def render(rng, rows, quote=0.0, pad=0.0, blank=0.0, mixed_ends=False):
+    """Record text of `rows` with a share of blank rows, padded cells and
+    fully quoted rows; LF endings or a random mix of LF, CRLF and CR."""
+    lines = [HEADER]
+    for cells in rows:
+        if rng.random() < blank:
+            lines.append(rng.choice(BLANK_ROWS))
+        if rng.random() < pad:
+            cells = [rng.choice(PADS) + cell + rng.choice(PADS) for cell in cells]
+        if rng.random() < quote:
+            cells = [f'"{cell}"' for cell in cells]
+        lines.append(",".join(cells))
+    return "".join(line + (rng.choice(("\n", "\r\n", "\r")) if mixed_ends else "\n")
+                   for line in lines)
+
+
+def assert_parsers_agree(text, **kwargs):
+    assert outcome(parse_cgm_file, text, **kwargs) == outcome(loop_parse_cgm_file, text, **kwargs)
+
+
+class TestParseMatchesLoop:
+    """`parse_cgm_file` against the row-at-a-time oracle: the same series,
+    or the same error message and row number."""
+
+    START = minutes(datetime(2015, 9, 7, 0, 2))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_valid_texts(self, seed):
+        rng = random.Random(seed)
+        unit = rng.choice(("mmol", "mg"))
+        rows = record_rows(rng, self.START, rng.randint(1, 400), unit)
+        text = render(rng, rows, quote=rng.choice((0.0, 0.2, 1.0)),
+                      pad=rng.choice((0.0, 0.1)), blank=rng.choice((0.0, 0.05)),
+                      mixed_ends=rng.random() < 0.5)
+        series = parse_cgm_file(text, unit=unit)
+        assert len(series.samples) == len(rows)
+        assert series == loop_parse_cgm_file(text, unit=unit)
+
+    @pytest.mark.parametrize("row,fragment", BAD_ROWS)
+    def test_bad_row_at_random_rows(self, row, fragment):
+        rng = random.Random(row)
+        for _ in range(6):
+            before = rng.randint(0, 30)
+            bad_at = minutes(datetime(2015, 9, 7, 9, 22)) - 5 * (before - 1)
+            rows = (record_rows(rng, bad_at, before) + [row.split(",")]
+                    + record_rows(rng, minutes(datetime(2015, 9, 7, 9, 32)), rng.randint(0, 30)))
+            text = render(rng, rows, quote=rng.choice((0.0, 0.3)), pad=rng.choice((0.0, 0.3)),
+                          blank=rng.choice((0.0, 0.2)), mixed_ends=rng.random() < 0.5)
+            kind, message = outcome(parse_cgm_file, text)
+            assert kind is DataValidationError and fragment in message
+            assert_parsers_agree(text)
+
+    @pytest.mark.parametrize("column", [3, 4])
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "N/A",
+                                      ".", "", "1_0", "\u0665", "5e-324", "40.0", "40.000001",
+                                      '"4,5"', '"N/A"', '"."'])
+    def test_special_bg_cells(self, cell, column):
+        rng = random.Random(column)
+        for _ in range(4):
+            rows = record_rows(rng, self.START, rng.randint(1, 20))
+            rows[rng.randrange(len(rows))][column] = cell
+            assert_parsers_agree(render(rng, rows))
+
+    @pytest.mark.parametrize("cell", ["", " ", "-1", "1.0", "\u0663", "1_0", "+1", '"7"'])
+    def test_special_sample_numbers(self, cell):
+        rng = random.Random(cell)
+        for _ in range(4):
+            rows = record_rows(rng, self.START, rng.randint(1, 20))
+            rows[rng.randrange(len(rows))][0] = cell
+            assert_parsers_agree(render(rng, rows))
+
+    @pytest.mark.parametrize("space", " \t\v\f\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000")
+    def test_padded_cells(self, space):
+        rng = random.Random(space)
+        for _ in range(4):
+            rows = record_rows(rng, self.START, rng.randint(1, 20))
+            cells = rows[rng.randrange(len(rows))]
+            column = rng.randrange(5)
+            cells[column] = rng.choice(("", space)) + cells[column] + space
+            text = render(rng, rows)
+            series = parse_cgm_file(text)
+            assert len(series.samples) == len(rows)
+            assert series == loop_parse_cgm_file(text)
+
+    @pytest.mark.parametrize("cell", ["1261.12", "720.64", "720.65", "1e-300", "5e-324", "70"])
+    def test_mg_values(self, cell):
+        rng = random.Random(cell)
+        rows = record_rows(rng, self.START, 5, unit="mg")
+        rows[2][4] = rows[3][3] = cell
+        assert_parsers_agree(render(rng, rows), unit="mg")
+
+    @pytest.mark.parametrize("text", [HEADER, HEADER + "\n", HEADER + "\r\n\r\n",
+                                      HEADER + "\n ,,\n\t\n", "", "\n" + HEADER,
+                                      '"Sample#","Date","Time","Meal","SensorBG"\n',
+                                      HEADER + "\n1,2\n0,7.Sep.15,9:22,.,x\n"])
+    def test_header_only_and_short_files(self, text):
+        assert_parsers_agree(text)
 
 
 class TestUnits:

@@ -66,8 +66,9 @@ class TestSynth:
         {"max_rise_rate": -1.0},
         {"recovery_rate_min": 0.06},
         {"nadir_delay_min": 230.0},
+        {"peak_delay_sd": -1.0},
     ], ids=["nan", "zero_rates", "inf", "int_past_float", "bool", "negative_rate",
-            "min_over_max_rate", "min_over_max_delay"])
+            "min_over_max_rate", "min_over_max_delay", "negative_sd"])
     def test_bad_float_field_rejected(self, tmp_path, capsys, fields):
         config = tmp_path / "synth.json"
         config.write_text(json.dumps(fields))
