@@ -5,7 +5,8 @@ where a reference BG was taken, which is how meal times are marked; the
 SensorBG column holds the 5-min sensor readings with N/A for dropouts.
 """
 
-from hypoalarm import label_hypoglycemia, parse_cgm_file, series_to_csv, to_mmol
+from hypoalarm import label_hypoglycemia, parse_cgm_file, series_to_csv
+from hypoalarm.cgm_data import MG_PER_DL_PER_MMOL_L
 
 RECORD = """\
 Sample#,Date,Time,Meal,SensorBG
@@ -25,7 +26,7 @@ print("meal at:", series.meal_times[0])
 
 # Readings are mmol/L; mg/dL files convert on the way in (70 mg/dL is the
 # classic hypoglycemia boundary and lands at 3.885 mmol/L).
-print("70 mg/dL ->", round(to_mmol(70, "mg"), 3), "mmol/L")
+print("70 mg/dL ->", round(70 / MG_PER_DL_PER_MMOL_L, 3), "mmol/L")
 
 # The label is 1 at or under 3.9 mmol/L, 0 above, None for missing readings.
 for bg in (5.2, 3.95, 3.9, 2.8, None):

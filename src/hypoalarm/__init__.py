@@ -39,7 +39,6 @@ from .cgm_data import (
     label_hypoglycemia,
     parse_cgm_file,
     series_to_csv,
-    to_mmol,
 )
 from .evaluation import (
     ConfusionMatrix,

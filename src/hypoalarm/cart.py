@@ -63,13 +63,18 @@ class SplitCandidate:
     impurity_decrease: float
 
 
+def _gini_and_mass(n_n, n_h, costs):
+    # cost-weighted Gini and class mass of nodes with these counts, scalars or arrays
+    mass = costs.cost_fp * n_n + costs.cost_fn * n_h
+    p_h = costs.cost_fn * n_h / mass
+    return 2.0 * p_h * (1.0 - p_h), mass
+
+
 def weighted_gini(n_n: int, n_h: int, costs: CostMatrix) -> float:
     """Two-class Gini impurity with cost-weighted class masses, in [0, 0.5]."""
     if n_n + n_h < 1:
         raise ValueError("empty node")
-    mass = costs.cost_fp * n_n + costs.cost_fn * n_h
-    p_h = costs.cost_fn * n_h / mass
-    return 2.0 * p_h * (1.0 - p_h)
+    return _gini_and_mass(n_n, n_h, costs)[0]
 
 
 def leaf_class(n_n: int, n_h: int, costs: CostMatrix) -> str:
@@ -77,13 +82,6 @@ def leaf_class(n_n: int, n_h: int, costs: CostMatrix) -> str:
     if n_n + n_h < 1:
         raise ValueError("empty node")
     return CLASS_H if costs.cost_fn * n_h >= costs.cost_fp * n_n else CLASS_N
-
-
-def _gini_and_mass(n_n, n_h, costs):
-    # elementwise counterpart of weighted_gini for candidate arrays
-    mass = costs.cost_fp * n_n + costs.cost_fn * n_h
-    p_h = costs.cost_fn * n_h / mass
-    return 2.0 * p_h * (1.0 - p_h), mass
 
 
 def best_split(X, y, costs: CostMatrix) -> SplitCandidate | None:
@@ -102,8 +100,7 @@ def best_split(X, y, costs: CostMatrix) -> SplitCandidate | None:
     tot_n = n - tot_h
     if tot_h == 0 or tot_n == 0:
         return None
-    parent_gini = weighted_gini(tot_n, tot_h, costs)
-    parent_mass = costs.cost_fp * tot_n + costs.cost_fn * tot_h
+    parent_gini, parent_mass = _gini_and_mass(tot_n, tot_h, costs)
 
     best: SplitCandidate | None = None
     for fi in range(X.shape[1]):

@@ -159,15 +159,6 @@ class PipelineConfig:
             raise ValueError("prune_depth >= 1, folds >= 2, allocations >= 1 required")
 
 
-def to_mmol(value: float, unit: str) -> float:
-    """Convert a BG reading to mmol/L; `unit` is "mmol" or "mg"."""
-    if unit not in ("mmol", "mg"):
-        raise ValueError(f"unknown unit {unit!r}, expected 'mmol' or 'mg'")
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"BG must be finite and positive, got {value!r}")
-    return float(value) if unit == "mmol" else value / MG_PER_DL_PER_MMOL_L
-
-
 def label_hypoglycemia(bg: float | None, threshold: float = HYPO_THRESHOLD) -> int | None:
     """1 when BG is at or under the threshold, 0 above, None when missing."""
     if bg is None:
@@ -215,6 +206,17 @@ def _bg_column(cells: list, missing_cell: str, unit: str) -> tuple[np.ndarray, n
     return value, bad
 
 
+def csv_rows(text: str) -> list[list[str]]:
+    """The `csv.reader` rows of `text`, any of CRLF, CR and LF ending a row; a
+    row it refuses (a cell over its field size limit) is a data error."""
+    rows = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise DataValidationError(str(exc), row=len(rows) + 1) from None
+    return rows
+
+
 def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool]:
     """Header cells, body cells in row order, each body row's cell count,
     and whether a cell may need stripping.
@@ -223,7 +225,7 @@ def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool]:
     text holding a quote, where a cell may span commas and line ends.
     """
     if '"' in text:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+        rows = csv_rows(text)
         body = rows[1:]
         widths = np.fromiter(map(len, body), np.intp, len(body))
         return (rows[0] if rows else []), list(chain.from_iterable(body)), widths, True

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -35,7 +36,7 @@ from .evaluation import (
     select_best_run,
     summary_document,
 )
-from .features import build_instances, read_feature_csv, write_feature_csv
+from .features import build_instances, csv_table, read_feature_csv, write_feature_csv
 from .synth import SynthConfig, generate_cohort
 
 EXIT_OK = 0
@@ -53,16 +54,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _read_input(path: Path) -> tuple[io.TextIOWrapper, str]:
+    """A UTF-8 text stream over a file's bytes, newlines untranslated, and
+    their SHA-256: one read, and the parser sees the bytes that are hashed."""
+    data = path.read_bytes()
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return stream, hashlib.sha256(data).hexdigest()
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_output(path: Path, text: str) -> str:
+    """Write `text` as UTF-8; returns the SHA-256 of the bytes written."""
+    data = text.encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, obj) -> str:
+    return _write_output(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(path: Path, command: str, config, inputs: dict,
@@ -104,13 +112,10 @@ def _cmd_synth(args) -> int:
     patients = []
     for series in cohort:
         name = f"{series.patient_id}.csv"
-        text = series_to_csv(series)
-        (out / name).write_text(text)
-        outputs[name] = _sha256_text(text)
+        outputs[name] = _write_output(out / name, series_to_csv(series))
         patients.append({"id": series.patient_id, "dm_type": series.dm_type, "file": name})
     cohort_doc = {"config": dataclasses.asdict(cfg), "patients": patients, "seed": cfg.seed}
-    _write_json(out / "cohort.json", cohort_doc)
-    outputs["cohort.json"] = _sha256_file(out / "cohort.json")
+    outputs["cohort.json"] = _write_json(out / "cohort.json", cohort_doc)
     _write_manifest(out / "manifest.json", "synth", dataclasses.asdict(cfg),
                     inputs={}, seeds=[cfg.seed], outputs=outputs)
     print(f"patients={len(cohort)} out={out}")
@@ -125,13 +130,15 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _read_cohort_json(path: Path) -> list[tuple[str, str, Path]]:
-    """(id, dm_type, record file) for each patient entry of a cohort.json.
+def _read_cohort_json(path: Path) -> tuple[list[tuple[str, str, Path]], str]:
+    """(id, dm_type, record file) for each patient entry of a cohort.json,
+    and the file's SHA-256.
 
     Every entry needs a string ``id`` and a string ``file`` inside the cohort
     directory; an optional ``dm_type`` is one of `DM_TYPES` ("other" if absent).
     """
-    doc = json.loads(path.read_text())
+    stream, digest = _read_input(path)
+    doc = json.load(stream)
     patients = doc.get("patients", []) if isinstance(doc, dict) else None
     if not isinstance(patients, list):
         raise DataValidationError(f"{path}: 'patients' must be a list")
@@ -147,7 +154,7 @@ def _read_cohort_json(path: Path) -> list[tuple[str, str, Path]]:
             raise DataValidationError(
                 f"{path}: patients[{k}] file {pat['file']!r} is outside {path.parent}")
         entries.append((pat["id"], pat.get("dm_type", "other"), file))
-    return entries
+    return entries, digest
 
 
 def _load_cohort(path: Path, unit: str):
@@ -157,7 +164,7 @@ def _load_cohort(path: Path, unit: str):
     elif not path.is_dir():
         raise DataValidationError(f"no such file or directory: {path}")
     elif (path / "cohort.json").is_file():
-        entries = _read_cohort_json(path / "cohort.json")
+        entries, _ = _read_cohort_json(path / "cohort.json")
     else:
         entries = [(f.stem, "other", f) for f in sorted(path.glob("*.csv"))]
     if not entries:
@@ -165,10 +172,8 @@ def _load_cohort(path: Path, unit: str):
     series_list = []
     inputs = {}
     for pid, dm_type, file in entries:
-        data = file.read_bytes()
-        inputs[str(file)] = hashlib.sha256(data).hexdigest()
-        series_list.append(parse_cgm_file(data.decode(), patient_id=pid, dm_type=dm_type,
-                                          unit=unit))
+        stream, inputs[str(file)] = _read_input(file)
+        series_list.append(parse_cgm_file(stream, patient_id=pid, dm_type=dm_type, unit=unit))
     return series_list, inputs
 
 
@@ -179,46 +184,41 @@ def _cmd_features(args) -> int:
     for series in series_list:
         instances.extend(build_instances(series, cfg))
     out = Path(args.out)
-    write_feature_csv(instances, out)
+    table = io.StringIO()
+    write_feature_csv(instances, table)
     _write_manifest(out.with_suffix(".manifest.json"), "features",
                     {"unit": args.unit}, inputs=inputs, seeds=[],
-                    outputs={out.name: _sha256_file(out)})
+                    outputs={out.name: _write_output(out, table.getvalue())})
     hypo = sum(inst.label for inst in instances)
     print(f"instances={len(instances)} hypo={hypo} out={out}")
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    instances = read_feature_csv(Path(args.features))
+def _read_features(path: str):
+    """The instances of a feature table, non-empty, and its SHA-256."""
+    stream, digest = _read_input(Path(path))
+    instances = read_feature_csv(stream)
     if not instances:
         raise DataValidationError("feature table is empty")
+    return instances, digest
+
+
+def _cmd_train(args) -> int:
+    instances, digest = _read_features(args.features)
     cfg = PipelineConfig()
     X, y = instances_to_arrays(instances)
     tree = grow_tree(X, y, cfg.costs, cfg.prune_depth)
     out = Path(args.out)
-    _write_json(out, serialize_tree(tree))
+    outputs = {out.name: _write_json(out, serialize_tree(tree))}
     _write_manifest(out.with_suffix(".manifest.json"), "train",
                     {"costs": dataclasses.asdict(cfg.costs), "depth": cfg.prune_depth},
-                    inputs={args.features: _sha256_file(Path(args.features))},
-                    seeds=[], outputs={out.name: _sha256_file(out)})
+                    inputs={args.features: digest}, seeds=[], outputs=outputs)
     print(f"instances={len(instances)} depth={tree_depth(tree)} out={out}")
     return EXIT_OK
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_table(path: Path, columns: tuple, rows) -> str:
-    """One CSV table of `_fmt`-ed cells, LF line endings; returns its SHA-256."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(row[k]) for k in columns) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
-    return _sha256_file(path)
+    return "" if value is None else str(value)  # str of a float is its repr
 
 
 _PERFORMANCE_COLUMNS = ("allocation", "fold", "seed", "tp", "fn", "fp", "tn",
@@ -237,15 +237,17 @@ def _write_report_tables(out: Path, summary: dict) -> dict:
         "per_patient.csv": (_PER_PATIENT_COLUMNS, summary["per_patient"]),
         "missed_events.csv": (_MISSED_COLUMNS + ("lowest_bgs", "severe_count"), missed),
     }
-    return {name: _write_table(out / name, columns, rows)
+    return {name: _write_output(out / name, csv_table(
+                columns, ([_fmt(row[k]) for k in columns] for row in rows)))
             for name, (columns, rows) in tables.items()}
 
 
-def _read_summary(path: Path, tables: dict) -> dict:
-    """A summary.json document. A data error unless it is a JSON object in
-    which each dotted key of `tables` names a list of objects that hold
-    that key's columns."""
-    summary = json.loads(path.read_text())
+def _read_summary(path: Path, tables: dict) -> tuple[dict, str]:
+    """A summary.json document and the file's SHA-256. A data error unless
+    the document is a JSON object in which each dotted key of `tables`
+    names a list of objects that hold that key's columns."""
+    stream, digest = _read_input(path)
+    summary = json.load(stream)
     for name, columns in tables.items():
         rows = summary
         for key in name.split("."):
@@ -256,23 +258,21 @@ def _read_summary(path: Path, tables: dict) -> dict:
             absent = [c for c in columns if not isinstance(row, dict) or c not in row]
             if absent:
                 raise DataValidationError(f"summary {name}[{k}] has no {absent[0]!r}")
-    return summary
+    return summary, digest
 
 
 def _cmd_evaluate(args) -> int:
-    instances = read_feature_csv(Path(args.features))
-    if not instances:
-        raise DataValidationError("feature table is empty")
+    instances, digest = _read_features(args.features)
     try:
         cfg = dataclasses.replace(PipelineConfig(), folds=args.k, allocations=args.allocations)
     except ValueError as exc:
         raise UsageError(str(exc))
 
     dm_types = {}
-    inputs = {args.features: _sha256_file(Path(args.features))}
+    inputs = {args.features: digest}
     if args.cohort is not None:
-        dm_types = {pid: dm_type for pid, dm_type, _ in _read_cohort_json(Path(args.cohort))}
-        inputs[args.cohort] = _sha256_file(Path(args.cohort))
+        entries, inputs[args.cohort] = _read_cohort_json(Path(args.cohort))
+        dm_types = {pid: dm_type for pid, dm_type, _ in entries}
 
     report = cross_validate(instances, cfg, seed=args.seed)
     best = select_best_run(report)
@@ -282,8 +282,7 @@ def _cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "summary.json", summary)
-    outputs = {"summary.json": _sha256_file(out / "summary.json")}
+    outputs = {"summary.json": _write_json(out / "summary.json", summary)}
     outputs.update(_write_report_tables(out, summary))
     _write_manifest(out / "manifest.json", "evaluate",
                     {"k": args.k, "allocations": args.allocations, "seed": args.seed},
@@ -295,7 +294,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summary = _read_summary(Path(args.summary), {
+    summary, digest = _read_summary(Path(args.summary), {
         "per_run": _PERFORMANCE_COLUMNS, "per_patient": _PER_PATIENT_COLUMNS,
         "missed_events.rows": _MISSED_COLUMNS + ("lows", "severe_count")})
     if not all(isinstance(row["lows"], list) for row in summary["missed_events"]["rows"]):
@@ -304,7 +303,7 @@ def _cmd_report(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = _write_report_tables(out, summary)
     _write_manifest(out / "manifest.json", "report", {},
-                    inputs={args.summary: _sha256_file(Path(args.summary))},
+                    inputs={args.summary: digest},
                     seeds=summary.get("seeds", []), outputs=outputs)
     print(f"tables={len(outputs)} out={out}")
     return EXIT_OK
@@ -321,7 +320,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_anova(args) -> int:
-    rows = _read_summary(Path(args.report), {"per_patient": (args.group_by,)})["per_patient"]
+    rows = _read_summary(Path(args.report), {"per_patient": (args.group_by,)})[0]["per_patient"]
     groups: dict[str, list[float]] = {}
     for k, row in enumerate(rows):
         if not isinstance(row[args.group_by], str):

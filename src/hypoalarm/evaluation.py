@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import groupby
 
 import numpy as np
 from scipy.special import betainc
@@ -209,12 +210,17 @@ def select_best_run(report: RunReport) -> RunEntry:
     return best
 
 
-def _group_by_patient(instances):
-    """(patient id, row indices) per patient, in id order."""
-    groups: dict[str, list[int]] = {}
-    for i, inst in enumerate(instances):
-        groups.setdefault(inst.patient_id, []).append(i)
-    return [(pid, np.array(groups[pid])) for pid in sorted(groups)]
+def _score_patients(tree: TreeNode, instances):
+    """The scoring pass of both patient reports: per patient in id order,
+    its id, confusion matrix under `tree` and missed-event (false negative)
+    indices in instance order, with all instances routed in one batch."""
+    X, y = instances_to_arrays(instances)
+    preds = predict_batch(tree, X)
+    missed = (preds != CLASS_H) & (y == 1)
+    ids = [inst.patient_id for inst in instances]
+    for pid, group in groupby(sorted(range(len(ids)), key=ids.__getitem__), ids.__getitem__):
+        idx = np.array(list(group))
+        yield pid, confusion(preds[idx], y[idx]), idx[missed[idx]].tolist()
 
 
 def evaluate_per_patient(tree: TreeNode, instances, dm_types=None) -> list[PatientRow]:
@@ -224,22 +230,9 @@ def evaluate_per_patient(tree: TreeNode, instances, dm_types=None) -> list[Patie
     report "other".
     """
     dm_types = dm_types or {}
-    X, y = instances_to_arrays(instances)
-    preds = predict_batch(tree, X)
-    rows = []
-    for pid, idx in _group_by_patient(instances):
-        cm = confusion(preds[idx], y[idx])
-        vec = metrics(cm)
-        rows.append(PatientRow(
-            patient_id=pid,
-            dm_type=dm_types.get(pid, "other"),
-            n_points=len(idx),
-            n_hypo=cm.tp + cm.fn,
-            accuracy=vec.accuracy,
-            sensitivity=vec.sensitivity,
-            specificity=vec.specificity,
-        ))
-    return rows
+    return [PatientRow(patient_id=pid, dm_type=dm_types.get(pid, "other"), n_points=cm.total,
+                       n_hypo=cm.tp + cm.fn, **vars(metrics(cm)))
+            for pid, cm, _ in _score_patients(tree, instances)]
 
 
 def missed_event_analysis(tree: TreeNode, instances,
@@ -249,30 +242,22 @@ def missed_event_analysis(tree: TreeNode, instances,
     A missed event is severe when that low sits at or under the severe
     threshold. Patients without false negatives contribute no row.
     """
-    X, y = instances_to_arrays(instances)
-    preds = predict_batch(tree, X)
-    missed = (preds != CLASS_H) & (y == 1)
     rows = []
-    total_missed = 0
-    total_severe = 0
-    for pid, idx in _group_by_patient(instances):
-        cm = confusion(preds[idx], y[idx])
+    for pid, cm, missed in _score_patients(tree, instances):
         if not cm.fn:
             continue
-        lows = tuple(instances[i].ph_min_bg for i in idx[missed[idx]])
-        severe = sum(1 for low in lows if low <= severe_threshold)
+        lows = tuple(instances[i].ph_min_bg for i in missed)
         rows.append(SeverityRow(
             patient_id=pid,
             sensitivity=metrics(cm).sensitivity,
             predicted_events=cm.tp,
             missed_events=len(lows),
             lows=lows,
-            severe_count=severe,
+            severe_count=sum(1 for low in lows if low <= severe_threshold),
         ))
-        total_missed += len(lows)
-        total_severe += severe
-    return SeverityReport(rows=tuple(rows), total_missed=total_missed,
-                          total_severe=total_severe)
+    return SeverityReport(rows=tuple(rows),
+                          total_missed=sum(row.missed_events for row in rows),
+                          total_severe=sum(row.severe_count for row in rows))
 
 
 def summary_document(instances, cfg: PipelineConfig, seed: int, report: RunReport,

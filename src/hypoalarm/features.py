@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from functools import cache
@@ -22,6 +23,7 @@ from .cgm_data import (
     DataValidationError,
     PatientSeries,
     PipelineConfig,
+    csv_rows,
     label_hypoglycemia,
 )
 
@@ -133,40 +135,53 @@ def build_instances(series: PatientSeries,
     return instances
 
 
-def write_feature_csv(instances, path) -> None:
-    """One instance per row, full float precision, LF line endings."""
-    stamp = cache(lambda t: t.strftime(_TS_FORMAT))  # a meal's rows share its times
+def csv_table(columns, rows) -> str:
+    """CSV text of a header and rows of string cells: minimal quoting, LF
+    line endings, and every cell of a row that holds a CR quoted."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     # the minimal writer leaves a "\r" unquoted, and no reader takes that back
     quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(FEATURE_COLUMNS)
-    for inst in instances:
-        (quote_all if "\r" in inst.patient_id else writer).writerow([
-            inst.patient_id,
-            stamp(inst.meal_time),
-            stamp(inst.peak_time),
-            repr(float(inst.peak_value)),
-            stamp(inst.decision_time),
-            repr(float(inst.x_t)),
-            repr(float(inst.rate)),
-            repr(float(inst.ph_min_bg)),
-            str(int(inst.label)),
-        ])
-    text = buf.getvalue()
+    writer.writerow(columns)
+    for row in rows:
+        (quote_all if "\r" in "".join(row) else writer).writerow(row)
+    return buf.getvalue()
+
+
+def write_feature_csv(instances, path) -> None:
+    """One instance per row, full float precision, LF line endings."""
+    stamp = cache(lambda t: t.strftime(_TS_FORMAT))  # a meal's rows share its times
+    text = csv_table(FEATURE_COLUMNS, ([
+        inst.patient_id,
+        stamp(inst.meal_time),
+        stamp(inst.peak_time),
+        repr(float(inst.peak_value)),
+        stamp(inst.decision_time),
+        repr(float(inst.x_t)),
+        repr(float(inst.rate)),
+        repr(float(inst.ph_min_bg)),
+        str(int(inst.label)),
+    ] for inst in instances))
     if hasattr(path, "write"):
         path.write(text)
     else:
         Path(path).write_text(text)
 
 
+def _finite(cell: str, column: str) -> float:
+    if math.isfinite(value := float(cell)):
+        return value
+    raise ValueError(f"{column} must be a finite number, got {cell!r}")
+
+
 def read_feature_csv(path) -> list[DecisionInstance]:
-    """Load a feature table written by `write_feature_csv`."""
+    """Load a feature table written by `write_feature_csv`; a float cell
+    that is not a finite number is a data error on its row."""
     if hasattr(path, "read"):
         text = path.read()
     else:
         text = Path(path).read_bytes().decode()  # no newline translation: keeps a quoted "\r"
-    rows = list(csv.reader(io.StringIO(text, newline="")))  # any of \n, \r\n, \r ends a row
+    rows = csv_rows(text)
     if not rows or tuple(c.strip() for c in rows[0]) != FEATURE_COLUMNS:
         raise DataValidationError(f"expected header {','.join(FEATURE_COLUMNS)!r}", row=1)
     instances = []
@@ -185,11 +200,11 @@ def read_feature_csv(path) -> list[DecisionInstance]:
                 patient_id=row[0],
                 meal_time=parse_time(row[1]),
                 peak_time=parse_time(row[2]),
-                peak_value=float(row[3]),
+                peak_value=_finite(row[3], "peak_value"),
                 decision_time=parse_time(row[4]),
-                x_t=float(row[5]),
-                rate=float(row[6]),
-                ph_min_bg=float(row[7]),
+                x_t=_finite(row[5], "x_t"),
+                rate=_finite(row[6], "rate"),
+                ph_min_bg=_finite(row[7], "ph_min_bg"),
                 label=label,
             ))
         except ValueError as exc:

@@ -10,8 +10,8 @@ import math
 import re
 from datetime import datetime, timedelta
 
-from hypoalarm import DataValidationError, DecisionInstance, Leaf, PatientSeries, Split, to_mmol
-from hypoalarm.cgm_data import BG_MAX, CSV_COLUMNS, SAMPLING_PERIOD_MIN
+from hypoalarm import DataValidationError, DecisionInstance, Leaf, PatientSeries, Split
+from hypoalarm.cgm_data import BG_MAX, CSV_COLUMNS, MG_PER_DL_PER_MMOL_L, SAMPLING_PERIOD_MIN
 
 EPOCH = datetime(2000, 1, 1)  # sample times are minutes since this instant
 
@@ -242,12 +242,14 @@ def loop_minute(date_cell, time_cell, line):
 
 
 def loop_bg(cell, column, unit, line):
-    """One BG cell in mmol/L; it must parse as a number in (0, BG_MAX]."""
+    """One BG cell in mmol/L; it must parse as a finite positive number in
+    its own unit, and lie at or under BG_MAX once converted."""
     try:
-        value = to_mmol(float(cell), unit)
+        raw = float(cell)
     except ValueError:
-        value = None
-    if value is None or value > BG_MAX:
+        raw = math.nan
+    value = raw if unit == "mmol" else raw / MG_PER_DL_PER_MMOL_L
+    if not (math.isfinite(raw) and raw > 0) or value > BG_MAX:
         raise DataValidationError(
             f"{column} must be a number in (0, {BG_MAX}] mmol/L, got {cell!r}", row=line)
     return value

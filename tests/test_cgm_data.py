@@ -12,7 +12,6 @@ from hypoalarm import (
     label_hypoglycemia,
     parse_cgm_file,
     series_to_csv,
-    to_mmol,
 )
 from hypoalarm.cgm_data import MG_PER_DL_PER_MMOL_L
 from hypoalarm.synth import SynthConfig, generate_cohort
@@ -267,26 +266,35 @@ class TestParseMatchesLoop:
         assert_parsers_agree(text)
 
 
+def parsed_bg(cells, unit):
+    """SensorBG of a record whose readings are `cells`, 5 min apart and
+    without meals, parsed with `unit`."""
+    rows = record_rows(random.Random(0), TestParseMatchesLoop.START, len(cells))
+    for row, cell in zip(rows, cells):
+        row[3:] = [".", cell]
+    return parse_cgm_file(render(random.Random(0), rows), unit=unit).bg
+
+
 class TestUnits:
     def test_mmol_identity(self):
-        assert to_mmol(5.5, "mmol") == 5.5
+        assert parsed_bg(["5.5"], "mmol")[0] == 5.5
 
     def test_mg_division(self):
-        assert to_mmol(70, "mg") == pytest.approx(3.885, abs=1e-3)
+        assert parsed_bg(["70"], "mg")[0] == pytest.approx(3.885, abs=1e-3)
 
     @pytest.mark.parametrize("value", [0, -1, float("nan"), float("inf")])
     def test_domain_violations(self, value):
-        with pytest.raises(ValueError):
-            to_mmol(value, "mg")
+        with pytest.raises(DataValidationError, match="row 2: SensorBG must be a number"):
+            parsed_bg([repr(value)], "mg")
 
     def test_unknown_unit(self):
-        with pytest.raises(ValueError):
-            to_mmol(5.0, "mol")
+        with pytest.raises(ValueError, match="unknown unit 'mol'"):
+            parse_cgm_file(make_csv("0,7.Sep.15,9:22,.,5.0"), unit="mol")
 
     def test_involution(self):
-        rng = np.random.default_rng(0)
-        for x in rng.uniform(1e-6, 40.0, 500):
-            assert to_mmol(float(x) * MG_PER_DL_PER_MMOL_L, "mg") == pytest.approx(x, abs=1e-9)
+        xs = np.random.default_rng(0).uniform(1e-6, 40.0, 500)
+        bg = parsed_bg([repr(float(x) * MG_PER_DL_PER_MMOL_L) for x in xs], "mg")
+        assert bg == pytest.approx(xs, abs=1e-9)
 
 
 class TestLabel:

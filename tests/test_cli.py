@@ -1,13 +1,16 @@
+import csv
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
 
+from hypoalarm import DecisionInstance, write_feature_csv
 from hypoalarm.cli import main
 
 SMALL_CONFIG = {"n_patients": 5, "days_min": 3, "days_max": 3, "seed": 1}
@@ -103,6 +106,14 @@ class TestIngest:
         mg = tmp_path / "mg.csv"
         mg.write_text("Sample#,Date,Time,Meal,SensorBG\n0,7.Sep.15,9:22,180,70\n")
         assert main(["ingest", "--in", str(mg), "--unit", "mg"]) == 0
+
+    def test_oversized_cell_is_a_data_error(self, tmp_path, capsys):
+        record = tmp_path / "big.csv"
+        record.write_text('Sample#,Date,Time,Meal,SensorBG\n0,7.Sep.15,9:22,.,"'
+                          + "1" * 200_000 + '"\n')
+        assert main(["ingest", "--in", str(record)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error[data]: row 2: field larger than field limit (131072)"]
 
 
 class TestFeatures:
@@ -203,6 +214,22 @@ class TestTrain:
         assert main(["train", "--features", str(tmp_path),
                      "--out", str(tmp_path / "tree.json")]) == 2
         assert "error[data]: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column,cell,error", [
+        (0, '"' + "p" * 200_000 + '"', "field larger than field limit (131072)"),
+        (7, "nan", "ph_min_bg must be a finite number, got 'nan'"),
+    ], ids=["oversized_cell", "non_finite_cell"])
+    def test_bad_first_row_is_a_data_error(self, tmp_path, features_csv, capsys,
+                                           column, cell, error):
+        header, first, rest = features_csv.read_text().split("\n", 2)
+        cells = first.split(",")
+        cells[column] = cell
+        table = tmp_path / "bad.csv"
+        table.write_text("\n".join((header, ",".join(cells), rest)))
+        assert main(["train", "--features", str(table),
+                     "--out", str(tmp_path / "tree.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error[data]: row 2: {error}"]
+        assert not (tmp_path / "tree.json").exists()
 
 
 class TestPredict:
@@ -308,6 +335,33 @@ class TestReport:
                      "--out", str(tmp_path / "again")]) == 2
         assert "error[data]: summary " in capsys.readouterr().err
         assert not (tmp_path / "again").exists()
+
+
+ODD_IDS = ("a,b", 'q"d', "c\rr", "n\nl")
+
+
+class TestCsvSpecialIds:
+    """Report tables quote patient ids that hold CSV syntax."""
+
+    def test_report_tables_read_back_intact(self, tmp_path, capsys):
+        # per patient one low among 40 non-hypo decisions at the same point:
+        # every tree is one "N" leaf, so every patient also has a missed event
+        t0 = datetime(2015, 9, 7, 9, 0)
+        table = tmp_path / "features.csv"
+        write_feature_csv([DecisionInstance(pid, t0, t0, 10.0, t0 + timedelta(minutes=5 * k),
+                                            8.0, 0.05, int(k == 0), 2.5 if k == 0 else 8.0)
+                           for pid in ODD_IDS for k in range(41)], table)
+        report, again = tmp_path / "report", tmp_path / "again"
+        assert main(["evaluate", "--features", str(table), "--k", "2", "--allocations", "1",
+                     "--out", str(report)]) == 0
+        assert main(["report", "--summary", str(report / "summary.json"),
+                     "--out", str(again)]) == 0
+        for out in (report, again):
+            for name in ("per_patient.csv", "missed_events.csv"):
+                with open(out / name, newline="") as f:
+                    header, *rows = csv.reader(f)
+                assert all(len(row) == len(header) for row in rows), name
+                assert [row[0] for row in rows] == sorted(ODD_IDS), name
 
 
 class TestAnova:

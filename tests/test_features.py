@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import io
 import math
 from datetime import time, timedelta
@@ -14,6 +16,7 @@ from hypoalarm import (
     read_feature_csv,
     write_feature_csv,
 )
+from hypoalarm.features import FEATURE_COLUMNS, csv_table
 from hypoalarm.synth import SynthConfig, generate_cohort
 
 from conftest import (
@@ -256,3 +259,26 @@ class TestFeatureCsv:
         mangled = buf.getvalue().replace(",0\n", ",2\n", 1)
         with pytest.raises(DataValidationError, match="label"):
             read_feature_csv(io.StringIO(mangled))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["peak_value", "x_t", "rate", "ph_min_bg"])
+    def test_non_finite_cell_rejected_on_its_row(self, worked_series, column, value):
+        instances = build_instances(worked_series)
+        instances[1] = dataclasses.replace(instances[1], **{column: value})
+        buf = io.StringIO()
+        write_feature_csv(instances, buf)
+        with pytest.raises(DataValidationError,
+                           match=f"^row 3: {column} must be a finite number, got '{value!r}'$"):
+            read_feature_csv(io.StringIO(buf.getvalue()))
+
+    def test_table_writer_quotes_minimally_and_a_cr_row_whole(self):
+        rows = [["a,b", 'q"d', "n\nl"], ["1", "x", "c\rr"], ["2", "", "3.5"]]
+        text = csv_table(("id", "k", "v"), rows)
+        assert text == 'id,k,v\n"a,b","q""d","n\nl"\n"1","x","c\rr"\n2,,3.5\n'
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [["id", "k", "v"], *rows]
+
+    def test_oversized_cell_is_a_data_error(self):
+        text = ",".join(FEATURE_COLUMNS) + '\n"' + "p" * 200_000 + '",' + ",".join("1" * 8) + "\n"
+        with pytest.raises(DataValidationError,
+                           match=r"^row 2: field larger than field limit \(131072\)$"):
+            read_feature_csv(io.StringIO(text))
