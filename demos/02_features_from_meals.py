@@ -11,6 +11,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from hypoalarm import PatientSeries, build_instances
+from hypoalarm.cgm_data import EPOCH
 
 # One synthetic day, two meals: dinner stays high, the morning meal decays
 # into an early-afternoon low.
@@ -22,7 +23,7 @@ ANCHORS = [
     ("22:57", 8.0),
 ]
 MEALS = {"8:42": 6.8, "19:07": 9.2}
-DAY_START = (datetime(2015, 9, 7) - datetime(2000, 1, 1)) // timedelta(minutes=1)
+DAY_START = (datetime(2015, 9, 7) - EPOCH) // timedelta(minutes=1)
 
 
 def minute_of_day(hhmm):
@@ -30,7 +31,12 @@ def minute_of_day(hhmm):
     return 60 * int(hour) + int(minute)
 
 
-# A series is one (n, 3) array: sample time in minutes since 2000-01-01,
+def clock(minutes):
+    """H:MM of a time in minutes since EPOCH, the unit of every pipeline time."""
+    return f"{EPOCH + timedelta(minutes=minutes):%H:%M}"
+
+
+# A series is one (n, 3) array: sample time in minutes since EPOCH,
 # sensor BG, and the meal reference BG (NaN on rows without a meal; a
 # missing sensor reading would be NaN too).
 times = np.arange(minute_of_day("7:02"), minute_of_day("22:57") + 1, 5)
@@ -45,10 +51,10 @@ series = PatientSeries("demo", np.column_stack([DAY_START + times, bg, meal_ref]
 instances = build_instances(series)
 peaks = {inst.meal_time: (inst.peak_time, inst.peak_value) for inst in instances}
 for meal, (peak_time, peak_value) in peaks.items():
-    print(f"meal {meal:%H:%M}: peak {peak_value} mmol/L at {peak_time:%H:%M}")
+    print(f"meal {clock(meal)}: peak {peak_value} mmol/L at {clock(peak_time)}")
 
 print()
 print("decision   x_t    rate      low-in-horizon  label")
 for inst in instances:
-    print(f"{inst.decision_time:%H:%M}      {inst.x_t:<6.3g} {inst.rate:<9.3f} "
+    print(f"{clock(inst.decision_time)}      {inst.x_t:<6.3g} {inst.rate:<9.3f} "
           f"{inst.ph_min_bg:<15.3g} {inst.label}")

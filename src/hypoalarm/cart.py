@@ -7,7 +7,7 @@ dominate split selection and leaf assignment without resampling.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +23,12 @@ class TreeDocumentError(ValueError):
     """A tree document does not match the expected schema."""
 
 
+def finite_number(value) -> bool:
+    """An int or float within the float range; not a bool, NaN or ±inf."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Misclassification costs: `cost_fn` for a missed alarm (predicting N
@@ -34,7 +40,7 @@ class CostMatrix:
     def __post_init__(self):
         for name in ("cost_fn", "cost_fp"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (finite_number(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -250,8 +256,7 @@ def parse_tree(doc, path: str = "$") -> TreeNode:
         if doc["feature"] not in FEATURES:
             raise TreeDocumentError(f"{path}: unknown feature {doc['feature']!r}")
         threshold = doc["threshold"]
-        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool) \
-                or not math.isfinite(threshold):
+        if not finite_number(threshold):
             raise TreeDocumentError(f"{path}: threshold must be a finite number")
         return Split(
             doc["feature"],

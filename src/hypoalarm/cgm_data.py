@@ -47,7 +47,7 @@ _TIME_CELLS = tuple(f"{minute // 60}:{minute % 60:02d}" for minute in range(1440
 _ASCII_INNER_SPACE = " \t\v\f\x1c\x1d\x1e\x1f"
 _INNER_SPACE = re.compile(r"[^\S\n]")
 
-_EPOCH = datetime(2000, 1, 1)
+EPOCH = datetime(2000, 1, 1)  # every time in the pipeline is minutes since this instant
 
 
 class DataValidationError(ValueError):
@@ -63,7 +63,7 @@ class PatientSeries:
     """One patient's ordered 5-min CGM trace; immutable once built.
 
     `samples` is a read-only ``(n, 3)`` float64 array with one row per
-    reading: minutes since 2000-01-01, sensor BG and meal reference BG
+    reading: minutes since `EPOCH`, sensor BG and meal reference BG
     (mmol/L). NaN marks a missing sensor reading and a row without a meal.
     """
 
@@ -96,7 +96,7 @@ class PatientSeries:
 
     @property
     def minutes(self) -> np.ndarray:
-        """Sample times in minutes since 2000-01-01."""
+        """Sample times in minutes since `EPOCH`."""
         return self.samples[:, 0]
 
     @property
@@ -109,13 +109,10 @@ class PatientSeries:
         """Reference BG marking a meal, NaN on rows without one."""
         return self.samples[:, 2]
 
-    def timestamp(self, i: int) -> datetime:
-        """Time of sample `i`."""
-        return _EPOCH + timedelta(minutes=float(self.minutes[i]))
-
     @property
-    def meal_times(self) -> tuple[datetime, ...]:
-        return tuple(self.timestamp(i) for i in np.flatnonzero(~np.isnan(self.meal_ref)))
+    def meal_times(self) -> np.ndarray:
+        """Times of the rows that mark a meal, in minutes since `EPOCH`."""
+        return self.minutes[~np.isnan(self.meal_ref)]
 
     @property
     def missing_count(self) -> int:
@@ -159,11 +156,10 @@ class PipelineConfig:
             raise ValueError("prune_depth >= 1, folds >= 2, allocations >= 1 required")
 
 
-def label_hypoglycemia(bg: float | None, threshold: float = HYPO_THRESHOLD) -> int | None:
-    """1 when BG is at or under the threshold, 0 above, None when missing."""
-    if bg is None:
-        return None
-    return 1 if bg <= threshold else 0
+def label_hypoglycemia(bg, threshold: float = HYPO_THRESHOLD):
+    """1 where BG is at or under the threshold, 0 above; elementwise over
+    a scalar or an array."""
+    return (np.asarray(bg) <= threshold) * 1
 
 
 def _is_digits(cell: str, widths=range(1, 3)) -> bool:
@@ -172,13 +168,13 @@ def _is_digits(cell: str, widths=range(1, 3)) -> bool:
 
 
 def _day_start(date_cell: str) -> float:
-    """First minute of a ``D.Mon.YY`` date cell since 2000-01-01, NaN when
+    """First minute of a ``D.Mon.YY`` date cell since `EPOCH`, NaN when
     the cell is malformed."""
     try:
         day_s, month_s, year_s = date_cell.split(".")
         if _is_digits(day_s) and _is_digits(year_s, (2,)):
             day = datetime(2000 + int(year_s), _MONTH_NAMES.index(month_s) + 1, int(day_s))
-            return (day - _EPOCH).days * 1440
+            return (day - EPOCH).days * 1440
     except ValueError:
         pass
     return math.nan
@@ -311,7 +307,7 @@ def _value_cells(column: np.ndarray, missing_cell: str) -> list:
 
 
 def _date_cell(day: int) -> str:
-    d = _EPOCH + timedelta(days=day)
+    d = EPOCH + timedelta(days=day)
     return f"{d.day}.{_MONTH_NAMES[d.month - 1]}.{d.year % 100:02d}"
 
 

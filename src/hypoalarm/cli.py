@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .cart import (
     TreeDocumentError,
+    finite_number,
     grow_tree,
     parse_tree,
     predict,
@@ -28,6 +29,10 @@ from .cart import (
 )
 from .cgm_data import DM_TYPES, DataValidationError, PipelineConfig, parse_cgm_file, series_to_csv
 from .evaluation import (
+    ConfusionMatrix,
+    PatientRow,
+    PerformanceVector,
+    SeverityRow,
     cross_validate,
     evaluate_per_patient,
     instances_to_arrays,
@@ -221,11 +226,14 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)  # str of a float is its repr
 
 
-_PERFORMANCE_COLUMNS = ("allocation", "fold", "seed", "tp", "fn", "fp", "tn",
-                        "accuracy", "sensitivity", "specificity")
-_PER_PATIENT_COLUMNS = ("patient_id", "dm_type", "n_points", "n_hypo",
-                        "accuracy", "sensitivity", "specificity")
-_MISSED_COLUMNS = ("patient_id", "sensitivity", "predicted_events", "missed_events")
+def _names(*row_types) -> tuple[str, ...]:
+    return tuple(f.name for row_type in row_types for f in dataclasses.fields(row_type))
+
+
+# the summary.json row keys, in the order of the types that hold them
+_PERFORMANCE_COLUMNS = ("allocation", "fold", "seed") + _names(ConfusionMatrix, PerformanceVector)
+_PER_PATIENT_COLUMNS = _names(PatientRow)
+_MISSED_COLUMNS = tuple(c for c in _names(SeverityRow) if c not in ("lows", "severe_count"))
 
 
 def _write_report_tables(out: Path, summary: dict) -> dict:
@@ -296,9 +304,11 @@ def _cmd_evaluate(args) -> int:
 def _cmd_report(args) -> int:
     summary, digest = _read_summary(Path(args.summary), {
         "per_run": _PERFORMANCE_COLUMNS, "per_patient": _PER_PATIENT_COLUMNS,
-        "missed_events.rows": _MISSED_COLUMNS + ("lows", "severe_count")})
-    if not all(isinstance(row["lows"], list) for row in summary["missed_events"]["rows"]):
-        raise DataValidationError("summary missed_events.rows 'lows' must be lists")
+        "missed_events.rows": _names(SeverityRow)})
+    for k, row in enumerate(summary["missed_events"]["rows"]):
+        if not (isinstance(row["lows"], list) and all(map(finite_number, row["lows"]))):
+            raise DataValidationError(
+                f"summary missed_events.rows[{k}] 'lows' must be a list of finite numbers")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = _write_report_tables(out, summary)
@@ -329,10 +339,9 @@ def _cmd_anova(args) -> int:
         value = row.get(args.metric)
         if value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not abs(value) <= sys.float_info.max:  # NaN, ±inf and huge ints fail
+        if not (finite_number(value) and 0 <= value <= 1):  # a ratio; huge ones overflow
             raise DataValidationError(
-                f"summary per_patient[{k}] {args.metric!r} must be a finite number or null")
+                f"summary per_patient[{k}] {args.metric!r} must be a number in [0, 1] or null")
         groups.setdefault(row[args.group_by], []).append(float(value))
     if len(groups) < 2:
         raise DataValidationError(

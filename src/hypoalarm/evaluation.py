@@ -203,11 +203,7 @@ def select_best_run(report: RunReport) -> RunEntry:
         return tuple(-math.inf if m is None else m
                      for m in (v.sensitivity, v.accuracy, v.specificity))
 
-    best = report.runs[0]
-    for entry in report.runs[1:]:
-        if key(entry) > key(best):
-            best = entry
-    return best
+    return max(report.runs, key=key)  # the first of equal maxima
 
 
 def _score_patients(tree: TreeNode, instances):

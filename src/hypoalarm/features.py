@@ -12,13 +12,15 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from datetime import datetime, time, timedelta
 from functools import cache
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .cgm_data import (
+    EPOCH,
     SAMPLING_PERIOD_MIN,
     DataValidationError,
     PatientSeries,
@@ -35,30 +37,31 @@ FEATURE_COLUMNS = ("patient_id", "meal_time", "peak_time", "peak_value",
 
 @dataclass(frozen=True)
 class DecisionInstance:
-    """One alarm decision: the two predictors, the label, and audit fields."""
+    """One alarm decision: the two predictors, the label, and audit fields.
+    Times are minutes since `EPOCH`."""
 
     patient_id: str
-    meal_time: datetime
-    peak_time: datetime
+    meal_time: float
+    peak_time: float
     peak_value: float
-    decision_time: datetime
+    decision_time: float
     x_t: float        # snapped reading at the decision time, mmol/L
     rate: float       # (peak - x_t) / minutes since the peak; positive = falling
     label: int        # 1 iff any horizon reading <= threshold
     ph_min_bg: float  # lowest present horizon reading, kept for severity analysis
 
 
-def rate_of_decrease(peak_value: float, peak_time: datetime,
-                     current_value: float, current_time: datetime) -> float:
-    """(peak - current) / minutes elapsed; positive means BG is falling."""
-    minutes = (current_time - peak_time).total_seconds() / 60.0
-    if minutes <= 0:
+def rate_of_decrease(peak_value, peak_time, current_value, current_time):
+    """(peak - current) / minutes elapsed, elementwise over scalars or
+    arrays, times in minutes; positive means BG is falling."""
+    elapsed = np.subtract(current_time, peak_time)
+    if not (elapsed > 0).all():
         raise ValueError("decision time must come after the peak")
-    return (peak_value - current_value) / minutes
+    return np.subtract(peak_value, current_value) / elapsed
 
 
 def _minute_of_day(clock: time) -> float:
-    return (datetime.combine(date.min, clock) - datetime.min) / timedelta(minutes=1)
+    return (datetime.combine(EPOCH, clock) - EPOCH) / timedelta(minutes=1)
 
 
 def _snap(minutes: np.ndarray, values: np.ndarray, times: np.ndarray,
@@ -109,30 +112,18 @@ def build_instances(series: PatientSeries,
             & (first - midnight >= _minute_of_day(cfg.daytime_start))
             & (last - midnight <= _minute_of_day(cfg.daytime_end))
             & (t - peak_minutes[:, None] >= SAMPLING_PERIOD_MIN))
-    meal_k, offset_k = np.nonzero(keep)
-    snapped = _snap(minutes, bg, t[keep][:, None] + np.array((0, *cfg.horizon_offsets_min)),
+    meal_k, decision = np.nonzero(keep)[0], t[keep]
+    snapped = _snap(minutes, bg, decision[:, None] + np.array((0, *cfg.horizon_offsets_min)),
                     cfg.snap_tolerance_min)
     ok = ~np.isnan(snapped[:, 0]) & ~np.isnan(snapped[:, 1:]).all(axis=1)
 
-    meal_times = [series.timestamp(i) for i in meal_rows]
-    peaks = [(series.timestamp(present[p]), float(bg[p])) if p >= 0 else None for p in peak]
-    instances = []
-    for k, offset, x, low in zip(meal_k[ok], offset_k[ok], snapped[ok, 0].tolist(),
-                                 np.nanmin(snapped[ok, 1:], axis=1).tolist()):
-        peak_time, peak_value = peaks[k]
-        decision_time = meal_times[k] + timedelta(minutes=cfg.decision_offsets_min[offset])
-        instances.append(DecisionInstance(
-            patient_id=series.patient_id,
-            meal_time=meal_times[k],
-            peak_time=peak_time,
-            peak_value=peak_value,
-            decision_time=decision_time,
-            x_t=x,
-            rate=rate_of_decrease(peak_value, peak_time, x, decision_time),
-            label=label_hypoglycemia(low, cfg.hypo_threshold),
-            ph_min_bg=low,
-        ))
-    return instances
+    k, decision, x = meal_k[ok], decision[ok], snapped[ok, 0]
+    low = np.nanmin(snapped[ok, 1:], axis=1)
+    peak_time, peak_value = minutes[peak[k]], bg[peak[k]]
+    columns = (meals[k], peak_time, peak_value, decision, x,
+               rate_of_decrease(peak_value, peak_time, x, decision),
+               label_hypoglycemia(low, cfg.hypo_threshold), low)
+    return list(map(DecisionInstance, repeat(series.patient_id), *(c.tolist() for c in columns)))
 
 
 def csv_table(columns, rows) -> str:
@@ -150,7 +141,8 @@ def csv_table(columns, rows) -> str:
 
 def write_feature_csv(instances, path) -> None:
     """One instance per row, full float precision, LF line endings."""
-    stamp = cache(lambda t: t.strftime(_TS_FORMAT))  # a meal's rows share its times
+    # a meal's rows share its times
+    stamp = cache(lambda m: (EPOCH + timedelta(minutes=m)).strftime(_TS_FORMAT))
     text = csv_table(FEATURE_COLUMNS, ([
         inst.patient_id,
         stamp(inst.meal_time),
@@ -185,7 +177,8 @@ def read_feature_csv(path) -> list[DecisionInstance]:
     if not rows or tuple(c.strip() for c in rows[0]) != FEATURE_COLUMNS:
         raise DataValidationError(f"expected header {','.join(FEATURE_COLUMNS)!r}", row=1)
     instances = []
-    parse_time = cache(lambda cell: datetime.strptime(cell, _TS_FORMAT))
+    parse_time = cache(  # a time cell to minutes since EPOCH, once per distinct cell
+        lambda cell: (datetime.strptime(cell, _TS_FORMAT) - EPOCH) / timedelta(minutes=1))
     for line, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue

@@ -12,16 +12,16 @@ makes the "high BG now" region genuinely safe for a classifier to learn.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
-from datetime import date
+from datetime import datetime, timedelta
 
 import numpy as np
 
-from .cgm_data import SAMPLING_PERIOD_MIN, PatientSeries
+from .cart import finite_number
+from .cgm_data import EPOCH, SAMPLING_PERIOD_MIN, PatientSeries
 
-# an arbitrary fixed start date, in minutes since 2000-01-01
-_COHORT_START_MIN = (date(2015, 9, 7) - date(2000, 1, 1)).days * 1440
+# an arbitrary fixed start date, in minutes since `EPOCH`
+_COHORT_START_MIN = (datetime(2015, 9, 7) - EPOCH) // timedelta(minutes=1)
 
 # meal slots as minutes into a day: breakfast, lunch, dinner
 _SLOTS = ((435.0, 505.0), (705.0, 780.0), (1050.0, 1140.0))
@@ -78,8 +78,7 @@ class SynthConfig:
             value = getattr(self, f.name)
             if f.type == "int" and type(value) is not int:  # bool and float are not counts
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if f.type == "float" and not (number and abs(value) <= sys.float_info.max):
+            if f.type == "float" and not finite_number(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if "rate" in f.name and not value > 0:
                 raise ValueError(f"{f.name} must be > 0, got {value!r}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hypoalarm import PatientSeries, PipelineConfig, build_instances
-from oracle_utils import EPOCH
+from oracle_utils import minutes
 
 
 def ts(hhmm: str, day: int = 7) -> datetime:
@@ -15,9 +15,9 @@ def ts(hhmm: str, day: int = 7) -> datetime:
     return datetime(2015, 9, day, int(hour), int(minute))
 
 
-def minutes(t: datetime) -> float:
-    """`t` in the sample-time unit of `PatientSeries.samples`."""
-    return (t - EPOCH) / timedelta(minutes=1)
+def ts_minutes(hhmm: str, day: int = 7) -> float:
+    """`ts` in minutes since the epoch, the time unit of `DecisionInstance`."""
+    return minutes(ts(hhmm, day))
 
 
 def decision_at(rows, probe, cfg=None):
@@ -30,7 +30,7 @@ def decision_at(rows, probe, cfg=None):
     samples = sorted([(m, math.nan if bg is None else bg, math.nan) for m, bg in rows]
                      + [(meal, 30.0, 6.0)])
     hits = [inst for inst in build_instances(PatientSeries("p", samples), cfg)
-            if minutes(inst.decision_time) == probe]
+            if inst.decision_time == probe]
     return hits[0] if hits else None
 
 

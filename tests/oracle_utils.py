@@ -16,6 +16,11 @@ from hypoalarm.cgm_data import BG_MAX, CSV_COLUMNS, MG_PER_DL_PER_MMOL_L, SAMPLI
 EPOCH = datetime(2000, 1, 1)  # sample times are minutes since this instant
 
 
+def minutes(t: datetime) -> float:
+    """`t` in the time unit of `PatientSeries.samples` and `DecisionInstance`."""
+    return (t - EPOCH) / timedelta(minutes=1)
+
+
 def brute_force_best_split(rows, cost_fn, cost_fp):
     """Exhaustive (feature, midpoint) search over instance tuples.
 
@@ -181,7 +186,8 @@ def loop_build_instances(series, cfg):
     linear-scan peak; per grid time t before the next meal whose horizon
     lies within one day's daytime hours and that is at least a sampling
     period past the peak, the linear-scan readings at t and at each horizon
-    offset, all in `datetime` arithmetic."""
+    offset, all in `datetime` arithmetic; each instance's times are then
+    converted to minutes."""
     rows = timed_rows(series)
     meals = [EPOCH + timedelta(minutes=minute)
              for minute, _, meal_ref in series.samples.tolist() if not math.isnan(meal_ref)]
@@ -213,8 +219,9 @@ def loop_build_instances(series, cfg):
                 continue
             x_t, low = rows[current][1], min(readings)
             instances.append(DecisionInstance(
-                patient_id=series.patient_id, meal_time=meal, peak_time=peak_time,
-                peak_value=peak_value, decision_time=t, x_t=x_t,
+                patient_id=series.patient_id, meal_time=minutes(meal),
+                peak_time=minutes(peak_time), peak_value=peak_value,
+                decision_time=minutes(t), x_t=x_t,
                 rate=(peak_value - x_t) / ((t - peak_time).total_seconds() / 60.0),
                 label=1 if low <= cfg.hypo_threshold else 0, ph_min_bg=low))
     return instances

@@ -35,7 +35,7 @@ from hypoalarm.evaluation import ConfusionMatrix
 from hypoalarm.features import DecisionInstance
 from hypoalarm.synth import SynthConfig, generate_cohort
 
-from conftest import WORKED_ROWS, WORKED_ANCHORS, WORKED_MEALS, series_from_anchors, ts
+from conftest import WORKED_ROWS, WORKED_ANCHORS, WORKED_MEALS, series_from_anchors, ts_minutes
 from oracle_utils import brute_force_best_split, f_upper_tail_by_quadrature, oracle_prune
 
 COSTS = CostMatrix(15.0, 1.0)
@@ -63,12 +63,12 @@ def test_c01_worked_example_rates_and_labels():
         printed = {"21:07": 0.081, "21:22": 0.064, "21:37": 0.058,
                    "10:42": 0.072, "10:57": 0.071, "11:12": 0.069}
         for hhmm, rate in printed.items():
-            assert instances[ts(hhmm)].rate == pytest.approx(rate, abs=5e-4)
-        assert instances[ts("21:07")].label == 0
-        assert instances[ts("11:12")].label == 1
+            assert instances[ts_minutes(hhmm)].rate == pytest.approx(rate, abs=5e-4)
+        assert instances[ts_minutes("21:07")].label == 0
+        assert instances[ts_minutes("11:12")].label == 1
         for hhmm, x_t, _, label in WORKED_ROWS:
-            assert instances[ts(hhmm)].x_t == x_t
-            assert instances[ts(hhmm)].label == label
+            assert instances[ts_minutes(hhmm)].x_t == x_t
+            assert instances[ts_minutes(hhmm)].label == label
 
 
 def test_c02_fold_sizes_and_partition_properties():
@@ -267,14 +267,13 @@ def test_c10_severity_flags_exactly_at_the_threshold():
     """Missed events are severe exactly when the horizon low is <= 2.8
     mmol/L, boundary included, under 5 s."""
     with Budget(5.0):
-        from datetime import datetime, timedelta
-        base = datetime(2015, 9, 7, 8, 0)
+        base = ts_minutes("8:00")
 
         def inst(pid, low, minute):
             return DecisionInstance(
                 patient_id=pid, meal_time=base,
-                peak_time=base + timedelta(minutes=30), peak_value=12.0,
-                decision_time=base + timedelta(minutes=120 + minute),
+                peak_time=base + 30, peak_value=12.0,
+                decision_time=base + 120 + minute,
                 x_t=9.0, rate=0.01, label=1, ph_min_bg=low)
 
         lows = {"pa": [2.8, 2.81, 3.9], "pb": [2.2, 3.0], "pc": [2.800000001]}

@@ -413,13 +413,23 @@ class TestSerialization:
         with pytest.raises(TreeDocumentError, match="unknown class"):
             parse_tree({"class": "X", "n_N": 1, "n_H": 0})
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 10**400, True, "1.0"],
+                             ids=["nan", "infinity", "int_past_float", "bool", "string"])
+    def test_threshold_that_is_no_finite_number_rejected(self, threshold):
+        doc = {"feature": "x_t", "threshold": threshold,
+               "left": {"class": "N", "n_N": 1, "n_H": 0},
+               "right": {"class": "H", "n_N": 0, "n_H": 1}}
+        with pytest.raises(TreeDocumentError, match=r"^\$: threshold must be a finite number$"):
+            parse_tree(doc)
+
 
 class TestCostMatrix:
     def test_defaults(self):
         costs = CostMatrix()
         assert costs.cost_fn == 15.0 and costs.cost_fp == 1.0
 
-    @pytest.mark.parametrize("fn,fp", [(0, 1), (-1, 1), (1, 0), (math.nan, 1)])
+    @pytest.mark.parametrize("fn,fp", [(0, 1), (-1, 1), (1, 0), (math.nan, 1),
+                                       pytest.param(10**400, 1, id="int_past_float-1")])
     def test_non_positive_rejected(self, fn, fp):
         with pytest.raises(ValueError):
             CostMatrix(fn, fp)

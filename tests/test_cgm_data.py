@@ -63,10 +63,9 @@ class TestParse:
         ), patient_id="p0")
         assert series.samples.shape == (4, 3)
         assert series.samples[2].tolist() == [minutes(datetime(2015, 9, 7, 9, 32)), 11.8, 10.2]
-        assert series.timestamp(2) == datetime(2015, 9, 7, 9, 32)
         assert math.isnan(series.meal_ref[0])
         assert series.bg[0] == 11.8
-        assert series.meal_times == (datetime(2015, 9, 7, 9, 32),)
+        assert series.meal_times.tolist() == [minutes(datetime(2015, 9, 7, 9, 32))]
 
     def test_na_becomes_missing_but_row_is_kept(self):
         series = parse_cgm_file(make_csv(
@@ -93,8 +92,8 @@ class TestParse:
             "0,7.Sep.15,23:57,.,6.0",
             "1,8.Sep.15,0:02,.,6.1",
         ))
-        assert series.timestamp(1) == datetime(2015, 9, 8, 0, 2)
-        assert series.minutes[1] - series.minutes[0] == 5
+        assert series.minutes.tolist() == [minutes(datetime(2015, 9, 7, 23, 57)),
+                                           minutes(datetime(2015, 9, 8, 0, 2))]
 
     def test_mg_unit_converts_both_bg_columns(self):
         series = parse_cgm_file(make_csv("0,7.Sep.15,9:22,180,70"), unit="mg")
@@ -307,8 +306,14 @@ class TestLabel:
     def test_severe_is_still_one(self):
         assert label_hypoglycemia(2.8) == 1
 
-    def test_missing_is_unknown(self):
-        assert label_hypoglycemia(None) is None
+    def test_elementwise_matches_scalar(self):
+        rng = np.random.default_rng(3)
+        grid = np.concatenate([np.round(np.arange(2.0, 6.0, 0.1), 1), rng.uniform(0.5, 20.0, 200)])
+        assert 3.9 in grid.tolist()
+        labels = label_hypoglycemia(grid)
+        assert labels.tolist() == [label_hypoglycemia(bg) for bg in grid.tolist()]
+        assert labels.tolist() == [1 if bg <= 3.9 else 0 for bg in grid.tolist()]
+        assert label_hypoglycemia(grid, 2.8).tolist() == [int(bg <= 2.8) for bg in grid.tolist()]
 
     def test_monotone_non_increasing(self):
         rng = np.random.default_rng(1)

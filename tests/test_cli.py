@@ -5,13 +5,16 @@ import math
 import os
 import subprocess
 import sys
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
 from hypoalarm import DecisionInstance, write_feature_csv
 from hypoalarm.cli import main
+from hypoalarm.features import FEATURE_COLUMNS
+
+from oracle_utils import minutes
 
 SMALL_CONFIG = {"n_patients": 5, "days_min": 3, "days_max": 3, "seed": 1}
 
@@ -336,6 +339,29 @@ class TestReport:
         assert "error[data]: summary " in capsys.readouterr().err
         assert not (tmp_path / "again").exists()
 
+    @pytest.mark.parametrize("low", ["[3.0]", "null", "true", '"2.5"', "1e999"],
+                             ids=["list", "null", "bool", "string", "overflow"])
+    def test_low_that_is_no_finite_number_is_a_data_error(self, tmp_path, capsys, low):
+        # one low among 40 non-hypo decisions at the same point: every tree
+        # is one "N" leaf, so both patients have a missed-events row
+        table = tmp_path / "features.csv"
+        table.write_text(",".join(FEATURE_COLUMNS) + "\n" + "".join(
+            f"{pid},2015-09-07T09:00,2015-09-07T09:30,10.0,2015-09-07T11:00,8.0,0.05,"
+            f"{low},{int(low < 3.9)}\n" for pid in ("pa", "pb") for low in [2.5] + [8.0] * 40))
+        report = tmp_path / "report"
+        assert main(["evaluate", "--features", str(table), "--k", "2", "--allocations", "1",
+                     "--out", str(report)]) == 0
+        doc = json.loads((report / "summary.json").read_text())
+        doc["missed_events"]["rows"][1]["lows"] = [2.5, "LOW"]
+        (report / "summary.json").write_text(json.dumps(doc).replace('"LOW"', low))
+        capsys.readouterr()
+        assert main(["report", "--summary", str(report / "summary.json"),
+                     "--out", str(tmp_path / "again")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: summary missed_events.rows[1] ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "again").exists()
+
 
 ODD_IDS = ("a,b", 'q"d', "c\rr", "n\nl")
 
@@ -346,9 +372,9 @@ class TestCsvSpecialIds:
     def test_report_tables_read_back_intact(self, tmp_path, capsys):
         # per patient one low among 40 non-hypo decisions at the same point:
         # every tree is one "N" leaf, so every patient also has a missed event
-        t0 = datetime(2015, 9, 7, 9, 0)
+        t0 = minutes(datetime(2015, 9, 7, 9, 0))
         table = tmp_path / "features.csv"
-        write_feature_csv([DecisionInstance(pid, t0, t0, 10.0, t0 + timedelta(minutes=5 * k),
+        write_feature_csv([DecisionInstance(pid, t0, t0, 10.0, t0 + 5 * k,
                                             8.0, 0.05, int(k == 0), 2.5 if k == 0 else 8.0)
                            for pid in ODD_IDS for k in range(41)], table)
         report, again = tmp_path / "report", tmp_path / "again"
@@ -411,9 +437,11 @@ class TestAnova:
         err = capsys.readouterr().err
         assert err.startswith("error[data]: ") and "per_patient[1]" in err
 
-    @pytest.mark.parametrize("value", [[0.5], True, "0.5", math.nan, math.inf, -math.inf, 10**400],
+    @pytest.mark.parametrize("value", [[0.5], True, "0.5", math.nan, math.inf, -math.inf, 10**400,
+                                       1e200, 10**300, 1.5, -0.5],
                              ids=["list", "bool", "string", "nan", "infinity", "-infinity",
-                                  "int_past_float"])
+                                  "int_past_float", "huge_float", "huge_int", "above_one",
+                                  "below_zero"])
     def test_non_number_metric_is_a_data_error(self, tmp_path, capsys, value):
         summary = tmp_path / "summary.json"
         summary.write_text(json.dumps({"per_patient": [

@@ -1,5 +1,4 @@
 import math
-from datetime import datetime, timedelta
 from fractions import Fraction
 
 import numpy as np
@@ -25,17 +24,18 @@ from hypoalarm import (
 )
 from hypoalarm.features import DecisionInstance
 
+from conftest import ts_minutes
 from oracle_utils import f_upper_tail_by_quadrature, loop_predict
 
 
 def make_instance(x_t, rate, label, patient_id="p00", ph_min_bg=None, minute=0):
-    base = datetime(2015, 9, 7, 8, 0)
+    base = ts_minutes("8:00")
     return DecisionInstance(
         patient_id=patient_id,
         meal_time=base,
-        peak_time=base + timedelta(minutes=30),
+        peak_time=base + 30,
         peak_value=12.0,
-        decision_time=base + timedelta(minutes=120 + minute),
+        decision_time=base + 120 + minute,
         x_t=x_t,
         rate=rate,
         label=label,

@@ -4,6 +4,7 @@ import io
 import math
 from datetime import time, timedelta
 
+import numpy as np
 import pytest
 
 from hypoalarm import (
@@ -27,11 +28,14 @@ from conftest import (
     minutes,
     series_from_anchors,
     ts,
+    ts_minutes,
 )
+from oracle_utils import EPOCH
 
 
 def peaks(series):
-    """(peak time, peak value) per meal that yields an instance."""
+    """(peak time, peak value) per meal that yields an instance, times in
+    minutes."""
     return {inst.meal_time: (inst.peak_time, inst.peak_value)
             for inst in build_instances(series)}
 
@@ -48,27 +52,29 @@ def flat_series(meals, start, end):
 
 
 def decision_times(meal, series, cfg=None):
-    return [inst.decision_time for inst in build_instances(series, cfg) if inst.meal_time == meal]
+    """Decision times, as datetimes, of the meal at datetime `meal`."""
+    return [EPOCH + timedelta(minutes=inst.decision_time)
+            for inst in build_instances(series, cfg) if inst.meal_time == minutes(meal)]
 
 
 class TestPeak:
     def test_worked_evening_peak(self, worked_series):
-        assert peaks(worked_series)[ts("19:07")] == (ts("19:32"), 15.7)
+        assert peaks(worked_series)[ts_minutes("19:07")] == (ts_minutes("19:32"), 15.7)
 
     def test_worked_morning_peak(self, worked_series):
-        assert peaks(worked_series)[ts("8:42")] == (ts("9:17"), 12.7)
+        assert peaks(worked_series)[ts_minutes("8:42")] == (ts_minutes("9:17"), 12.7)
 
     def test_decreasing_bg_peaks_at_the_meal(self):
         series = series_from_anchors([("9:02", 11.0), ("12:02", 5.0)], {"9:02": 10.8},
                                      start="9:02", end="12:02")
-        assert peaks(series) == {ts("9:02"): (ts("9:02"), 11.0)}
+        assert peaks(series) == {ts_minutes("9:02"): (ts_minutes("9:02"), 11.0)}
 
     def test_earliest_tie_wins(self):
         series = series_from_anchors(
             [("9:02", 10.0), ("9:27", 15.7), ("9:52", 15.7), ("11:02", 8.0)], {"9:02": 9.0},
             start="9:02", end="12:02")
         # interpolation keeps the plateau at 15.7 between the two anchors
-        assert peaks(series) == {ts("9:02"): (ts("9:27"), 15.7)}
+        assert peaks(series) == {ts_minutes("9:02"): (ts_minutes("9:27"), 15.7)}
 
     def test_empty_window_is_none(self):
         # every reading of the meal's 2 h window is missing; later decisions
@@ -79,7 +85,7 @@ class TestPeak:
         assert build_instances(series) == []
         series = series_from_anchors([("9:02", 10.0), ("13:02", 10.0)], {"9:02": 9.0},
                                      start="9:02", end="13:02", missing=window[:-1])
-        assert peaks(series) == {ts("9:02"): (ts("11:02"), 10.0)}
+        assert peaks(series) == {ts_minutes("9:02"): (ts_minutes("11:02"), 10.0)}
 
 
 class TestDecisionGrid:
@@ -146,39 +152,59 @@ class TestHorizonLabel:
 
 class TestRate:
     def test_worked_evening_rate(self):
-        assert rate_of_decrease(15.7, ts("19:32"), 8.0, ts("21:07")) == pytest.approx(
+        assert rate_of_decrease(15.7, ts_minutes("19:32"), 8.0, ts_minutes("21:07")) == pytest.approx(
             0.081, abs=5e-4)
 
     def test_worked_morning_rate(self):
-        assert rate_of_decrease(12.7, ts("9:17"), 6.6, ts("10:42")) == pytest.approx(
+        assert rate_of_decrease(12.7, ts_minutes("9:17"), 6.6, ts_minutes("10:42")) == pytest.approx(
             0.072, abs=5e-4)
 
     def test_no_net_change(self):
-        assert rate_of_decrease(10.0, ts("9:00"), 10.0, ts("9:50")) == 0.0
+        assert rate_of_decrease(10.0, ts_minutes("9:00"), 10.0, ts_minutes("9:50")) == 0.0
 
     def test_negative_when_bg_rose_above_peak(self):
-        assert rate_of_decrease(10.0, ts("9:00"), 11.0, ts("10:00")) < 0
+        assert rate_of_decrease(10.0, ts_minutes("9:00"), 11.0, ts_minutes("10:00")) < 0
 
     def test_degenerate_order_rejected(self):
         with pytest.raises(ValueError):
-            rate_of_decrease(10.0, ts("9:00"), 9.0, ts("9:00"))
+            rate_of_decrease(10.0, ts_minutes("9:00"), 9.0, ts_minutes("9:00"))
         with pytest.raises(ValueError):
-            rate_of_decrease(10.0, ts("9:00"), 9.0, ts("8:55"))
+            rate_of_decrease(10.0, ts_minutes("9:00"), 9.0, ts_minutes("8:55"))
+
+    def test_elementwise_matches_scalar(self):
+        rng = np.random.default_rng(7)
+        peak_value = rng.choice([3.9, 6.2, 12.7, 15.7], 300)
+        x = np.append(rng.uniform(2.0, 20.0, 200), np.full(100, 3.9))
+        peak_time = ts_minutes("9:00") + rng.integers(0, 600, 300)
+        decision = peak_time + rng.integers(1, 300, 300)
+        rates = rate_of_decrease(peak_value, peak_time, x, decision)
+        columns = (peak_value.tolist(), peak_time.tolist(), x.tolist(), decision.tolist())
+        assert rates.tolist() == [rate_of_decrease(*args) for args in zip(*columns)]
+        assert rates.tolist() == [(p - c) / (t - s) for p, s, c, t in zip(*columns)]
+
+    @pytest.mark.parametrize("elapsed", [0.0, -5.0, math.nan])
+    def test_any_non_positive_elapsed_rejected(self, elapsed):
+        peak_time = np.full(4, ts_minutes("9:00"))
+        decision = peak_time + np.array([5.0, 30.0, 60.0, 90.0])
+        assert (rate_of_decrease(10.0, peak_time, 9.0, decision) > 0).all()
+        decision[2] = peak_time[2] + elapsed
+        with pytest.raises(ValueError, match="after the peak"):
+            rate_of_decrease(10.0, peak_time, 9.0, decision)
 
 
 class TestBuildInstances:
     def test_worked_rows(self, worked_series):
         instances = {i.decision_time: i for i in build_instances(worked_series)}
         for hhmm, x_t, rate, label in WORKED_ROWS:
-            inst = instances[ts(hhmm)]
+            inst = instances[ts_minutes(hhmm)]
             assert inst.x_t == pytest.approx(x_t, abs=1e-9)
             assert inst.rate == pytest.approx(rate, abs=5e-4)
             assert inst.label == label
 
     def test_instance_counts_per_meal(self, worked_series):
         instances = build_instances(worked_series)
-        morning = [i for i in instances if i.meal_time == ts("8:42")]
-        evening = [i for i in instances if i.meal_time == ts("19:07")]
+        morning = [i for i in instances if i.meal_time == ts_minutes("8:42")]
+        evening = [i for i in instances if i.meal_time == ts_minutes("19:07")]
         assert len(morning) == 7   # full grid fits the day
         assert len(evening) == 6   # the 22:37 decision would see past 23:00
 
@@ -193,12 +219,12 @@ class TestBuildInstances:
         assert build_instances(series) == []
 
     def test_zero_meals_marker_required(self, worked_series):
-        assert list(peaks(worked_series)) == [ts("8:42"), ts("19:07")]
-        assert peaks(worked_series)[ts("8:42")][1] == 12.7
+        assert list(peaks(worked_series)) == [ts_minutes("8:42"), ts_minutes("19:07")]
+        assert peaks(worked_series)[ts_minutes("8:42")][1] == 12.7
 
     def test_rate_times_dt_recovers_bg_drop(self, worked_series):
         for inst in build_instances(worked_series):
-            dt = (inst.decision_time - inst.peak_time).total_seconds() / 60
+            dt = inst.decision_time - inst.peak_time
             assert inst.rate * dt == pytest.approx(inst.peak_value - inst.x_t, abs=1e-9)
 
     def test_pipeline_invariants_on_synthetic_cohort(self):
@@ -208,12 +234,10 @@ class TestBuildInstances:
             meals = list(series.meal_times)
             instances = build_instances(series, cfg)
             for inst in instances:
-                delta = (inst.decision_time - inst.meal_time).total_seconds() / 60
-                assert delta in offsets
-                gap = (inst.decision_time - inst.peak_time).total_seconds() / 60
-                assert gap >= 5
-                start = inst.decision_time + timedelta(minutes=15)
-                end = inst.decision_time + timedelta(minutes=25)
+                assert inst.decision_time - inst.meal_time in offsets
+                assert inst.decision_time - inst.peak_time >= 5
+                start = EPOCH + timedelta(minutes=inst.decision_time + 15)
+                end = EPOCH + timedelta(minutes=inst.decision_time + 25)
                 assert start.time() >= cfg.daytime_start
                 assert end.time() <= cfg.daytime_end
                 later = [m for m in meals if m > inst.meal_time]

@@ -27,6 +27,8 @@ from hypoalarm import (
 )
 from hypoalarm.cgm_data import DM_TYPES
 
+from oracle_utils import minutes
+
 SETTINGS = settings(max_examples=60, deadline=None)
 
 BG = st.floats(min_value=0.0, max_value=40.0, exclude_min=True)
@@ -46,8 +48,9 @@ def series(draw):
                          draw(st.sampled_from(DM_TYPES)))
 
 
+# whole minutes since the epoch whose time cells have four-digit years
 WHOLE_MINUTE = st.datetimes(min_value=datetime(1000, 1, 1)).map(
-    lambda t: t.replace(second=0, microsecond=0))
+    lambda t: minutes(t.replace(second=0, microsecond=0)))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 IDS = st.text() | st.text(',"\r\n\t x')  # any text, and text dense in CSV syntax
 INSTANCE = st.builds(

@@ -116,7 +116,7 @@ class TestSampleAtOracle:
     def test_nan_reading_is_a_gap_inf_and_41_are_rejected(self):
         t0, t1 = minutes(BASE) + 180, minutes(BASE) + 185  # 09:00, 09:05
         series = PatientSeries("p", [(t0, 5.0, math.nan), (t1, math.nan, math.nan)])
-        assert series.missing_count == 1 and series.meal_times == ()
+        assert series.missing_count == 1 and len(series.meal_times) == 0
         horizon = [(t1 + h, 6.0) for h in (15, 20, 25)]
         assert decision_at([(t0, 5.0), (t1, math.nan)] + horizon, t1) is None
         assert decision_at([(t0, 5.0), (t1, 6.0)] + horizon, t1).x_t == 6.0

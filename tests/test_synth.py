@@ -1,12 +1,9 @@
 import math
-from datetime import timedelta
 
 import pytest
 
 from hypoalarm import build_instances, series_to_csv
 from hypoalarm.synth import SynthConfig, generate_cohort
-
-from oracle_utils import EPOCH
 
 
 def cohort_instances(cfg):
@@ -71,10 +68,10 @@ class TestSignalShape:
 
     def test_meal_markers_sit_on_the_sample_grid(self):
         for series in generate_cohort(SynthConfig(n_patients=4, seed=4)):
-            stamps = {EPOCH + timedelta(minutes=m) for m in series.minutes.tolist()}
-            assert all(m % 5 == 0 for m in series.minutes.tolist())
-            assert series.meal_times
-            assert all(m in stamps for m in series.meal_times)
+            stamps = set(series.minutes.tolist())
+            assert all(m % 5 == 0 for m in stamps)
+            assert len(series.meal_times)
+            assert all(m in stamps for m in series.meal_times.tolist())
 
     def test_missing_samples_exist_but_rows_are_kept(self):
         cohort = generate_cohort(SynthConfig(n_patients=5, seed=6, missing_prob=0.05))
