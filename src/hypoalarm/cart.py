@@ -150,40 +150,25 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None) -> TreeNode
         raise ValueError("labels must be 0 or 1")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    return _grow(X, y, costs, max_depth)
 
-    root: TreeNode | None = None
-    stack: list[tuple[Split | None, str, np.ndarray, np.ndarray, int]] = [(None, "", X, y, 0)]
-    while stack:
-        parent, side, Xn, yn, depth = stack.pop()
-        cand = None if depth == max_depth else best_split(Xn, yn, costs)
-        node: TreeNode
-        if cand is None:
-            n_h = int(yn.sum())
-            node = Leaf(leaf_class(yn.size - n_h, n_h, costs), yn.size - n_h, n_h)
-        else:
-            node = Split(cand.feature, cand.threshold, None, None)  # children filled below
-            mask = Xn[:, FEATURES.index(cand.feature)] < cand.threshold
-            stack.append((node, "left", Xn[mask], yn[mask], depth + 1))
-            stack.append((node, "right", Xn[~mask], yn[~mask], depth + 1))
-        if parent is None:
-            root = node
-        else:
-            setattr(parent, side, node)
-    return root
+
+def _grow(X, y, costs: CostMatrix, max_depth: int | None, depth: int = 0) -> TreeNode:
+    cand = None if depth == max_depth else best_split(X, y, costs)
+    if cand is None:
+        n_h = int(y.sum())
+        return Leaf(leaf_class(y.size - n_h, n_h, costs), y.size - n_h, n_h)
+    left = X[:, FEATURES.index(cand.feature)] < cand.threshold
+    return Split(cand.feature, cand.threshold,
+                 _grow(X[left], y[left], costs, max_depth, depth + 1),
+                 _grow(X[~left], y[~left], costs, max_depth, depth + 1))
 
 
 def tree_depth(node: TreeNode) -> int:
     """Maximum number of edges on any root-to-leaf path."""
-    deepest = 0
-    stack = [(node, 0)]
-    while stack:
-        cur, d = stack.pop()
-        if isinstance(cur, Leaf):
-            deepest = max(deepest, d)
-        else:
-            stack.append((cur.left, d + 1))
-            stack.append((cur.right, d + 1))
-    return deepest
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
 def predict_batch(tree: TreeNode, X) -> np.ndarray:
@@ -196,16 +181,17 @@ def predict_batch(tree: TreeNode, X) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("predictors must be finite")
     labels = np.empty(X.shape[0], dtype="<U1")
-    stack = [(tree, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if isinstance(node, Leaf):
-            labels[rows] = node.label
-        else:
-            left = X[rows, FEATURES.index(node.feature)] < node.threshold
-            stack.append((node.left, rows[left]))
-            stack.append((node.right, rows[~left]))
+    _route(tree, X, np.arange(X.shape[0]), labels)
     return labels
+
+
+def _route(node: TreeNode, X, rows, labels) -> None:
+    if isinstance(node, Leaf):
+        labels[rows] = node.label
+        return
+    left = X[rows, FEATURES.index(node.feature)] < node.threshold
+    _route(node.left, X, rows[left], labels)
+    _route(node.right, X, rows[~left], labels)
 
 
 def predict(tree: TreeNode, x_t: float, rate: float) -> str:

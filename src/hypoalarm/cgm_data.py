@@ -54,7 +54,6 @@ class DataValidationError(ValueError):
     """An input file violates the ingestion contract."""
 
     def __init__(self, message: str, row: int | None = None):
-        self.row = row
         super().__init__(message if row is None else f"row {row}: {message}")
 
 

@@ -14,24 +14,18 @@ import hashlib
 import io
 import json
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .cart import (
-    TreeDocumentError,
-    finite_number,
-    grow_tree,
-    parse_tree,
-    predict,
-    serialize_tree,
-    tree_depth,
-)
+from .cart import finite_number, grow_tree, parse_tree, predict, serialize_tree, tree_depth
 from .cgm_data import DM_TYPES, DataValidationError, PipelineConfig, parse_cgm_file, series_to_csv
 from .evaluation import (
     ConfusionMatrix,
     PatientRow,
     PerformanceVector,
+    RunEntry,
     SeverityRow,
     cross_validate,
     evaluate_per_patient,
@@ -59,47 +53,48 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_input(path: Path) -> tuple[io.TextIOWrapper, str]:
-    """A UTF-8 text stream over a file's bytes, newlines untranslated, and
-    their SHA-256: one read, and the parser sees the bytes that are hashed."""
-    data = path.read_bytes()
-    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    return stream, hashlib.sha256(data).hexdigest()
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_output(path: Path, text: str) -> str:
-    """Write `text` as UTF-8; returns the SHA-256 of the bytes written."""
-    data = text.encode()
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+class _Files:
+    """One command's files: each read and write goes through here, keyed
+    and digested as its manifest lists them."""
 
+    def __init__(self):
+        self.inputs: dict[str, str] = {}   # path as given -> SHA-256
+        self.outputs: dict[str, str] = {}  # file name -> SHA-256
 
-def _write_json(path: Path, obj) -> str:
-    return _write_output(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    def read(self, path) -> io.TextIOWrapper:
+        """A UTF-8 text stream over the file's bytes, newlines untranslated:
+        one read, and the parser sees the bytes that are hashed."""
+        data = Path(path).read_bytes()
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
-
-def _write_manifest(path: Path, command: str, config, inputs: dict,
-                    seeds: list, outputs: dict) -> None:
-    _write_json(path, {
-        "command": command,
-        "config": config,
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "inputs": inputs,
-        "outputs": outputs,
-        "seeds": seeds,
-        "version": __version__,
-    })
-
-
-def _load_synth_config(args) -> SynthConfig:
-    fields = {}
-    if args.config is not None:
+    def json(self, path):
         try:
-            fields = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"bad synth config JSON: {exc}")
-        if not isinstance(fields, dict):
-            raise DataValidationError("synth config must be a JSON object")
+            return json.load(self.read(path))
+        except ValueError as exc:  # bad syntax or UTF-8, or an int past the digit limit
+            raise DataValidationError(f"{path}: not valid JSON ({exc})") from None
+
+    def write(self, path: Path, text: str) -> None:
+        data = text.encode()
+        path.write_bytes(data)
+        self.outputs[path.name] = hashlib.sha256(data).hexdigest()
+
+    def manifest(self, path: Path, command: str, config, seeds: list) -> None:
+        """Write the manifest of the files recorded so far; it lists no digest of itself."""
+        self.write(path, _json_text({
+            "command": command, "config": config, "inputs": self.inputs,
+            "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "outputs": self.outputs, "seeds": seeds, "version": __version__}))
+
+
+def _load_synth_config(args, files: _Files) -> SynthConfig:
+    fields = {} if args.config is None else files.json(args.config)
+    if not isinstance(fields, dict):
+        raise DataValidationError("synth config must be a JSON object")
     if args.seed is not None:
         fields["seed"] = args.seed
     try:
@@ -108,42 +103,39 @@ def _load_synth_config(args) -> SynthConfig:
         raise DataValidationError(f"bad synth config: {exc}")
 
 
-def _cmd_synth(args) -> int:
-    cfg = _load_synth_config(args)
+def _cmd_synth(args, files: _Files) -> int:
+    cfg = _load_synth_config(args, files)
     cohort = generate_cohort(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = {}
     patients = []
     for series in cohort:
         name = f"{series.patient_id}.csv"
-        outputs[name] = _write_output(out / name, series_to_csv(series))
+        files.write(out / name, series_to_csv(series))
         patients.append({"id": series.patient_id, "dm_type": series.dm_type, "file": name})
-    cohort_doc = {"config": dataclasses.asdict(cfg), "patients": patients, "seed": cfg.seed}
-    outputs["cohort.json"] = _write_json(out / "cohort.json", cohort_doc)
-    _write_manifest(out / "manifest.json", "synth", dataclasses.asdict(cfg),
-                    inputs={}, seeds=[cfg.seed], outputs=outputs)
+    files.write(out / "cohort.json", _json_text(
+        {"config": dataclasses.asdict(cfg), "patients": patients, "seed": cfg.seed}))
+    files.manifest(out / "manifest.json", "synth", dataclasses.asdict(cfg), [cfg.seed])
     print(f"patients={len(cohort)} out={out}")
     return EXIT_OK
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args, files: _Files) -> int:
     path = Path(args.infile)
-    series = parse_cgm_file(path.read_text(), patient_id=path.stem, unit=args.unit)
+    series = parse_cgm_file(files.read(path), patient_id=path.stem, unit=args.unit)
     print(f"patient={series.patient_id} samples={len(series.samples)} "
           f"meals={len(series.meal_times)} missing={series.missing_count}")
     return EXIT_OK
 
 
-def _read_cohort_json(path: Path) -> tuple[list[tuple[str, str, Path]], str]:
-    """(id, dm_type, record file) for each patient entry of a cohort.json,
-    and the file's SHA-256.
+def _read_cohort_json(files: _Files, path) -> list[tuple[str, str, Path]]:
+    """(id, dm_type, record file) for each patient entry of a cohort.json.
 
     Every entry needs a string ``id`` and a string ``file`` inside the cohort
     directory; an optional ``dm_type`` is one of `DM_TYPES` ("other" if absent).
     """
-    stream, digest = _read_input(path)
-    doc = json.load(stream)
+    doc = files.json(path)
+    path = Path(path)
     patients = doc.get("patients", []) if isinstance(doc, dict) else None
     if not isinstance(patients, list):
         raise DataValidationError(f"{path}: 'patients' must be a list")
@@ -159,65 +151,56 @@ def _read_cohort_json(path: Path) -> tuple[list[tuple[str, str, Path]], str]:
             raise DataValidationError(
                 f"{path}: patients[{k}] file {pat['file']!r} is outside {path.parent}")
         entries.append((pat["id"], pat.get("dm_type", "other"), file))
-    return entries, digest
+    return entries
 
 
-def _load_cohort(path: Path, unit: str):
-    """Parse a cohort directory (or a single CSV) into series plus input digests."""
+def _load_cohort(files: _Files, path: Path, unit: str):
+    """Parse a cohort directory (or a single CSV) into series."""
     if path.is_file():
         entries = [(path.stem, "other", path)]
     elif not path.is_dir():
         raise DataValidationError(f"no such file or directory: {path}")
     elif (path / "cohort.json").is_file():
-        entries, _ = _read_cohort_json(path / "cohort.json")
+        entries = _read_cohort_json(files, path / "cohort.json")
     else:
         entries = [(f.stem, "other", f) for f in sorted(path.glob("*.csv"))]
     if not entries:
         raise DataValidationError(f"no patient CSV files under {path}")
-    series_list = []
-    inputs = {}
-    for pid, dm_type, file in entries:
-        stream, inputs[str(file)] = _read_input(file)
-        series_list.append(parse_cgm_file(stream, patient_id=pid, dm_type=dm_type, unit=unit))
-    return series_list, inputs
+    return [parse_cgm_file(files.read(file), patient_id=pid, dm_type=dm_type, unit=unit)
+            for pid, dm_type, file in entries]
 
 
-def _cmd_features(args) -> int:
-    series_list, inputs = _load_cohort(Path(args.infile), args.unit)
+def _cmd_features(args, files: _Files) -> int:
     cfg = PipelineConfig()
-    instances = []
-    for series in series_list:
-        instances.extend(build_instances(series, cfg))
+    instances = [inst for series in _load_cohort(files, Path(args.infile), args.unit)
+                 for inst in build_instances(series, cfg)]
     out = Path(args.out)
     table = io.StringIO()
     write_feature_csv(instances, table)
-    _write_manifest(out.with_suffix(".manifest.json"), "features",
-                    {"unit": args.unit}, inputs=inputs, seeds=[],
-                    outputs={out.name: _write_output(out, table.getvalue())})
+    files.write(out, table.getvalue())
+    files.manifest(out.with_suffix(".manifest.json"), "features", {"unit": args.unit}, [])
     hypo = sum(inst.label for inst in instances)
     print(f"instances={len(instances)} hypo={hypo} out={out}")
     return EXIT_OK
 
 
-def _read_features(path: str):
-    """The instances of a feature table, non-empty, and its SHA-256."""
-    stream, digest = _read_input(Path(path))
-    instances = read_feature_csv(stream)
+def _read_features(files: _Files, path: str):
+    """The instances of a feature table, non-empty."""
+    instances = read_feature_csv(files.read(path))
     if not instances:
         raise DataValidationError("feature table is empty")
-    return instances, digest
+    return instances
 
 
-def _cmd_train(args) -> int:
-    instances, digest = _read_features(args.features)
+def _cmd_train(args, files: _Files) -> int:
+    instances = _read_features(files, args.features)
     cfg = PipelineConfig()
     X, y = instances_to_arrays(instances)
     tree = grow_tree(X, y, cfg.costs, cfg.prune_depth)
     out = Path(args.out)
-    outputs = {out.name: _write_json(out, serialize_tree(tree))}
-    _write_manifest(out.with_suffix(".manifest.json"), "train",
-                    {"costs": dataclasses.asdict(cfg.costs), "depth": cfg.prune_depth},
-                    inputs={args.features: digest}, seeds=[], outputs=outputs)
+    files.write(out, _json_text(serialize_tree(tree)))
+    files.manifest(out.with_suffix(".manifest.json"), "train",
+                   {"costs": dataclasses.asdict(cfg.costs), "depth": cfg.prune_depth}, [])
     print(f"instances={len(instances)} depth={tree_depth(tree)} out={out}")
     return EXIT_OK
 
@@ -226,36 +209,49 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)  # str of a float is its repr
 
 
-def _names(*row_types) -> tuple[str, ...]:
-    return tuple(f.name for row_type in row_types for f in dataclasses.fields(row_type))
+def _fields(*row_types) -> dict:
+    """Field name -> type of each field of the row dataclasses, in order."""
+    return {name: kind for row_type in row_types
+            for name, kind in typing.get_type_hints(row_type).items()}
 
 
-# the summary.json row keys, in the order of the types that hold them
-_PERFORMANCE_COLUMNS = ("allocation", "fold", "seed") + _names(ConfusionMatrix, PerformanceVector)
-_PER_PATIENT_COLUMNS = _names(PatientRow)
-_MISSED_COLUMNS = tuple(c for c in _names(SeverityRow) if c not in ("lows", "severe_count"))
+# the summary.json row columns and their field types, in the order of the types that hold them
+_PERFORMANCE_COLUMNS = ({k: t for k, t in _fields(RunEntry).items()
+                         if k in ("allocation", "fold", "seed")}
+                        | _fields(ConfusionMatrix, PerformanceVector))
+_PER_PATIENT_COLUMNS = _fields(PatientRow)
+_SEVERITY_COLUMNS = _fields(SeverityRow)
+_MISSED_COLUMNS = tuple(c for c in _SEVERITY_COLUMNS if c not in ("lows", "severe_count"))
+
+# what a summary.json cell must hold, by the type of its row field
+_CELL_RULES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    str: (lambda v: type(v) is str, "a string"),
+    float | None: (lambda v: v is None or finite_number(v), "a finite number or null"),
+    tuple[float, ...]: (lambda v: type(v) is list and all(map(finite_number, v)),
+                        "a list of finite numbers"),
+}
 
 
-def _write_report_tables(out: Path, summary: dict) -> dict:
+def _write_report_tables(files: _Files, out: Path, summary: dict) -> None:
     """The three CSV tables, derived from the summary document alone."""
     missed = [{**row, "lowest_bgs": ";".join(repr(float(v)) for v in row["lows"])}
               for row in summary["missed_events"]["rows"]]
     tables = {
-        "performance.csv": (_PERFORMANCE_COLUMNS, summary["per_run"]),
-        "per_patient.csv": (_PER_PATIENT_COLUMNS, summary["per_patient"]),
+        "performance.csv": (tuple(_PERFORMANCE_COLUMNS), summary["per_run"]),
+        "per_patient.csv": (tuple(_PER_PATIENT_COLUMNS), summary["per_patient"]),
         "missed_events.csv": (_MISSED_COLUMNS + ("lowest_bgs", "severe_count"), missed),
     }
-    return {name: _write_output(out / name, csv_table(
-                columns, ([_fmt(row[k]) for k in columns] for row in rows)))
-            for name, (columns, rows) in tables.items()}
+    for name, (columns, rows) in tables.items():
+        files.write(out / name, csv_table(
+            columns, ([_fmt(row[k]) for k in columns] for row in rows)))
 
 
-def _read_summary(path: Path, tables: dict) -> tuple[dict, str]:
-    """A summary.json document and the file's SHA-256. A data error unless
-    the document is a JSON object in which each dotted key of `tables`
-    names a list of objects that hold that key's columns."""
-    stream, digest = _read_input(path)
-    summary = json.load(stream)
+def _read_summary(files: _Files, path: str, tables: dict) -> dict:
+    """A summary.json document. A data error unless it is a JSON object in
+    which each dotted key of `tables` names a list of objects that hold
+    that key's columns, each cell fitting its column's `_CELL_RULES` type."""
+    summary = files.json(path)
     for name, columns in tables.items():
         rows = summary
         for key in name.split("."):
@@ -263,24 +259,24 @@ def _read_summary(path: Path, tables: dict) -> tuple[dict, str]:
         if not isinstance(rows, list):
             raise DataValidationError(f"summary has no {name} list")
         for k, row in enumerate(rows):
-            absent = [c for c in columns if not isinstance(row, dict) or c not in row]
-            if absent:
-                raise DataValidationError(f"summary {name}[{k}] has no {absent[0]!r}")
-    return summary, digest
+            for column, kind in columns.items():
+                if not isinstance(row, dict) or column not in row:
+                    raise DataValidationError(f"summary {name}[{k}] has no {column!r}")
+                fits, what = _CELL_RULES[kind]
+                if not fits(row[column]):
+                    raise DataValidationError(f"summary {name}[{k}] {column!r} must be {what}")
+    return summary
 
 
-def _cmd_evaluate(args) -> int:
-    instances, digest = _read_features(args.features)
+def _cmd_evaluate(args, files: _Files) -> int:
+    instances = _read_features(files, args.features)
     try:
         cfg = dataclasses.replace(PipelineConfig(), folds=args.k, allocations=args.allocations)
     except ValueError as exc:
         raise UsageError(str(exc))
 
-    dm_types = {}
-    inputs = {args.features: digest}
-    if args.cohort is not None:
-        entries, inputs[args.cohort] = _read_cohort_json(Path(args.cohort))
-        dm_types = {pid: dm_type for pid, dm_type, _ in entries}
+    dm_types = {} if args.cohort is None else {
+        pid: dm_type for pid, dm_type, _ in _read_cohort_json(files, args.cohort)}
 
     report = cross_validate(instances, cfg, seed=args.seed)
     best = select_best_run(report)
@@ -290,52 +286,39 @@ def _cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = {"summary.json": _write_json(out / "summary.json", summary)}
-    outputs.update(_write_report_tables(out, summary))
-    _write_manifest(out / "manifest.json", "evaluate",
-                    {"k": args.k, "allocations": args.allocations, "seed": args.seed},
-                    inputs=inputs, seeds=summary["seeds"], outputs=outputs)
+    files.write(out / "summary.json", _json_text(summary))
+    _write_report_tables(files, out, summary)
+    files.manifest(out / "manifest.json", "evaluate",
+                   {"k": args.k, "allocations": args.allocations, "seed": args.seed},
+                   summary["seeds"])
     agg = report.aggregate
     print(f"runs={len(report.runs)} accuracy={_fmt(agg['accuracy'])} "
           f"sensitivity={_fmt(agg['sensitivity'])} specificity={_fmt(agg['specificity'])}")
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    summary, digest = _read_summary(Path(args.summary), {
+def _cmd_report(args, files: _Files) -> int:
+    summary = _read_summary(files, args.summary, {
         "per_run": _PERFORMANCE_COLUMNS, "per_patient": _PER_PATIENT_COLUMNS,
-        "missed_events.rows": _names(SeverityRow)})
-    for k, row in enumerate(summary["missed_events"]["rows"]):
-        if not (isinstance(row["lows"], list) and all(map(finite_number, row["lows"]))):
-            raise DataValidationError(
-                f"summary missed_events.rows[{k}] 'lows' must be a list of finite numbers")
+        "missed_events.rows": _SEVERITY_COLUMNS})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = _write_report_tables(out, summary)
-    _write_manifest(out / "manifest.json", "report", {},
-                    inputs={args.summary: digest},
-                    seeds=summary.get("seeds", []), outputs=outputs)
-    print(f"tables={len(outputs)} out={out}")
+    _write_report_tables(files, out, summary)
+    print(f"tables={len(files.outputs)} out={out}")
+    files.manifest(out / "manifest.json", "report", {}, summary.get("seeds", []))
     return EXIT_OK
 
 
-def _cmd_predict(args) -> int:
-    try:
-        doc = json.loads(Path(args.tree).read_text())
-    except json.JSONDecodeError as exc:
-        raise TreeDocumentError(f"$: not valid JSON ({exc})")
-    tree = parse_tree(doc)
+def _cmd_predict(args, files: _Files) -> int:
+    tree = parse_tree(files.json(args.tree))
     print(predict(tree, args.xt, args.rate))
     return EXIT_OK
 
 
-def _cmd_anova(args) -> int:
-    rows = _read_summary(Path(args.report), {"per_patient": (args.group_by,)})[0]["per_patient"]
+def _cmd_anova(args, files: _Files) -> int:
+    rows = _read_summary(files, args.report, {"per_patient": {args.group_by: str}})["per_patient"]
     groups: dict[str, list[float]] = {}
     for k, row in enumerate(rows):
-        if not isinstance(row[args.group_by], str):
-            raise DataValidationError(
-                f"summary per_patient[{k}] {args.group_by!r} must be a string")
         value = row.get(args.metric)
         if value is None:
             continue
@@ -414,7 +397,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, _Files())
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -46,9 +46,6 @@ class PerformanceVector:
 class FoldPlan:
     """Disjoint covering groups of instance indices; sizes differ by <= 1."""
 
-    seed: int
-    n: int
-    k: int
     groups: tuple[tuple[int, ...], ...]
 
 
@@ -138,13 +135,8 @@ def allocate_folds(n: int, k: int, seed) -> FoldPlan:
         raise ValueError("need n >= k >= 2")
     perm = np.random.default_rng(seed).permutation(n)
     base, extra = divmod(n, k)
-    sizes = [base] * (k - extra) + [base + 1] * extra
-    groups = []
-    start = 0
-    for size in sizes:
-        groups.append(tuple(int(i) for i in perm[start:start + size]))
-        start += size
-    return FoldPlan(seed=seed, n=n, k=k, groups=tuple(groups))
+    cuts = np.cumsum([base] * (k - extra) + [base + 1] * extra)[:-1]
+    return FoldPlan(tuple(tuple(g.tolist()) for g in np.split(perm, cuts)))
 
 
 def instances_to_arrays(instances):
@@ -315,10 +307,12 @@ def one_way_anova(groups) -> tuple[float, float]:
         raise ValueError("need at least one group with two or more values")
     grand = sum(sum(values) for values in groups) / n_total
     means = [sum(values) / len(values) for values in groups]
-    ss_between = sum(len(values) * (mean - grand) ** 2
+    ss_between = sum(len(values) * (mean - grand) * (mean - grand)
                      for values, mean in zip(groups, means))
-    ss_within = sum(sum((v - mean) ** 2 for v in values)
+    ss_within = sum(sum((v - mean) * (v - mean) for v in values)
                     for values, mean in zip(groups, means))
+    if not (math.isfinite(ss_between) and math.isfinite(ss_within)):
+        raise ValueError("sums of squares are not finite")
     if ss_within == 0.0:
         return (0.0, 1.0) if ss_between == 0.0 else (math.inf, 0.0)
     d1 = g - 1

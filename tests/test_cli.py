@@ -339,6 +339,29 @@ class TestReport:
         assert "error[data]: summary " in capsys.readouterr().err
         assert not (tmp_path / "again").exists()
 
+    @pytest.mark.parametrize("section, k, column, value, what", [
+        ("per_patient", 0, "accuracy", {"a": [1, None]}, "a finite number or null"),
+        ("per_run", 0, "tp", "x,y", "an integer"),
+        ("per_patient", 1, "n_points", True, "an integer"),
+        ("per_run", 2, "seed", 1.5, "an integer"),
+        ("per_run", 1, "specificity", math.inf, "a finite number or null"),
+        ("per_patient", 0, "patient_id", 7, "a string"),
+    ], ids=["object_ratio", "string_count", "bool_count", "float_seed", "infinite_ratio",
+            "int_patient_id"])
+    def test_cell_of_the_wrong_type_is_a_data_error(self, tmp_path, features_csv, capsys,
+                                                    section, k, column, value, what):
+        report = tmp_path / "report"
+        assert main(["evaluate", "--features", str(features_csv), "--out", str(report)]) == 0
+        doc = json.loads((report / "summary.json").read_text())
+        doc[section][k][column] = value
+        (report / "summary.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--summary", str(report / "summary.json"),
+                     "--out", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[data]: summary {section}[{k}] {column!r} must be {what}\n")
+        assert not (tmp_path / "again").exists()
+
     @pytest.mark.parametrize("low", ["[3.0]", "null", "true", '"2.5"', "1e999"],
                              ids=["list", "null", "bool", "string", "overflow"])
     def test_low_that_is_no_finite_number_is_a_data_error(self, tmp_path, capsys, low):
@@ -453,6 +476,101 @@ class TestAnova:
         assert main(["anova", "--report", str(summary)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error[data]: ") and "per_patient[1]" in err
+
+
+_OPENS: list[tuple[str, bool]] | None = None  # (path, for writing) of each file opened
+
+
+def _audit_opens(event, args):
+    if event == "open" and _OPENS is not None and isinstance(args[0], (str, os.PathLike)):
+        mode, flags = args[1], args[2]
+        writing = (any(c in mode for c in "wax+") if isinstance(mode, str)
+                   else bool(flags & (os.O_WRONLY | os.O_RDWR)))
+        _OPENS.append((os.fspath(args[0]), writing))
+
+
+@pytest.fixture(scope="module")
+def chain_opens(tmp_path_factory):
+    """Each command of a small chain, by id: its manifest and the files it
+    opened to read and to write, as seen by an audit hook (which cannot be
+    removed; it stays idle after this fixture)."""
+    global _OPENS
+    root = tmp_path_factory.mktemp("chain")
+    (root / "synth.json").write_text(json.dumps(SMALL_CONFIG))
+    cohort, table, report = root / "cohort", root / "features.csv", root / "report"
+    commands = {
+        "synth_config": ["synth", "--config", str(root / "synth.json"), "--out", str(cohort)],
+        "features_cohort": ["features", "--in", str(cohort), "--out", str(table)],
+        "features_glob": ["features", "--in", str(root / "glob"), "--out", str(root / "g.csv")],
+        "features_file": ["features", "--in", str(cohort / "p02.csv"),
+                          "--out", str(root / "one.csv")],
+        "train": ["train", "--features", str(table), "--out", str(root / "tree.json")],
+        "evaluate_cohort": ["evaluate", "--features", str(table), "--seed", "3",
+                            "--cohort", str(cohort / "cohort.json"), "--out", str(report)],
+        "report": ["report", "--summary", str(report / "summary.json"),
+                   "--out", str(root / "again")],
+    }
+    sys.addaudithook(_audit_opens)
+    seen = {}
+    for name, argv in commands.items():
+        if name == "features_glob":
+            (root / "glob").mkdir()
+            for pid in ("p00", "p01"):
+                (root / "glob" / f"{pid}.csv").write_bytes((cohort / f"{pid}.csv").read_bytes())
+        _OPENS = []
+        try:
+            assert main(argv) == 0
+            opened = _OPENS
+        finally:
+            _OPENS = None
+        [manifest] = {Path(p) for p, writing in opened
+                      if writing and p.endswith("manifest.json")}
+        seen[name] = (manifest, {Path(p) for p, writing in opened if not writing},
+                      {Path(p) for p, writing in opened if writing} - {manifest})
+    return seen
+
+
+class TestManifests:
+    """A manifest lists exactly the files its command read, and every file it
+    wrote but itself, each with the SHA-256 of its bytes."""
+
+    @pytest.mark.parametrize("command", ["synth_config", "features_cohort", "features_glob",
+                                         "features_file", "train", "evaluate_cohort", "report"])
+    def test_lists_the_files_read_and_written(self, chain_opens, command):
+        path, read, written = chain_opens[command]
+        manifest = json.loads(path.read_text())
+        assert read and {Path(name) for name in manifest["inputs"]} == read
+        assert {p.parent for p in written} == {path.parent}
+        assert set(manifest["outputs"]) == {p.name for p in written}
+        for name, digest in manifest["inputs"].items():
+            assert digest == hashlib.sha256(Path(name).read_bytes()).hexdigest(), name
+        for name, digest in manifest["outputs"].items():
+            assert digest == hashlib.sha256((path.parent / name).read_bytes()).hexdigest(), name
+
+
+JSON_INPUTS = {
+    "synth_config": lambda bad, tmp: ["synth", "--config", str(bad), "--out", str(tmp / "c")],
+    "cohort_json": lambda bad, tmp: ["features", "--in", str(bad.parent),
+                                     "--out", str(tmp / "f.csv")],
+    "evaluate_cohort": lambda bad, tmp: ["evaluate", "--features", str(tmp / "features.csv"),
+                                         "--cohort", str(bad), "--out", str(tmp / "r")],
+    "summary": lambda bad, tmp: ["report", "--summary", str(bad), "--out", str(tmp / "r")],
+    "anova_summary": lambda bad, tmp: ["anova", "--report", str(bad)],
+    "tree": lambda bad, tmp: ["predict", "--tree", str(bad), "--xt", "1", "--rate", "0"],
+}
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("argv", JSON_INPUTS.values(), ids=JSON_INPUTS.keys())
+    @pytest.mark.parametrize("text", [b'{"a": ', b'{"a": "\xff"}'], ids=["syntax", "utf8"])
+    def test_a_decode_error_names_the_file(self, tmp_path, features_csv, capsys, argv, text):
+        bad = tmp_path / "bad" / "cohort.json"
+        bad.parent.mkdir()
+        bad.write_bytes(text)
+        capsys.readouterr()
+        assert main(argv(bad, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[data]: {bad}: not valid JSON (") and err.count("\n") == 1
 
 
 class TestUsage:

@@ -115,6 +115,8 @@ class TestAllocateFolds:
     def test_published_fold_sizes(self):
         plan = allocate_folds(1867, 5, seed=42)
         assert [len(g) for g in plan.groups] == [373, 373, 373, 374, 374]
+        assert type(plan.groups) is tuple
+        assert all(type(g) is tuple and all(type(i) is int for i in g) for g in plan.groups)
 
     def test_ten_into_five_pairs(self):
         plan = allocate_folds(10, 5, seed=0)
@@ -412,3 +414,9 @@ class TestAnova:
     def test_rejects_all_singletons(self):
         with pytest.raises(ValueError):
             one_way_anova([[1.0], [2.0]])
+
+    @pytest.mark.parametrize("groups", [[[1e200, 0.5], [0.7]], [[1e308, 1e308], [0.5]]],
+                             ids=["square_overflows", "sum_overflows"])
+    def test_rejects_sums_of_squares_past_the_float_range(self, groups):
+        with pytest.raises(ValueError, match="not finite"):
+            one_way_anova(groups)
