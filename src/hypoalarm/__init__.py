@@ -16,7 +16,6 @@ from .cart import (
     CostMatrix,
     Leaf,
     Split,
-    SplitCandidate,
     TreeDocumentError,
     TreeNode,
     best_split,

@@ -122,37 +122,41 @@ class PatientSeries:
 class PipelineConfig:
     """Fixed pipeline constants; everything downstream reads them from here.
 
-    Decisions happen on a 15-min grid from 2 h to 3 h 30 m after a meal,
-    each one asking whether any of the readings 15/20/25 min ahead will be
-    at or under the alarm threshold.
+    Decisions happen on a 15-min grid from 2 h to 3 h 30 m after a meal, the
+    end of its peak window, each asking whether a reading 15 (the lead time),
+    20 or 25 min ahead will be at or under the alarm threshold.
     """
 
     hypo_threshold: float = HYPO_THRESHOLD
-    lead_time_min: int = 15
     horizon_offsets_min: tuple[int, ...] = (15, 20, 25)
-    peak_window_min: int = 120
     decision_offsets_min: tuple[int, ...] = (120, 135, 150, 165, 180, 195, 210)
     daytime_start: time = time(7, 0)
     daytime_end: time = time(23, 0)
     snap_tolerance_min: float = 2.5
-    costs: CostMatrix = CostMatrix(15.0, 1.0)
+    costs: CostMatrix = CostMatrix()
     prune_depth: int = 3
     folds: int = 5
     allocations: int = 4
 
     def __post_init__(self):
         offs = self.horizon_offsets_min
-        if not offs or list(offs) != sorted(set(offs)) or offs[0] != self.lead_time_min:
-            raise ValueError("horizon offsets must increase strictly and start at the lead time")
+        if not offs or list(offs) != sorted(set(offs)):
+            raise ValueError("horizon offsets must increase strictly")
         dec = self.decision_offsets_min
-        if not dec or dec[0] != self.peak_window_min:
-            raise ValueError("decision grid must start at the end of the peak window")
-        if any(b - a != 15 for a, b in zip(dec, dec[1:])):
-            raise ValueError("decision grid must step by 15 minutes")
+        if not dec or any(b - a != 15 for a, b in zip(dec, dec[1:])):
+            raise ValueError("decision grid must be non-empty and step by 15 minutes")
         if self.snap_tolerance_min < 0:
             raise ValueError("snap tolerance must be >= 0")
         if self.prune_depth < 1 or self.folds < 2 or self.allocations < 1:
             raise ValueError("prune_depth >= 1, folds >= 2, allocations >= 1 required")
+
+    @property
+    def lead_time_min(self) -> int:
+        return self.horizon_offsets_min[0]
+
+    @property
+    def peak_window_min(self) -> int:
+        return self.decision_offsets_min[0]
 
 
 def label_hypoglycemia(bg, threshold: float = HYPO_THRESHOLD):
@@ -234,16 +238,13 @@ def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool]:
     return header.split(","), cells, widths, padded
 
 
-def parse_cgm_file(text, patient_id: str = "unknown", dm_type: str = "other",
+def parse_cgm_file(text: str, patient_id: str = "unknown", dm_type: str = "other",
                    unit: str = "mmol") -> PatientSeries:
-    """Parse one patient's CSV export into a validated PatientSeries.
+    """Parse the text of one patient's CSV export into a validated PatientSeries.
 
-    `text` may be a string or a file-like object. Malformed rows are
-    rejected with their 1-based line number; `unit="mg"` converts both BG
-    columns from mg/dL on the way in. Cells may be CSV-quoted.
+    Malformed rows are rejected with their 1-based line number; `unit="mg"`
+    converts both BG columns from mg/dL on the way in. Cells may be CSV-quoted.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     if unit not in ("mmol", "mg"):
         raise ValueError(f"unknown unit {unit!r}, expected 'mmol' or 'mg'")
 

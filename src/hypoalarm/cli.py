@@ -65,16 +65,15 @@ class _Files:
         self.inputs: dict[str, str] = {}   # path as given -> SHA-256
         self.outputs: dict[str, str] = {}  # file name -> SHA-256
 
-    def read(self, path) -> io.TextIOWrapper:
-        """A UTF-8 text stream over the file's bytes, newlines untranslated:
-        one read, and the parser sees the bytes that are hashed."""
+    def read(self, path) -> str:
+        """The file as UTF-8 text, newlines untranslated: the bytes that are hashed."""
         data = Path(path).read_bytes()
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        return data.decode()
 
     def json(self, path):
         try:
-            return json.load(self.read(path))
+            return json.loads(self.read(path))
         except ValueError as exc:  # bad syntax or UTF-8, or an int past the digit limit
             raise DataValidationError(f"{path}: not valid JSON ({exc})") from None
 
@@ -301,11 +300,13 @@ def _cmd_report(args, files: _Files) -> int:
     summary = _read_summary(files, args.summary, {
         "per_run": _PERFORMANCE_COLUMNS, "per_patient": _PER_PATIENT_COLUMNS,
         "missed_events.rows": _SEVERITY_COLUMNS})
+    if not (type(seeds := summary.get("seeds")) is list and all(type(s) is int for s in seeds)):
+        raise DataValidationError("summary 'seeds' must be a list of integers")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report_tables(files, out, summary)
     print(f"tables={len(files.outputs)} out={out}")
-    files.manifest(out / "manifest.json", "report", {}, summary.get("seeds", []))
+    files.manifest(out / "manifest.json", "report", {}, seeds)
     return EXIT_OK
 
 
@@ -364,8 +365,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="repeated k-fold cross-validation report")
     p.add_argument("--features", required=True, help="feature table CSV")
-    p.add_argument("--k", type=int, default=5, help="folds per allocation")
-    p.add_argument("--allocations", type=int, default=4, help="random allocations")
+    p.add_argument("--k", type=int, default=PipelineConfig.folds, help="folds per allocation")
+    p.add_argument("--allocations", type=int, default=PipelineConfig.allocations,
+                   help="random allocations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cohort", help="cohort.json for patient dm_type metadata")
     p.add_argument("--out", required=True, help="report directory")

@@ -252,9 +252,9 @@ def summary_document(instances, cfg: PipelineConfig, seed: int, report: RunRepor
                      best: RunEntry, per_patient, severity: SeverityReport) -> dict:
     """The ``summary.json`` document of one evaluation, each section
     serialized from the type that holds it."""
-    config = asdict(cfg)
+    config = asdict(cfg) | {"lead_time_min": cfg.lead_time_min,
+                            "peak_window_min": cfg.peak_window_min, "seed": seed}
     config["daytime"] = [f"{config.pop(key):%H:%M}" for key in ("daytime_start", "daytime_end")]
-    config["seed"] = seed
     n_hypo = int(sum(inst.label for inst in instances))
     return {
         "aggregate": report.aggregate,

@@ -103,7 +103,7 @@ def build_instances(series: PatientSeries,
     peak_minutes = np.where(peak >= 0, minutes[peak], np.nan)
 
     t = meals[:, None] + np.asarray(cfg.decision_offsets_min, dtype=float)
-    first = t + cfg.horizon_offsets_min[0]
+    first = t + cfg.lead_time_min
     last = t + cfg.horizon_offsets_min[-1]
     # both ends from the midnight before `first`: a horizon across midnight
     # ends at or past 24:00, after any daytime end
@@ -139,11 +139,11 @@ def csv_table(columns, rows) -> str:
     return buf.getvalue()
 
 
-def write_feature_csv(instances, path) -> None:
-    """One instance per row, full float precision, LF line endings."""
+def write_feature_csv(instances, stream) -> None:
+    """One instance per row to a text stream, full float precision, LF line endings."""
     # a meal's rows share its times
     stamp = cache(lambda m: (EPOCH + timedelta(minutes=m)).strftime(_TS_FORMAT))
-    text = csv_table(FEATURE_COLUMNS, ([
+    stream.write(csv_table(FEATURE_COLUMNS, ([
         inst.patient_id,
         stamp(inst.meal_time),
         stamp(inst.peak_time),
@@ -153,11 +153,7 @@ def write_feature_csv(instances, path) -> None:
         repr(float(inst.rate)),
         repr(float(inst.ph_min_bg)),
         str(int(inst.label)),
-    ] for inst in instances))
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        Path(path).write_text(text)
+    ] for inst in instances)))
 
 
 def _finite(cell: str, column: str) -> float:
@@ -166,14 +162,12 @@ def _finite(cell: str, column: str) -> float:
     raise ValueError(f"{column} must be a finite number, got {cell!r}")
 
 
-def read_feature_csv(path) -> list[DecisionInstance]:
-    """Load a feature table written by `write_feature_csv`; a float cell
-    that is not a finite number is a data error on its row."""
-    if hasattr(path, "read"):
-        text = path.read()
-    else:
-        text = Path(path).read_bytes().decode()  # no newline translation: keeps a quoted "\r"
-    rows = csv_rows(text)
+def read_feature_csv(source: str | Path) -> list[DecisionInstance]:
+    """Load a feature table written by `write_feature_csv`, from its text or a
+    Path; a float cell that is not a finite number is a data error on its row."""
+    if isinstance(source, Path):
+        source = source.read_bytes().decode()  # no newline translation: keeps a quoted "\r"
+    rows = csv_rows(source)
     if not rows or tuple(c.strip() for c in rows[0]) != FEATURE_COLUMNS:
         raise DataValidationError(f"expected header {','.join(FEATURE_COLUMNS)!r}", row=1)
     instances = []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from datetime import datetime, timedelta
@@ -76,11 +77,6 @@ class TestParse:
         assert len(series.samples) == 3
         assert math.isnan(series.bg[1])
         assert series.missing_count == 1
-
-    def test_file_like_input(self):
-        import io
-        series = parse_cgm_file(io.StringIO(make_csv("0,7.Sep.15,9:22,.,5.0")))
-        assert len(series.samples) == 1
 
     def test_quoted_row_matches_its_unquoted_twin(self):
         plain = make_csv("0,7.Sep.15,9:22,.,11.8", "1,7.Sep.15,9:27,10.2,N/A")
@@ -414,13 +410,15 @@ class TestPipelineConfig:
         assert cfg.horizon_offsets_min == (15, 20, 25)
         assert cfg.costs.cost_fn == 15.0 and cfg.costs.cost_fp == 1.0
 
-    def test_horizon_must_start_at_lead_time(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(horizon_offsets_min=(20, 25, 30))
+    def test_lead_time_and_peak_window_are_no_fields(self):
+        names = {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert not names & {"lead_time_min", "peak_window_min"}
+        assert len(names) == 10
 
-    def test_grid_must_start_at_peak_window(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(decision_offsets_min=(135, 150))
+    def test_lead_time_and_peak_window_follow_the_grids(self):
+        assert (PipelineConfig().lead_time_min, PipelineConfig().peak_window_min) == (15, 120)
+        cfg = PipelineConfig(horizon_offsets_min=(20, 30), decision_offsets_min=(90, 105))
+        assert (cfg.lead_time_min, cfg.peak_window_min) == (20, 90)
 
     def test_grid_must_step_fifteen(self):
         with pytest.raises(ValueError):

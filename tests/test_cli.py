@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from hypoalarm import DecisionInstance, write_feature_csv
+from hypoalarm.cgm_data import CSV_COLUMNS
 from hypoalarm.cli import main
 from hypoalarm.features import FEATURE_COLUMNS
 
@@ -310,6 +311,14 @@ class TestEvaluate:
         doc_a.pop("created_utc"), doc_b.pop("created_utc")
         assert doc_a == doc_b
 
+    def test_defaults_come_from_the_pipeline_config(self, tmp_path, features_csv):
+        out = tmp_path / "report"
+        assert main(["evaluate", "--features", str(features_csv), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {"k": 5, "allocations": 4, "seed": 0}
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert (config["lead_time_min"], config["peak_window_min"]) == (15, 120)
+
 
 class TestReport:
     def test_regenerates_identical_tables(self, tmp_path, features_csv):
@@ -385,6 +394,17 @@ class TestReport:
         assert err.count("\n") == 1
         assert not (tmp_path / "again").exists()
 
+    @pytest.mark.parametrize("seeds", [{"seeds": {"not": "seeds"}}, {"seeds": [True]}, {}],
+                             ids=["object", "bool", "missing"])
+    def test_seeds_that_are_no_list_of_integers_are_a_data_error(self, tmp_path, capsys, seeds):
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps(
+            {"per_run": [], "per_patient": [], "missed_events": {"rows": []}, **seeds}))
+        assert main(["report", "--summary", str(summary), "--out", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err == (
+            "error[data]: summary 'seeds' must be a list of integers\n")
+        assert not (tmp_path / "again").exists()
+
 
 ODD_IDS = ("a,b", 'q"d', "c\rr", "n\nl")
 
@@ -397,9 +417,10 @@ class TestCsvSpecialIds:
         # every tree is one "N" leaf, so every patient also has a missed event
         t0 = minutes(datetime(2015, 9, 7, 9, 0))
         table = tmp_path / "features.csv"
-        write_feature_csv([DecisionInstance(pid, t0, t0, 10.0, t0 + 5 * k,
-                                            8.0, 0.05, int(k == 0), 2.5 if k == 0 else 8.0)
-                           for pid in ODD_IDS for k in range(41)], table)
+        with open(table, "w", newline="") as f:
+            write_feature_csv([DecisionInstance(pid, t0, t0, 10.0, t0 + 5 * k,
+                                                8.0, 0.05, int(k == 0), 2.5 if k == 0 else 8.0)
+                               for pid in ODD_IDS for k in range(41)], f)
         report, again = tmp_path / "report", tmp_path / "again"
         assert main(["evaluate", "--features", str(table), "--k", "2", "--allocations", "1",
                      "--out", str(report)]) == 0
@@ -571,6 +592,32 @@ class TestJsonInputs:
         assert main(argv(bad, tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error[data]: {bad}: not valid JSON (") and err.count("\n") == 1
+
+
+RECORD_BYTES = ",".join(CSV_COLUMNS).encode() + b"\n0,7.Sep.15,9:22,.,5.0\xff\n"
+FEATURE_BYTES = ",".join(FEATURE_COLUMNS).encode() + (
+    b"\np,2015-09-07T09:00,2015-09-07T09:30,10.0,2015-09-07T11:00,8.0,0.05,8.0,0\xff\n")
+TEXT_INPUTS = {
+    "ingest": (RECORD_BYTES, lambda bad, tmp: ["ingest", "--in", str(bad)]),
+    "features": (RECORD_BYTES, lambda bad, tmp: ["features", "--in", str(bad),
+                                                 "--out", str(tmp / "f.csv")]),
+    "train": (FEATURE_BYTES, lambda bad, tmp: ["train", "--features", str(bad),
+                                               "--out", str(tmp / "t.json")]),
+    "evaluate": (FEATURE_BYTES, lambda bad, tmp: ["evaluate", "--features", str(bad),
+                                                  "--out", str(tmp / "r")]),
+}
+
+
+class TestTextInputs:
+    @pytest.mark.parametrize("data, argv", TEXT_INPUTS.values(), ids=TEXT_INPUTS.keys())
+    def test_a_byte_that_is_no_utf8_is_a_data_error(self, tmp_path, capsys, data, argv):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data)
+        assert main(argv(bad, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: 'utf-8' codec can't decode byte 0xff ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [bad]
 
 
 class TestUsage:

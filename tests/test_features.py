@@ -251,7 +251,7 @@ class TestFeatureCsv:
         instances = build_instances(worked_series)
         buf = io.StringIO()
         write_feature_csv(instances, buf)
-        again = read_feature_csv(io.StringIO(buf.getvalue()))
+        again = read_feature_csv(buf.getvalue())
         assert again == instances
 
     @pytest.mark.parametrize("patient_id", ["a,b", 'quote"d', "line\nbreak", "cr\rlf\r\n"])
@@ -260,8 +260,9 @@ class TestFeatureCsv:
         instances = build_instances(series)
         buf = io.StringIO()
         write_feature_csv(instances, buf)
-        assert read_feature_csv(io.StringIO(buf.getvalue())) == instances
-        write_feature_csv(instances, tmp_path / "f.csv")
+        assert read_feature_csv(buf.getvalue()) == instances
+        with open(tmp_path / "f.csv", "w", newline="") as f:
+            write_feature_csv(instances, f)
         assert read_feature_csv(tmp_path / "f.csv") == instances
 
     def test_cr_and_crlf_line_endings_read_like_lf(self, worked_series, tmp_path):
@@ -274,7 +275,7 @@ class TestFeatureCsv:
 
     def test_bad_header_rejected(self):
         with pytest.raises(DataValidationError, match="header"):
-            read_feature_csv(io.StringIO("a,b\n"))
+            read_feature_csv("a,b\n")
 
     def test_bad_label_rejected(self, worked_series):
         instances = build_instances(worked_series)
@@ -282,7 +283,7 @@ class TestFeatureCsv:
         write_feature_csv(instances, buf)
         mangled = buf.getvalue().replace(",0\n", ",2\n", 1)
         with pytest.raises(DataValidationError, match="label"):
-            read_feature_csv(io.StringIO(mangled))
+            read_feature_csv(mangled)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", ["peak_value", "x_t", "rate", "ph_min_bg"])
@@ -293,7 +294,7 @@ class TestFeatureCsv:
         write_feature_csv(instances, buf)
         with pytest.raises(DataValidationError,
                            match=f"^row 3: {column} must be a finite number, got '{value!r}'$"):
-            read_feature_csv(io.StringIO(buf.getvalue()))
+            read_feature_csv(buf.getvalue())
 
     def test_table_writer_quotes_minimally_and_a_cr_row_whole(self):
         rows = [["a,b", 'q"d', "n\nl"], ["1", "x", "c\rr"], ["2", "", "3.5"]]
@@ -305,4 +306,4 @@ class TestFeatureCsv:
         text = ",".join(FEATURE_COLUMNS) + '\n"' + "p" * 200_000 + '",' + ",".join("1" * 8) + "\n"
         with pytest.raises(DataValidationError,
                            match=r"^row 2: field larger than field limit \(131072\)$"):
-            read_feature_csv(io.StringIO(text))
+            read_feature_csv(text)

@@ -70,10 +70,11 @@ def test_record_csv_round_trip(s):
 def test_feature_csv_round_trip(instances):
     buf = io.StringIO()
     write_feature_csv(instances, buf)
-    assert read_feature_csv(io.StringIO(buf.getvalue())) == instances
+    assert read_feature_csv(buf.getvalue()) == instances
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "features.csv"
-        write_feature_csv(instances, path)
+        with open(path, "w", newline="") as f:
+            write_feature_csv(instances, f)
         assert read_feature_csv(path) == instances
 
 

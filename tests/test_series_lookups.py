@@ -130,8 +130,7 @@ class TestSampleAtOracle:
 class TestPeakOracle:
     @pytest.mark.parametrize("window", [120, 30])
     def test_matches_linear_scan(self, window):
-        cfg = PipelineConfig(peak_window_min=window,
-                             decision_offsets_min=tuple(window + 15 * k for k in range(7)))
+        cfg = PipelineConfig(decision_offsets_min=tuple(window + 15 * k for k in range(7)))
         assert assert_matches_loop(np.random.default_rng(21), cfg, 40) > 40
 
 
