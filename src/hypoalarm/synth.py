@@ -7,6 +7,15 @@ low is reachable only through a bounded, sustained fall. A hard per-step
 rate clamp then guarantees that a high reading now cannot be followed by
 a sub-threshold reading within the prediction horizon, which is what
 makes the "high BG now" region genuinely safe for a classifier to learn.
+
+A cohort is built in two phases. The per-patient phase makes every random
+draw of one patient from that patient's own seeded substreams and lays out
+its noise-free curve and noise innovations in the patient's final samples
+array. The batched phase then runs the AR(1) sensor noise and the rate and
+range clamp for all patients at once, one numpy step per sample time, with
+each patient in its own lane. A lane performs exactly the float operations
+of a scalar loop over that patient alone, so patient k's series is the same
+bytes whatever the cohort size and whatever its neighbours' lengths.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,13 +36,16 @@ _COHORT_START_MIN = (datetime(2015, 9, 7) - EPOCH) // timedelta(minutes=1)
 # meal slots as minutes into a day: breakfast, lunch, dinner
 _SLOTS = ((435.0, 505.0), (705.0, 780.0), (1050.0, 1140.0))
 
+_PHI = 0.8  # AR(1) coefficient of the sensor noise
+_BLOCK_STEPS = 64  # sample times per block of the batched recurrences
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     """Cohort shape parameters; all rates are (mmol/L)/min.
 
-    Every float field must be finite, every rate > 0, every `*_sd` >= 0 and
-    every `*_min` at most its `*_max`.
+    Every float field must be finite, every rate > 0, every `*_sd` >= 0,
+    every `*_min` at most its `*_max` and the seed >= 0.
 
     `max_drop_rate` stays well under 2.55/15 so a reading at or above 6.45
     mmol/L cannot reach 3.9 within the 15-min lead time (at the default
@@ -86,6 +99,8 @@ class SynthConfig:
                 raise ValueError(f"{f.name} must be >= 0, got {value!r}")
             if f.name.endswith("_max") and not getattr(self, f.name[:-4] + "_min") <= value:
                 raise ValueError(f"{f.name[:-4]}_min must not exceed {f.name}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_patients < 1 or self.days_min < 1:
             raise ValueError("degenerate config: need >= 1 patient and >= 1 day")
         if not 1 <= self.meals_per_day_min <= self.meals_per_day_max <= len(_SLOTS):
@@ -105,18 +120,38 @@ class SynthConfig:
 
 
 def generate_cohort(cfg: SynthConfig) -> list[PatientSeries]:
-    """Deterministic cohort for a seed; patients use independent substreams."""
-    return [_generate_patient(cfg, i) for i in range(cfg.n_patients)]
+    """Deterministic cohort for a seed; patients use independent substreams,
+    so patient k's series does not depend on the cohort size."""
+    lanes = [_draw_patient(cfg, pidx) for pidx in range(cfg.n_patients)]
+    _run_sensor(cfg, [lane.samples for lane in lanes],
+                np.array([lane.level for lane in lanes]))
+    cohort = []
+    for i, lane in enumerate(lanes):
+        lanes[i] = None  # PatientSeries copies the samples, so let each go once copied
+        cohort.append(_finish_patient(cfg, lane))
+    return cohort
 
 
-def _generate_patient(cfg: SynthConfig, pidx: int) -> PatientSeries:
+class _Lane(NamedTuple):
+    """One patient between the two phases. `samples` is the final array:
+    column 1 holds the noise innovations and column 2 the noise-free curve
+    until `_run_sensor` and `_finish_patient` overwrite them."""
+
+    pidx: int
+    dm_type: str
+    samples: np.ndarray
+    level: float              # the AR(1) noise state before the first sample
+    meal_idx: np.ndarray
+    ref_jitter: np.ndarray
+
+
+def _draw_patient(cfg: SynthConfig, pidx: int) -> _Lane:
     # Independent substreams so that raising hypo_pressure only flips
     # per-meal dip decisions without shifting any other draw.
     rng_struct = np.random.default_rng([cfg.seed, pidx, 0])
     rng_dip = np.random.default_rng([cfg.seed, pidx, 1])
     rng_params = np.random.default_rng([cfg.seed, pidx, 2])
     rng_noise = np.random.default_rng([cfg.seed, pidx, 3])
-    rng_miss = np.random.default_rng([cfg.seed, pidx, 4])
 
     n_days = int(rng_struct.integers(cfg.days_min, cfg.days_max + 1))
     baseline = float(rng_struct.uniform(cfg.baseline_min, cfg.baseline_max))
@@ -151,8 +186,8 @@ def _generate_patient(cfg: SynthConfig, pidx: int) -> PatientSeries:
         cap = next_meal - SAMPLING_PERIOD_MIN
 
         # one fixed block of draws per meal; the dip flag selects among them
-        peak_delay = float(np.clip(rng_params.normal(cfg.peak_delay_mean, cfg.peak_delay_sd),
-                                   15.0, 115.0))
+        peak_delay = min(max(rng_params.normal(cfg.peak_delay_mean, cfg.peak_delay_sd), 15.0),
+                         115.0)
         rise = float(rng_params.uniform(cfg.rise_min, cfg.rise_max))
         dip_rise = float(rng_params.uniform(1.0, 3.0))
         decay_rate = float(rng_params.uniform(cfg.decay_rate_min, cfg.decay_rate_max))
@@ -200,36 +235,73 @@ def _generate_patient(cfg: SynthConfig, pidx: int) -> PatientSeries:
 
     n_samples = total_min // SAMPLING_PERIOD_MIN
     grid = np.arange(n_samples) * SAMPLING_PERIOD_MIN
-    curve = np.interp(grid, anchors_t, anchors_v)
-
-    # AR(1) sensor noise: smooth enough that the rate clamp below rarely bites
-    phi = 0.8
-    eps_sd = cfg.noise_sd * math.sqrt(1.0 - phi * phi)
-    eps = rng_noise.normal(0.0, eps_sd, n_samples) if cfg.noise_sd > 0 else np.zeros(n_samples)
-    noise = np.empty(n_samples)
-    level = rng_noise.normal(0.0, cfg.noise_sd) if cfg.noise_sd > 0 else 0.0
-    for i in range(n_samples):
-        level = phi * level + eps[i]
-        noise[i] = level
-    noise = np.clip(noise, -cfg.noise_clip, cfg.noise_clip)
-
-    raw = curve + noise
-    max_down = cfg.max_drop_rate * SAMPLING_PERIOD_MIN
-    max_up = cfg.max_rise_rate * SAMPLING_PERIOD_MIN
-    values = raw.tolist()
-    prev = min(max(values[0], cfg.bg_floor), cfg.bg_ceil)
-    bg = [prev]
-    for v in values[1:]:
-        v = min(max(v, prev - max_down), prev + max_up)
-        v = min(max(v, cfg.bg_floor), cfg.bg_ceil)
-        bg.append(v)
-        prev = v
-
-    missing = rng_miss.random(n_samples) < cfg.missing_prob
-    meal_idx = np.array(meal_minutes, dtype=np.int64) // SAMPLING_PERIOD_MIN
+    samples = np.empty((n_samples, 3), order="F")
+    samples[:, 0] = _COHORT_START_MIN + grid
+    samples[:, 2] = np.interp(grid, anchors_t, anchors_v)
     ref_jitter = rng_params.normal(0.0, 0.25, len(meal_minutes))
 
-    meal_ref = np.full(n_samples, np.nan)
-    meal_ref[meal_idx] = np.maximum(cfg.bg_floor, curve[meal_idx] + ref_jitter)
-    samples = np.column_stack([_COHORT_START_MIN + grid, np.where(missing, np.nan, bg), meal_ref])
-    return PatientSeries(patient_id=f"p{pidx:02d}", samples=samples, dm_type=dm_type)
+    # AR(1) sensor noise: smooth enough that the rate clamp rarely bites
+    eps_sd = cfg.noise_sd * math.sqrt(1.0 - _PHI * _PHI)
+    samples[:, 1] = rng_noise.normal(0.0, eps_sd, n_samples) if cfg.noise_sd > 0 else 0.0
+    level = rng_noise.normal(0.0, cfg.noise_sd) if cfg.noise_sd > 0 else 0.0
+    meal_idx = np.array(meal_minutes, dtype=np.int64) // SAMPLING_PERIOD_MIN
+    return _Lane(pidx, dm_type, samples, level, meal_idx, ref_jitter)
+
+
+def _run_sensor(cfg: SynthConfig, lanes: list[np.ndarray], level: np.ndarray) -> None:
+    """Turn column 1 of every lane from noise innovations into clamped BG.
+
+    Both recurrences step once per sample time, each step a few numpy
+    operations over all lanes. Every lane sees the float operations of a
+    scalar loop over its own samples (`np.maximum`/`np.minimum` pick the
+    same floats as `max`/`min`), so its result depends on no other lane.
+    The time axis is cut into blocks of `_BLOCK_STEPS`, gathered from and
+    scattered back to the lanes, so the working buffer stays small whatever
+    the series length. A lane that ends inside a block is padded with
+    zeros; the padding runs through the recurrences and is dropped.
+    """
+    n_max = max(len(s) for s in lanes)
+    block = np.empty((min(_BLOCK_STEPS, n_max), 2, len(lanes)))
+    scratch = np.empty(len(lanes))
+    max_down = cfg.max_drop_rate * SAMPLING_PERIOD_MIN
+    max_up = cfg.max_rise_rate * SAMPLING_PERIOD_MIN
+    prev = None
+    for t0 in range(0, n_max, _BLOCK_STEPS):
+        steps = min(_BLOCK_STEPS, n_max - t0)
+        noise, curve = block[:steps, 0], block[:steps, 1]
+        for p, s in enumerate(lanes):
+            part = s[t0:t0 + steps, 1:]
+            block[:len(part), :, p] = part
+            if len(part) < steps:
+                block[len(part):steps, :, p] = 0.0
+        last = level
+        for row in noise:  # level = phi * level + eps
+            np.multiply(last, _PHI, out=scratch)
+            np.add(scratch, row, out=row)
+            last = row
+        level = last.copy()  # rows are views into `block`, which the next block overwrites
+        bg = np.clip(noise, -cfg.noise_clip, cfg.noise_clip, out=noise)
+        bg += curve
+        for row in bg:
+            if prev is not None:  # the first sample has no predecessor to clamp to
+                np.maximum(row, np.subtract(prev, max_down, out=scratch), out=row)
+                np.minimum(row, np.add(prev, max_up, out=scratch), out=row)
+            np.maximum(row, cfg.bg_floor, out=row)
+            np.minimum(row, cfg.bg_ceil, out=row)
+            prev = row
+        prev = prev.copy()
+        for p, s in enumerate(lanes):
+            col = s[t0:t0 + steps, 1]
+            col[:] = bg[:len(col), p]
+
+
+def _finish_patient(cfg: SynthConfig, lane: _Lane) -> PatientSeries:
+    samples = lane.samples
+    # dropouts come from the patient's fifth substream, which nothing else draws from
+    missing = np.random.default_rng([cfg.seed, lane.pidx, 4]).random(len(samples))
+    samples[missing < cfg.missing_prob, 1] = np.nan
+    meal_ref = np.maximum(cfg.bg_floor, samples[lane.meal_idx, 2] + lane.ref_jitter)
+    samples[:, 2] = np.nan
+    samples[lane.meal_idx, 2] = meal_ref
+    return PatientSeries(patient_id=f"p{lane.pidx:02d}", samples=samples, dm_type=lane.dm_type)
+

@@ -10,8 +10,11 @@ import math
 import re
 from datetime import datetime, timedelta
 
+import numpy as np
+
 from hypoalarm import DataValidationError, DecisionInstance, Leaf, PatientSeries, Split
 from hypoalarm.cgm_data import BG_MAX, CSV_COLUMNS, MG_PER_DL_PER_MMOL_L, SAMPLING_PERIOD_MIN
+from hypoalarm.synth import _COHORT_START_MIN, _SLOTS
 
 EPOCH = datetime(2000, 1, 1)  # sample times are minutes since this instant
 
@@ -290,3 +293,129 @@ def loop_parse_cgm_file(text, patient_id="unknown", dm_type="other", unit="mmol"
         bg = math.nan if bg_cell == "N/A" else loop_bg(bg_cell, "SensorBG", unit, line)
         samples.append((minute, bg, meal_ref))
     return PatientSeries(patient_id=patient_id, samples=samples, dm_type=dm_type)
+
+
+def loop_generate_cohort(cfg):
+    """`synth.generate_cohort` one patient at a time, with the AR(1) noise
+    and the rate and range clamp as scalar loops over that patient's samples."""
+    return [loop_generate_patient(cfg, i) for i in range(cfg.n_patients)]
+
+
+def loop_generate_patient(cfg, pidx):
+    rng_struct = np.random.default_rng([cfg.seed, pidx, 0])
+    rng_dip = np.random.default_rng([cfg.seed, pidx, 1])
+    rng_params = np.random.default_rng([cfg.seed, pidx, 2])
+    rng_noise = np.random.default_rng([cfg.seed, pidx, 3])
+    rng_miss = np.random.default_rng([cfg.seed, pidx, 4])
+
+    n_days = int(rng_struct.integers(cfg.days_min, cfg.days_max + 1))
+    baseline = float(rng_struct.uniform(cfg.baseline_min, cfg.baseline_max))
+    u = rng_struct.random()
+    dm_type = "type1" if u < 0.64 else ("type2" if u < 0.94 else "other")
+
+    meal_minutes = []
+    for day in range(n_days):
+        n_meals = int(rng_struct.integers(cfg.meals_per_day_min, cfg.meals_per_day_max + 1))
+        slots = [rng_struct.uniform(lo, hi) for lo, hi in _SLOTS]
+        pick = sorted(rng_struct.permutation(len(_SLOTS))[:n_meals])
+        meal_minutes += [day * 1440 + SAMPLING_PERIOD_MIN * round(slots[j] / SAMPLING_PERIOD_MIN)
+                         for j in pick]
+    meal_minutes.sort()
+
+    total_min = n_days * 1440
+    anchors_t = [0.0]
+    anchors_v = [baseline]
+
+    def push(t, v):
+        if t > anchors_t[-1]:
+            anchors_t.append(float(t))
+            anchors_v.append(float(v))
+
+    def relax(to_t):
+        elapsed = to_t - anchors_t[-1]
+        return baseline + (anchors_v[-1] - baseline) * math.exp(-elapsed / 240.0)
+
+    for k, meal in enumerate(meal_minutes):
+        next_meal = meal_minutes[k + 1] if k + 1 < len(meal_minutes) else total_min + 1440
+        cap = next_meal - SAMPLING_PERIOD_MIN
+
+        peak_delay = float(np.clip(rng_params.normal(cfg.peak_delay_mean, cfg.peak_delay_sd),
+                                   15.0, 115.0))
+        rise = float(rng_params.uniform(cfg.rise_min, cfg.rise_max))
+        dip_rise = float(rng_params.uniform(1.0, 3.0))
+        decay_rate = float(rng_params.uniform(cfg.decay_rate_min, cfg.decay_rate_max))
+        post_level = baseline + float(rng_params.uniform(-0.3, 1.3))
+        nadir = float(rng_params.uniform(cfg.nadir_min, cfg.nadir_max))
+        nadir_delay = float(rng_params.uniform(cfg.nadir_delay_min, cfg.nadir_delay_max))
+        plateau = float(rng_params.uniform(cfg.nadir_plateau_min, cfg.nadir_plateau_max))
+        fall_rate = float(rng_params.uniform(cfg.dip_fall_rate_min, cfg.dip_fall_rate_max))
+        recovery_rate = float(rng_params.uniform(cfg.recovery_rate_min, cfg.recovery_rate_max))
+
+        dip = bool(rng_dip.random() < cfg.hypo_pressure)
+
+        v_meal = relax(meal)
+        push(meal, v_meal)
+
+        points = []
+        if dip:
+            t_peak = meal + min(peak_delay, 50.0)
+            t_nadir = meal + nadir_delay
+            v_peak = min(v_meal + dip_rise, nadir + fall_rate * (t_nadir - t_peak))
+            if v_peak > v_meal:
+                points.append((t_peak, v_peak))
+            points.append((t_nadir, nadir))
+            points.append((t_nadir + plateau, nadir))
+            points.append((t_nadir + plateau + (post_level - nadir) / recovery_rate, post_level))
+        else:
+            t_peak = meal + peak_delay
+            v_peak = min(v_meal + rise, cfg.bg_ceil - 1.0)
+            points.append((t_peak, v_peak))
+            if v_peak > post_level:
+                points.append((t_peak + (v_peak - post_level) / decay_rate, post_level))
+
+        for t_pt, v_pt in points:
+            t_prev, v_prev = anchors_t[-1], anchors_v[-1]
+            if t_pt <= cap:
+                push(t_pt, v_pt)
+            else:
+                if cap > t_prev:
+                    frac = (cap - t_prev) / (t_pt - t_prev)
+                    push(cap, v_prev + frac * (v_pt - v_prev))
+                break
+
+    push(total_min, relax(total_min))
+
+    n_samples = total_min // SAMPLING_PERIOD_MIN
+    grid = np.arange(n_samples) * SAMPLING_PERIOD_MIN
+    curve = np.interp(grid, anchors_t, anchors_v)
+
+    phi = 0.8
+    eps_sd = cfg.noise_sd * math.sqrt(1.0 - phi * phi)
+    eps = rng_noise.normal(0.0, eps_sd, n_samples) if cfg.noise_sd > 0 else np.zeros(n_samples)
+    noise = np.empty(n_samples)
+    level = rng_noise.normal(0.0, cfg.noise_sd) if cfg.noise_sd > 0 else 0.0
+    for i in range(n_samples):
+        level = phi * level + eps[i]
+        noise[i] = level
+    noise = np.clip(noise, -cfg.noise_clip, cfg.noise_clip)
+
+    raw = curve + noise
+    max_down = cfg.max_drop_rate * SAMPLING_PERIOD_MIN
+    max_up = cfg.max_rise_rate * SAMPLING_PERIOD_MIN
+    values = raw.tolist()
+    prev = min(max(values[0], cfg.bg_floor), cfg.bg_ceil)
+    bg = [prev]
+    for v in values[1:]:
+        v = min(max(v, prev - max_down), prev + max_up)
+        v = min(max(v, cfg.bg_floor), cfg.bg_ceil)
+        bg.append(v)
+        prev = v
+
+    missing = rng_miss.random(n_samples) < cfg.missing_prob
+    meal_idx = np.array(meal_minutes, dtype=np.int64) // SAMPLING_PERIOD_MIN
+    ref_jitter = rng_params.normal(0.0, 0.25, len(meal_minutes))
+
+    meal_ref = np.full(n_samples, np.nan)
+    meal_ref[meal_idx] = np.maximum(cfg.bg_floor, curve[meal_idx] + ref_jitter)
+    samples = np.column_stack([_COHORT_START_MIN + grid, np.where(missing, np.nan, bg), meal_ref])
+    return PatientSeries(patient_id=f"p{pidx:02d}", samples=samples, dm_type=dm_type)

@@ -55,6 +55,12 @@ class TestSynth:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert "error[data]" in capsys.readouterr().err
 
+    def test_negative_seed_names_the_field(self, tmp_path, capsys):
+        assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "error[data]: bad synth config: seed must be >= 0, got -1\n")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("fields", [{"seed": 1.5}, {"n_patients": 2.5},
                                         {"meals_per_day_max": 2.5}, {"days_max": True}])
     def test_non_integer_count_rejected(self, tmp_path, capsys, fields):

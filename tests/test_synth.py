@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from hypoalarm import build_instances, series_to_csv
+from hypoalarm.cgm_data import SAMPLING_PERIOD_MIN
 from hypoalarm.synth import SynthConfig, generate_cohort
+
+from oracle_utils import loop_generate_cohort
 
 
 def cohort_instances(cfg):
@@ -31,6 +35,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             SynthConfig(hypo_pressure=1.5)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            SynthConfig(seed=-1)
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self):
@@ -44,10 +52,57 @@ class TestDeterminism:
         assert a != b
 
     def test_patients_are_independent_substreams(self):
-        # patient 2 is identical whether or not patients 0..1 were generated
-        full = generate_cohort(SynthConfig(n_patients=3, seed=7))
-        assert series_to_csv(full[2]) == series_to_csv(
-            generate_cohort(SynthConfig(n_patients=3, seed=7))[2])
+        # patient k is the same bytes in a cohort of 3 and in one of 40,
+        # where it runs beside neighbours with other day counts
+        small = generate_cohort(SynthConfig(n_patients=3, seed=7))
+        large = generate_cohort(SynthConfig(n_patients=40, seed=7))
+        for a, b in zip(small, large):
+            assert {len(s.samples) for s in large} - {len(a.samples)}
+            assert (a.patient_id, a.dm_type, a.samples.tobytes()) == (
+                b.patient_id, b.dm_type, b.samples.tobytes())
+
+
+def assert_same_cohort(cohort, oracle):
+    assert [(s.patient_id, s.dm_type) for s in cohort] == [(s.patient_id, s.dm_type) for s in oracle]
+    for a, b in zip(cohort, oracle):
+        assert a.samples.tobytes() == b.samples.tobytes(), a.patient_id
+
+
+def clamp_hits(cfg, cohort):
+    """How often each bound of the sensor clamp holds a reading."""
+    bg = [s.samples[:, 1] for s in cohort]
+    steps = np.concatenate([np.diff(b) for b in bg])
+    bg = np.concatenate(bg)
+    return {"floor": np.sum(bg == cfg.bg_floor), "ceil": np.sum(bg == cfg.bg_ceil),
+            "drop": np.sum(np.abs(steps + cfg.max_drop_rate * SAMPLING_PERIOD_MIN) < 1e-9),
+            "rise": np.sum(np.abs(steps - cfg.max_rise_rate * SAMPLING_PERIOD_MIN) < 1e-9)}
+
+
+class TestLoopOracle:
+    """The batched recurrences against the scalar per-patient generator."""
+
+    @pytest.mark.parametrize("seed", range(7, 17))
+    def test_default_shape(self, seed):
+        # the oracle builds each patient alone, so its first n patients are
+        # the cohort of n
+        oracle = loop_generate_cohort(SynthConfig(n_patients=330, seed=seed))
+        for n in (1, 33, 330):
+            assert_same_cohort(generate_cohort(SynthConfig(n_patients=n, seed=seed)), oracle[:n])
+
+    @pytest.mark.parametrize("fields, biting", [
+        ({"bg_floor": 7.0, "bg_ceil": 9.0}, ("floor", "ceil")),
+        ({"noise_sd": 1.0, "noise_clip": 3.0, "max_drop_rate": 0.05, "dip_fall_rate_max": 0.049},
+         ("drop", "rise")),
+        ({"noise_sd": 0.0}, ()),
+        ({"days_min": 1, "days_max": 5}, ()),
+    ])
+    def test_stressed_shapes(self, fields, biting):
+        cfg = SynthConfig(n_patients=33, seed=7, **fields)
+        cohort = generate_cohort(cfg)
+        assert_same_cohort(cohort, loop_generate_cohort(cfg))
+        hits = clamp_hits(cfg, cohort)
+        assert all(hits[bound] for bound in biting), hits
+        assert len({len(s.samples) for s in cohort}) == cfg.days_max - cfg.days_min + 1
 
 
 class TestSignalShape:
