@@ -96,39 +96,54 @@ def best_split(X, y, costs: CostMatrix) -> SplitCandidate | None:
     Returns the candidate with the largest strictly positive decrease in
     cost-weighted Gini impurity, or None when no such candidate exists.
     Ties prefer the earlier feature in FEATURES, then the lowest threshold.
+    Each `-0.0` counts as `0.0`, so a threshold is never `-0.0`. Each
+    node of `grow_tree` runs the same split kernel.
     """
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    n = y.size
-    if n < 2:
+    if y.size < 2:
         return None
-    tot_h = int(y.sum())
-    tot_n = n - tot_h
+    X = np.asarray(X, dtype=float) + 0.0
+    found = _best_cut(X, y, np.argsort(X, axis=0).T, costs)
+    if found is None:
+        return None
+    fi, _, threshold, decrease = found
+    return SplitCandidate(FEATURES[fi], threshold, decrease)
+
+
+def _best_cut(X, y, order, costs: CostMatrix):
+    """The split kernel. Row `order[f]` lists a node's rows sorted by
+    feature f, with no `-0.0` among them. Returns (feature index, rows left
+    of the cut, threshold, impurity decrease) of the best split, or None.
+
+    Only the cut positions, the class counts at or below each cut and the
+    values on either side of it enter the result, and none of them depends
+    on the order of tied rows.
+    """
+    hs = y[order]
+    tot_h = int(hs[0].sum())
+    tot_n = order.shape[1] - tot_h
     if tot_h == 0 or tot_n == 0:
         return None
     parent_gini, parent_mass = _gini_and_mass(tot_n, tot_h, costs)
 
-    best: SplitCandidate | None = None
-    for fi in range(X.shape[1]):
-        col = X[:, fi]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        hs = y[order]
+    best = None
+    for fi, rows in enumerate(order):
+        xs = X[rows, fi]
         cut = np.nonzero(xs[:-1] != xs[1:])[0]
         if cut.size == 0:
             continue
-        left_h = np.cumsum(hs)[cut]
+        left_h = np.cumsum(hs[fi])[cut]
         left_n = (cut + 1) - left_h
         g_l, m_l = _gini_and_mass(left_n, left_h, costs)
         g_r, m_r = _gini_and_mass(tot_n - left_n, tot_h - left_h, costs)
         decrease = parent_gini - (m_l * g_l + m_r * g_r) / parent_mass
         j = int(np.argmax(decrease))
-        if decrease[j] > 0.0 and (best is None or decrease[j] > best.impurity_decrease):
+        if decrease[j] > 0.0 and (best is None or decrease[j] > best[3]):
             lo, hi = xs[cut[j]], xs[cut[j] + 1]
             threshold = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 can overflow
             if not threshold > lo:  # midpoint of adjacent floats can round down
                 threshold = hi
-            best = SplitCandidate(FEATURES[fi], float(threshold), float(decrease[j]))
+            best = (fi, int(cut[j]) + 1, float(threshold), float(decrease[j]))
     return best
 
 
@@ -137,6 +152,10 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None) -> TreeNode
 
     A node `max_depth` edges below the root becomes a leaf labeled by
     `leaf_class` over its own rows; None grows every path to purity.
+    Each feature is sorted once per tree, and every split partitions the
+    sorted row lists, which stay sorted, between the children. Each `-0.0`
+    counts as `0.0`: the tree depends only on the multiset of its training
+    rows and never holds a `-0.0` threshold.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -150,18 +169,25 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None) -> TreeNode
         raise ValueError("labels must be 0 or 1")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    return _grow(X, y, costs, max_depth)
+    X = X + 0.0
+    return _grow(X, y, np.argsort(X, axis=0).T, costs, max_depth)
 
 
-def _grow(X, y, costs: CostMatrix, max_depth: int | None, depth: int = 0) -> TreeNode:
-    cand = None if depth == max_depth else best_split(X, y, costs)
-    if cand is None:
-        n_h = int(y.sum())
-        return Leaf(leaf_class(y.size - n_h, n_h, costs), y.size - n_h, n_h)
-    left = X[:, FEATURES.index(cand.feature)] < cand.threshold
-    return Split(cand.feature, cand.threshold,
-                 _grow(X[left], y[left], costs, max_depth, depth + 1),
-                 _grow(X[~left], y[~left], costs, max_depth, depth + 1))
+def _grow(X, y, order, costs: CostMatrix, max_depth: int | None, depth: int = 0) -> TreeNode:
+    # order[f]: this node's rows of X and y, sorted by feature f
+    found = None if depth == max_depth else _best_cut(X, y, order, costs)
+    if found is None:
+        n_h = int(y[order[0]].sum())
+        n_n = order.shape[1] - n_h
+        return Leaf(leaf_class(n_n, n_h, costs), n_n, n_h)
+    fi, n_left, threshold, _ = found
+    goes_left = np.zeros(y.size, dtype=bool)
+    goes_left[order[fi, :n_left]] = True
+    left = goes_left[order]
+    width = order.shape[0]
+    return Split(FEATURES[fi], threshold,
+                 _grow(X, y, order[left].reshape(width, n_left), costs, max_depth, depth + 1),
+                 _grow(X, y, order[~left].reshape(width, -1), costs, max_depth, depth + 1))
 
 
 def tree_depth(node: TreeNode) -> int:

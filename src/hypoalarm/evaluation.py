@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import groupby
+from itertools import chain, groupby
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import betainc
@@ -141,9 +142,9 @@ def allocate_folds(n: int, k: int, seed) -> FoldPlan:
 
 def instances_to_arrays(instances):
     """(X, y) arrays for the tree: columns are x_t and rate."""
-    X = np.array([[inst.x_t, inst.rate] for inst in instances], dtype=float).reshape(-1, 2)
-    y = np.array([inst.label for inst in instances], dtype=int)
-    return X, y
+    n = len(instances)
+    X = np.fromiter(chain.from_iterable(map(attrgetter("x_t", "rate"), instances)), float, 2 * n)
+    return X.reshape(n, 2), np.fromiter(map(attrgetter("label"), instances), int, n)
 
 
 def _mean_defined(values):

@@ -94,7 +94,20 @@ class TestLeafClass:
             assert expected <= min(cost_as_n, cost_as_h)
 
 
+def signed_zero_rows():
+    """x_t of -5e-324, -0.0 and 0.0, labels H, N, N: the best threshold sits
+    between the H row and the zeros, and it is 0.0 whichever zero sorts first."""
+    return np.array([[-5e-324, 0.0], [-0.0, 0.0], [0.0, 0.0]]), np.array([1, 0, 0])
+
+
 class TestBestSplit:
+    def test_signed_zeros_give_a_positive_zero_threshold(self):
+        X, y = signed_zero_rows()
+        for rows in (X, X[[0, 2, 1]]):  # either zero first; y is the same
+            cand = best_split(rows, y, COSTS)
+            assert (cand.feature, math.copysign(1.0, cand.threshold)) == ("x_t", 1.0)
+        assert math.copysign(1.0, X[1, 0]) == -1.0  # the caller's -0.0 stays
+
     def test_perfect_separation(self):
         X = np.array([[1.0, 0], [2.0, 0], [3.0, 0], [4.0, 0]])
         y = np.array([1, 1, 0, 0])
@@ -172,11 +185,16 @@ class TestGrowTree:
 
     def test_determinism_under_shuffling(self):
         rng = np.random.default_rng(5)
-        X, y = random_dataset(rng, n=50, duplicates=True)
-        reference = serialize_tree(grow_tree(X, y, COSTS))
-        for _ in range(5):
-            perm = rng.permutation(len(y))
-            assert serialize_tree(grow_tree(X[perm], y[perm], COSTS)) == reference
+        for X, y in (random_dataset(rng, n=50, duplicates=True), signed_zero_rows()):
+            kept = X.tobytes()
+            # json.dumps tells a -0.0 threshold from 0.0, which == does not
+            reference = json.dumps(serialize_tree(grow_tree(X, y, COSTS)))
+            perms = [rng.permutation(len(y)) for _ in range(5)] + [np.arange(len(y))[::-1]]
+            for perm in perms:
+                assert json.dumps(serialize_tree(grow_tree(X[perm], y[perm], COSTS))) == reference
+            assert X.tobytes() == kept
+        tree = grow_tree(*signed_zero_rows(), COSTS)
+        assert math.copysign(1.0, tree.threshold) == 1.0
 
     def test_split_soundness_and_leaf_counts(self):
         rng = np.random.default_rng(6)

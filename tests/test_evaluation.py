@@ -17,6 +17,7 @@ from hypoalarm import (
     cross_validate,
     evaluate_per_patient,
     f_upper_tail,
+    instances_to_arrays,
     metrics,
     missed_event_analysis,
     one_way_anova,
@@ -144,6 +145,19 @@ class TestAllocateFolds:
             assert sorted(all_indices) == list(range(n))
             sizes = [len(g) for g in plan.groups]
             assert max(sizes) - min(sizes) <= 1
+
+
+class TestInstancesToArrays:
+    def test_rows_follow_instance_order(self):
+        values = [(4.5, 0.05, 1), (12.0, -0.0, 0), (1.7e308, -5e-324, 0), (3.0, 0.0, 1)]
+        X, y = instances_to_arrays([make_instance(*v) for v in values])
+        assert (X.dtype, X.shape, y.dtype, y.shape) == (np.float64, (4, 2), np.int64, (4,))
+        assert X.tobytes() == np.array([v[:2] for v in values]).tobytes()  # -0.0 kept
+        assert y.tolist() == [1, 0, 0, 1]
+
+    def test_empty_list(self):
+        X, y = instances_to_arrays([])
+        assert (X.dtype, X.shape, y.dtype, y.shape) == (np.float64, (0, 2), np.int64, (0,))
 
 
 def separable_instances(n=40, prefix="p"):

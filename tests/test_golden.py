@@ -1,16 +1,33 @@
 """Output bytes pinned across versions: seeds 7 and 8, the default
-33-patient cohort.
+33-patient cohort, and the 330-patient evaluation at seed 7.
 
 The synth record files, the feature CSV, the trained tree.json and
 summary.json must not change under a refactor. The seed-7 features and
 summary digests equal the `cli33` reference digests of the benchmark
-(benchmarks/reference.json).
+(benchmarks/reference.json); the 330-patient summary is checked against
+that file's `cv330` digest.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
+from hypoalarm import (
+    PipelineConfig,
+    SynthConfig,
+    build_instances,
+    cross_validate,
+    evaluate_per_patient,
+    generate_cohort,
+    missed_event_analysis,
+    parse_cgm_file,
+    select_best_run,
+    series_to_csv,
+    summary_document,
+)
 from hypoalarm.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 
 # seed: the SHA-256 of the synth manifest's outputs, features.csv, tree.json, summary.json
 DIGESTS = {
@@ -51,3 +68,23 @@ def test_seed_7_chain_bytes(tmp_path):
 
 def test_seed_8_chain_bytes(tmp_path):
     check_chain_bytes(tmp_path, 8)
+
+
+def test_seed_7_330_patient_summary_bytes():
+    """The summary.json that `evaluate` writes for the 330-patient cohort
+    of `synth --seed 7`, built in memory from each patient's record text."""
+    cv330 = json.loads(REFERENCE.read_text())["workloads"]["cv330"]
+    cfg = PipelineConfig()
+    instances, dm_types = [], {}
+    for synthetic in generate_cohort(SynthConfig(seed=7, n_patients=cv330["patients"])):
+        series = parse_cgm_file(series_to_csv(synthetic), patient_id=synthetic.patient_id,
+                                dm_type=synthetic.dm_type)
+        instances += build_instances(series, cfg)
+        dm_types[series.patient_id] = series.dm_type
+    report = cross_validate(instances, cfg, seed=7)
+    best = select_best_run(report)
+    summary = summary_document(instances, cfg, 7, report, best,
+                               evaluate_per_patient(best.tree, instances, dm_types),
+                               missed_event_analysis(best.tree, instances))
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert sha256(text.encode()) == cv330["digests"]["summary.json"]
