@@ -91,13 +91,15 @@ def leaf_class(n_n: int, n_h: int, costs: CostMatrix) -> str:
 
 
 def best_split(X, y, costs: CostMatrix) -> SplitCandidate | None:
-    """Exhaustive search over midpoints of consecutive distinct values.
+    """Search over midpoints of consecutive distinct values.
 
     Returns the candidate with the largest strictly positive decrease in
     cost-weighted Gini impurity, or None when no such candidate exists.
     Ties prefer the earlier feature in FEATURES, then the lowest threshold.
     Each `-0.0` counts as `0.0`, so a threshold is never `-0.0`. Each
-    node of `grow_tree` runs the same split kernel.
+    node of `grow_tree` runs the same split kernel, which scores only
+    boundary cuts and picks what a scan of every cut picks, as long as the
+    decreases stay above rounding error (see `_best_cut`).
     """
     y = np.asarray(y, dtype=int)
     if y.size < 2:
@@ -118,21 +120,49 @@ def _best_cut(X, y, order, costs: CostMatrix):
     Only the cut positions, the class counts at or below each cut and the
     values on either side of it enter the result, and none of them depends
     on the order of tied rows.
+
+    Only boundary cuts are scored: a cut between two groups of equal values
+    is skipped when both groups are pure and of the same class (Fayyad &
+    Irani, Machine Learning 1992; Elomaa & Rousu, Machine Learning 1999,
+    for Gini). In exact arithmetic this cannot change the result, and in
+    floats it cannot while the decreases stay above the formula's rounding
+    error (see the end of this paragraph). A child's weighted impurity
+    `mass * gini` is `2ab/(a+b)` with `a = cost_fn * n_H` and
+    `b = cost_fp * n_N`. Along a run of pure groups of one class, moving the
+    cut moves rows of that class between the children with both `b` fixed,
+    and the node holds both classes, so the sum of the two child terms is
+    strictly concave and the decrease strictly convex along the run. A cut
+    inside the run therefore scores strictly less than one of the two cuts
+    that bound it; those are boundary cuts or the node's edge, where the
+    decrease is 0. It can neither win nor tie, and every scored cut gets
+    the same value, from the same formula, as in a scan of all cuts. The
+    computed decreases keep that order unless they shrink to the formula's
+    rounding error (about 1e-16). `CostMatrix` allows that: at a cost ratio
+    near 1e6, a node holding a single row of one class has every decrease
+    at that noise, both searches split on it, and they may pick different
+    cuts. The pipeline's 15:1 ratio stays far from it.
     """
     hs = y[order]
+    n = order.shape[1]
     tot_h = int(hs[0].sum())
-    tot_n = order.shape[1] - tot_h
+    tot_n = n - tot_h
     if tot_h == 0 or tot_n == 0:
         return None
     parent_gini, parent_mass = _gini_and_mass(tot_n, tot_h, costs)
 
     best = None
+    changes = np.zeros(n, dtype=np.intp)
     for fi, rows in enumerate(order):
         xs = X[rows, fi]
-        cut = np.nonzero(xs[:-1] != xs[1:])[0]
-        if cut.size == 0:
+        ends = np.flatnonzero(xs[:-1] != xs[1:])  # last row of each value group but the last
+        if ends.size == 0:
             continue
-        left_h = np.cumsum(hs[fi])[cut]
+        h = hs[fi]
+        np.cumsum(h[:-1] != h[1:], out=changes[1:])  # class changes among rows 0..i
+        edges = np.concatenate(([-1], ends, [n - 1]))
+        # a cut is a boundary when its two groups, rows edges[j]+1 .. edges[j+2], hold a change
+        cut = ends[changes[edges[2:]] != changes[edges[:-2] + 1]]
+        left_h = np.cumsum(h)[cut]
         left_n = (cut + 1) - left_h
         g_l, m_l = _gini_and_mass(left_n, left_h, costs)
         g_r, m_r = _gini_and_mass(tot_n - left_n, tot_h - left_h, costs)
@@ -147,15 +177,24 @@ def _best_cut(X, y, order, costs: CostMatrix):
     return best
 
 
-def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None) -> TreeNode:
+def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None,
+              order=None) -> TreeNode:
     """Grow a tree; nodes stop at purity, when unsplittable, or at `max_depth`.
 
     A node `max_depth` edges below the root becomes a leaf labeled by
     `leaf_class` over its own rows; None grows every path to purity.
     Each feature is sorted once per tree, and every split partitions the
-    sorted row lists, which stay sorted, between the children. Each `-0.0`
-    counts as `0.0`: the tree depends only on the multiset of its training
-    rows and never holds a `-0.0` threshold.
+    sorted row lists, which stay sorted, between the children. Each node
+    scores only the boundary cuts of `_best_cut`. Each `-0.0` counts as
+    `0.0`: the tree depends only on the multiset of its training rows and
+    never holds a `-0.0` threshold.
+
+    `order`, if given, is a presort that replaces the sort: an integer
+    array of shape (n_features, m) whose row f lists the same m distinct
+    rows of `X`, sorted by feature f (ties in any order). The tree is then
+    grown from those rows alone, equal to `grow_tree(X[rows], y[rows])`.
+    `cross_validate` sorts once and passes each fold's training rows so.
+    A malformed `order` raises ValueError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -165,12 +204,38 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None) -> TreeNode
         raise ValueError("X must have shape (n, n_features<=2) aligned with y")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     X = X + 0.0
-    return _grow(X, y, np.argsort(X, axis=0).T, costs, max_depth)
+    order = np.argsort(X, axis=0).T if order is None else _checked_order(X, order)
+    return _grow(X, y, order, costs, max_depth)
+
+
+def _checked_order(X, order):
+    # `order` as `grow_tree` documents it, or ValueError
+    order = np.asarray(order)
+    n, width = X.shape
+    if (order.ndim != 2 or order.shape[0] != width or order.shape[1] == 0
+            or not np.issubdtype(order.dtype, np.integer)):
+        raise ValueError(f"order must be a non-empty integer array of shape ({width}, m)")
+    if order.min() < 0 or order.max() >= n:
+        raise ValueError(f"order must hold row indices in [0, {n})")
+    rows = np.zeros(n, dtype=bool)
+    rows[order[0]] = True
+    if np.count_nonzero(rows) != order.shape[1]:
+        raise ValueError("order must not repeat a row")
+    for fi, ranked in enumerate(order):
+        if fi:
+            listed = np.zeros(n, dtype=bool)
+            listed[ranked] = True
+            if not np.array_equal(listed, rows):
+                raise ValueError("every row of order must list the same rows")
+        xs = X[ranked, fi]
+        if (xs[1:] < xs[:-1]).any():
+            raise ValueError(f"order row {fi} is not sorted by feature {FEATURES[fi]}")
+    return order
 
 
 def _grow(X, y, order, costs: CostMatrix, max_depth: int | None, depth: int = 0) -> TreeNode:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, groupby
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -132,12 +132,18 @@ def allocate_folds(n: int, k: int, seed) -> FoldPlan:
     The n mod k larger chunks go last, so n=1867, k=5 gives sizes
     (373, 373, 373, 374, 374).
     """
+    return _allocate(n, k, seed)[0]
+
+
+def _allocate(n: int, k: int, seed):
+    # the FoldPlan of `allocate_folds` and its groups as index arrays
     if k < 2 or n < k:
         raise ValueError("need n >= k >= 2")
     perm = np.random.default_rng(seed).permutation(n)
     base, extra = divmod(n, k)
     cuts = np.cumsum([base] * (k - extra) + [base + 1] * extra)[:-1]
-    return FoldPlan(tuple(tuple(g.tolist()) for g in np.split(perm, cuts)))
+    chunks = np.split(perm, cuts)
+    return FoldPlan(tuple(tuple(g.tolist()) for g in chunks)), chunks
 
 
 def instances_to_arrays(instances):
@@ -157,24 +163,27 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
 
     Allocation r shuffles with seed `seed + r`. Aggregates are means over
     the defined (non-None) per-run values. A training split holding a
-    single class just grows a single-leaf tree.
+    single class just grows a single-leaf tree. Both features are sorted
+    once, and each fold's tree grows from that presort filtered to its
+    training rows.
     """
     cfg = cfg or PipelineConfig()
     if not instances:
         raise ValueError("no instances to evaluate")
     X, y = instances_to_arrays(instances)
+    presort = np.argsort(X, axis=0).T
     n = len(instances)
     plans = []
     runs = []
     for allocation in range(cfg.allocations):
         alloc_seed = seed + allocation
-        plan = allocate_folds(n, cfg.folds, alloc_seed)
+        plan, chunks = _allocate(n, cfg.folds, alloc_seed)
         plans.append(plan)
-        for fold, test_idx in enumerate(plan.groups):
-            test = np.array(test_idx, dtype=int)
-            train_mask = np.ones(n, dtype=bool)
-            train_mask[test] = False
-            tree = grow_tree(X[train_mask], y[train_mask], cfg.costs, cfg.prune_depth)
+        for fold, test in enumerate(chunks):
+            train = np.ones(n, dtype=bool)
+            train[test] = False
+            order = presort[train[presort]].reshape(presort.shape[0], -1)
+            tree = grow_tree(X, y, cfg.costs, cfg.prune_depth, order=order)
             cm = confusion(predict_batch(tree, X[test]), y[test])
             runs.append(RunEntry(allocation, fold, alloc_seed, cm, metrics(cm), tree))
     aggregate = {
@@ -202,14 +211,23 @@ def select_best_run(report: RunReport) -> RunEntry:
 def _score_patients(tree: TreeNode, instances):
     """The scoring pass of both patient reports: per patient in id order,
     its id, confusion matrix under `tree` and missed-event (false negative)
-    indices in instance order, with all instances routed in one batch."""
+    indices in instance order. All instances are routed in one batch, and
+    one count over (patient, alarm, hypo) codes gives every patient's
+    confusion cells."""
     X, y = instances_to_arrays(instances)
-    preds = predict_batch(tree, X)
-    missed = (preds != CLASS_H) & (y == 1)
+    alarm = predict_batch(tree, X) == CLASS_H
+    hypo = y == 1
     ids = [inst.patient_id for inst in instances]
-    for pid, group in groupby(sorted(range(len(ids)), key=ids.__getitem__), ids.__getitem__):
-        idx = np.array(list(group))
-        yield pid, confusion(preds[idx], y[idx]), idx[missed[idx]].tolist()
+    names = sorted(set(ids))
+    code_of = {pid: code for code, pid in enumerate(names)}
+    codes = np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
+    cells = np.bincount(codes * 4 + alarm * 2 + hypo, minlength=4 * len(names))
+    missed = np.flatnonzero(~alarm & hypo)
+    missed = missed[np.argsort(codes[missed], kind="stable")].tolist()
+    start = 0
+    for pid, (tn, fn, fp, tp) in zip(names, cells.reshape(-1, 4).tolist()):
+        yield pid, ConfusionMatrix(tp, fn, fp, tn), missed[start:start + fn]
+        start += fn
 
 
 def evaluate_per_patient(tree: TreeNode, instances, dm_types=None) -> list[PatientRow]:

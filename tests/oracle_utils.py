@@ -9,10 +9,12 @@ import io
 import math
 import re
 from datetime import datetime, timedelta
+from itertools import groupby
 
 import numpy as np
 
-from hypoalarm import DataValidationError, DecisionInstance, Leaf, PatientSeries, Split
+from hypoalarm import (ConfusionMatrix, DataValidationError, DecisionInstance, Leaf,
+                       PatientSeries, Split)
 from hypoalarm.cgm_data import BG_MAX, CSV_COLUMNS, MG_PER_DL_PER_MMOL_L, SAMPLING_PERIOD_MIN
 from hypoalarm.synth import _COHORT_START_MIN, _SLOTS
 
@@ -87,6 +89,46 @@ def brute_force_tree(rows, costs, max_depth, depth=0):
                                   depth + 1))
 
 
+def full_scan_best_cut(X, y, order, costs):
+    """The split kernel scoring every cut between distinct values, the
+    search the boundary-cut kernel `cart._best_cut` must match bit for bit.
+    Same arguments and result: row `order[f]` lists the rows sorted by
+    feature f, with no `-0.0`; returns (feature index, rows left of the
+    cut, threshold, decrease) or None. Each decrease is computed with the
+    library's operations in the library's order."""
+
+    def gini_and_mass(n_n, n_h):
+        mass = costs.cost_fp * n_n + costs.cost_fn * n_h
+        p_h = costs.cost_fn * n_h / mass
+        return 2.0 * p_h * (1.0 - p_h), mass
+
+    hs = y[order]
+    tot_h = int(hs[0].sum())
+    tot_n = order.shape[1] - tot_h
+    if tot_h == 0 or tot_n == 0:
+        return None
+    parent_gini, parent_mass = gini_and_mass(tot_n, tot_h)
+    best = None
+    for fi, rows in enumerate(order):
+        xs = X[rows, fi]
+        cut = np.nonzero(xs[:-1] != xs[1:])[0]
+        if cut.size == 0:
+            continue
+        left_h = np.cumsum(hs[fi])[cut]
+        left_n = (cut + 1) - left_h
+        g_l, m_l = gini_and_mass(left_n, left_h)
+        g_r, m_r = gini_and_mass(tot_n - left_n, tot_h - left_h)
+        decrease = parent_gini - (m_l * g_l + m_r * g_r) / parent_mass
+        j = int(np.argmax(decrease))
+        if decrease[j] > 0.0 and (best is None or decrease[j] > best[3]):
+            lo, hi = xs[cut[j]], xs[cut[j] + 1]
+            threshold = lo / 2.0 + hi / 2.0
+            if not threshold > lo:
+                threshold = hi
+            best = (fi, int(cut[j]) + 1, float(threshold), float(decrease[j]))
+    return best
+
+
 def node_counts(node):
     """Training (n_N, n_H) routed through a node, summed over its leaves."""
     if isinstance(node, Leaf):
@@ -124,6 +166,30 @@ def loop_predict(tree, x_t, rate):
         value = x_t if node.feature == "x_t" else rate
         node = node.left if value < node.threshold else node.right
     return node.label
+
+
+def loop_score_patients(tree, instances):
+    """The scoring pass of the patient reports by sort and group: per
+    patient in id order, its id, `ConfusionMatrix` under `tree` and the
+    indices of its missed events (label 1, no alarm) in instance order,
+    each instance walked through the tree alone."""
+    ids = [inst.patient_id for inst in instances]
+    for pid, group in groupby(sorted(range(len(ids)), key=ids.__getitem__), ids.__getitem__):
+        tp = fn = fp = tn = 0
+        missed = []
+        for i in group:
+            inst = instances[i]
+            alarm = loop_predict(tree, inst.x_t, inst.rate) == "H"
+            if inst.label == 1 and alarm:
+                tp += 1
+            elif inst.label == 1:
+                fn += 1
+                missed.append(i)
+            elif alarm:
+                fp += 1
+            else:
+                tn += 1
+        yield pid, ConfusionMatrix(tp, fn, fp, tn), missed
 
 
 def f_upper_tail_by_quadrature(f_value, d1, d2):

@@ -23,6 +23,7 @@ from hypoalarm import (
 from oracle_utils import (
     brute_force_best_split,
     brute_force_tree,
+    full_scan_best_cut,
     loop_predict,
     node_counts,
     oracle_prune,
@@ -302,6 +303,108 @@ class TestDepthLimitedGrowth:
     def test_bad_depth_rejected(self, depth):
         with pytest.raises(ValueError, match="max_depth"):
             grow_tree(np.array([[5.0, 0.1]]), np.array([1]), COSTS, depth)
+
+
+def tie_heavy_dataset(rng, n):
+    """(X, y) with what a boundary-cut search can get wrong: values on a
+    coarse grid (tie groups holding both classes), labels in long pure
+    blocks along x_t, signed zeros, and at times a constant column or a
+    single class."""
+    step = rng.choice([1.0, 0.25, 1e-3])
+    X = rng.integers(-3, int(rng.choice([4, 12, n + 4])), size=(n, 2)) * step
+    if rng.random() < 0.5:
+        blocks = int(rng.integers(1, 6))
+        y = (np.floor(X[:, 0] / step) // blocks % 2).astype(int)
+        y ^= rng.random(n) < rng.choice([0.0, 0.05])
+    else:
+        y = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(int)
+    X[rng.random((n, 2)) < 0.1] = -0.0
+    if rng.random() < 0.2:
+        X[:, int(rng.integers(2))] = rng.choice([-0.0, 0.0, 4.5])
+    if rng.random() < 0.1:
+        y[:] = rng.integers(2)
+    return X, y
+
+
+BOUNDARY_COSTS = (CostMatrix(1.0, 1.0), CostMatrix(3.7, 1.0), CostMatrix(15.0, 1.0))
+
+
+class TestBoundaryCuts:
+    """The split search scores only cuts next to a mixed value group or
+    between pure groups of different classes; it must pick the cut, the
+    threshold and the decrease of a scan over every cut, bit for bit."""
+
+    @pytest.mark.parametrize("costs", BOUNDARY_COSTS, ids=lambda c: f"fn{c.cost_fn}")
+    def test_matches_the_full_scan_bit_for_bit(self, costs):
+        rng = np.random.default_rng(int(costs.cost_fn * 10))
+        for n in [2, 3, 5, 40, 300, 3000] * 40:
+            X, y = tie_heavy_dataset(rng, n)
+            Z = X + 0.0
+            expected = full_scan_best_cut(Z, y, np.argsort(Z, axis=0).T, costs)
+            got = best_split(X, y, costs)
+            if expected is None:
+                assert got is None
+            else:
+                fi, _, threshold, decrease = expected
+                assert (got.feature, got.threshold, got.impurity_decrease) == \
+                    (("x_t", "rate")[fi], threshold, decrease)
+                assert repr(got.threshold) != "-0.0"
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_trees_match_brute_force(self, depth):
+        rng = np.random.default_rng(40 + depth)
+        for costs in BOUNDARY_COSTS:
+            for _ in range(12):
+                X, y = tie_heavy_dataset(rng, int(rng.integers(2, 50)))
+                rows = [(float(a), float(b), int(c)) for (a, b), c in zip(X + 0.0, y)]
+                assert grow_tree(X, y, costs, depth) == brute_force_tree(rows, costs, depth)
+
+
+def presort(X, rows):
+    """Both columns of X sorted, kept to `rows`: the `order` of grow_tree."""
+    order = np.argsort(X, axis=0).T
+    keep = np.zeros(len(X), dtype=bool)
+    keep[rows] = True
+    return order[keep[order]].reshape(2, -1)
+
+
+class TestPresortedGrowth:
+    @pytest.mark.parametrize("depth", [1, 3, None])
+    def test_equals_growth_on_the_subset(self, depth):
+        rng = np.random.default_rng(50 if depth is None else 50 + depth)
+        for _ in range(25):
+            X, y = tie_heavy_dataset(rng, int(rng.integers(2, 300)))
+            rows = np.flatnonzero(rng.random(len(y)) < rng.uniform(0.1, 1.0))
+            if rows.size == 0:
+                continue
+            expected = serialize_tree(grow_tree(X[rows], y[rows], COSTS, depth))
+            got = serialize_tree(grow_tree(X, y, COSTS, depth, order=presort(X, rows)))
+            assert json.dumps(got) == json.dumps(expected)
+
+    def test_ties_may_come_in_any_order(self):
+        X = np.array([[1.0, 0.5], [1.0, 0.5], [2.0, 0.5], [-0.0, 0.5], [0.0, 0.1]])
+        y = np.array([1, 0, 0, 1, 1])
+        order = np.array([[4, 3, 1, 0, 2], [4, 2, 1, 0, 3]])
+        assert grow_tree(X, y, COSTS, order=order) == grow_tree(X, y, COSTS)
+
+    @pytest.mark.parametrize("order", [
+        [[0, 1, 2]],                    # one row for two features
+        [[0, 1, 2], [2, 1, 0], [0, 1, 2]],
+        np.empty((2, 0), dtype=int),    # no rows
+        [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]],  # not integers
+        [[False, True], [True, False]],
+        [[0, 1, 3], [3, 1, 0]],         # past the last row
+        [[-3, 1, 2], [2, 1, -3]],       # negative, though sorted as X[-3] is row 0
+        [[0, 0, 1], [1, 0, 0]],         # a repeated row
+        [[1, 0, 2], [2, 1, 0]],         # x_t row out of order
+        [[0, 1, 2], [0, 1, 2]],         # rate row out of order
+        [[0, 2], [2, 1]],               # rows that differ
+    ], ids=["one_row", "three_rows", "empty", "float", "bool", "past_end", "negative",
+            "repeat", "x_t_unsorted", "rate_unsorted", "different_rows"])
+    def test_malformed_order_rejected(self, order):
+        X = np.array([[1.0, 0.3], [2.0, 0.2], [3.0, 0.1]])
+        with pytest.raises(ValueError):
+            grow_tree(X, np.array([1, 0, 1]), COSTS, order=order)
 
 
 class TestPredict:

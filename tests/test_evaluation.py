@@ -17,16 +17,18 @@ from hypoalarm import (
     cross_validate,
     evaluate_per_patient,
     f_upper_tail,
+    grow_tree,
     instances_to_arrays,
     metrics,
     missed_event_analysis,
     one_way_anova,
     select_best_run,
 )
+from hypoalarm import evaluation
 from hypoalarm.features import DecisionInstance
 
 from conftest import ts_minutes
-from oracle_utils import f_upper_tail_by_quadrature, loop_predict
+from oracle_utils import f_upper_tail_by_quadrature, loop_predict, loop_score_patients
 
 
 def make_instance(x_t, rate, label, patient_id="p00", ph_min_bg=None, minute=0):
@@ -203,6 +205,24 @@ class TestCrossValidate:
                 assert train.isdisjoint(test_group)
                 assert len(train) + len(test_group) == n
 
+    def test_each_tree_grows_from_its_training_rows(self):
+        # the trees grow from one presort; each must equal a tree grown on
+        # its fold's training rows alone
+        rng = np.random.default_rng(4)
+        instances = [make_instance(float(rng.choice([6.0, -0.0, 0.0, rng.uniform(3.0, 9.0)])),
+                                   float(rng.choice([0.02, rng.uniform(-0.05, 0.1)])),
+                                   int(rng.random() < 0.3), minute=i) for i in range(120)]
+        cfg = PipelineConfig(folds=3, allocations=2)
+        report = cross_validate(instances, cfg, seed=3)
+        X, y = instances_to_arrays(instances)
+        runs = iter(report.runs)
+        for plan in report.fold_plans:
+            for test_group in plan.groups:
+                train = np.ones(len(instances), dtype=bool)
+                train[list(test_group)] = False
+                assert next(runs).tree == grow_tree(X[train], y[train], cfg.costs,
+                                                    cfg.prune_depth)
+
     def test_aggregate_is_mean_of_defined_values(self):
         report = cross_validate(separable_instances(60), PipelineConfig(), seed=2)
         for name in ("accuracy", "sensitivity", "specificity"):
@@ -317,6 +337,44 @@ class TestPerPatient:
             assert (row.n_points, row.n_hypo) == (len(group), sum(i.label for i in group))
             assert (row.accuracy, row.sensitivity, row.specificity) == \
                 (vec.accuracy, vec.sensitivity, vec.specificity)
+
+
+def shuffled_patient_instances(seed):
+    """Shuffled instances of patients whose first-seen order is not their
+    sorted order (p10 before p9, non-ASCII ids), one with a single instance
+    and one without hypo instances."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(["p10", "p9", "p09", "é", "Z", "ß", "p1"], size=200)
+    instances = [make_instance(float(rng.choice([6.0, rng.uniform(3.0, 9.0)])),
+                               float(rng.choice([0.02, rng.uniform(-0.05, 0.1)])),
+                               int(rng.random() < 0.4), str(pid),
+                               ph_min_bg=float(rng.uniform(2.0, 4.0)), minute=i)
+                 for i, pid in enumerate(ids)]
+    instances += [make_instance(4.0, 0.08, 1, "solo", ph_min_bg=2.5),
+                  *(make_instance(9.0, 0.01, 0, "calm", minute=i) for i in range(4))]
+    return [instances[i] for i in rng.permutation(len(instances))]
+
+
+class TestPatientScoringOracle:
+    """Both patient reports against the same reports built on a scoring
+    pass that sorts, groups and walks each instance alone."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_match_the_loop_scoring(self, seed, monkeypatch):
+        instances = shuffled_patient_instances(seed)
+        assert [i.patient_id for i in instances] != sorted(i.patient_id for i in instances)
+        dm_types = {"p10": "type1", "é": "type2"}
+        got = [(tree, evaluate_per_patient(tree, instances, dm_types),
+                missed_event_analysis(tree, instances, severe_threshold=2.8))
+               for tree in (ALWAYS_N, SPLIT_AT_SIX, DEPTH_TWO)]
+        monkeypatch.setattr(evaluation, "_score_patients", loop_score_patients)
+        for tree, per_patient, severity in got:
+            assert per_patient == evaluate_per_patient(tree, instances, dm_types)
+            assert severity == missed_event_analysis(tree, instances, severe_threshold=2.8)
+        assert [r.patient_id for r in per_patient] == \
+            ["Z", "calm", "p09", "p1", "p10", "p9", "solo", "ß", "é"]
+        assert {r.patient_id: r.n_points for r in per_patient}["solo"] == 1
+        assert {r.patient_id: r.sensitivity for r in per_patient}["calm"] is None
 
 
 class TestMissedEvents:

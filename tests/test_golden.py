@@ -1,5 +1,6 @@
-"""Output bytes pinned across versions: seeds 7 and 8, the default
-33-patient cohort, and the 330-patient evaluation at seed 7.
+"""Output bytes pinned across versions: seeds 7 to 16 of the default
+33-patient cohort, the seeds of the determinism contract, and the
+330-patient evaluation at seed 7.
 
 The synth record files, the feature CSV, the trained tree.json and
 summary.json must not change under a refactor. The seed-7 features and
@@ -11,6 +12,8 @@ that file's `cv330` digest.
 import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from hypoalarm import (
     PipelineConfig,
@@ -39,6 +42,38 @@ DIGESTS = {
         "8939347e2867ae0bd61025cc9fe9dcde47c06e233c5b77081ce5217635e4496a",
         "2a459df45d0b196a646d1f1817de1d53988467e90cb0ef5fbffe1c2d56077dce",
         "e391c997b0858724bc0d5bc5089aad5722167b46cd4742178da6d0aa9ef09939"),
+    9: ("819904936726ef7c507eca5c36844b44d4ad37072910907923ee2b7c850919eb",
+        "278c6c02eab488060c6ee6b74a15707e09d64160b99bb75655ce1ffc1ab0a69d",
+        "5511c749182c8cee0c0e8a75476ca4a969518248d5d995fe0afee33b06e3f4c4",
+        "907d043f4b20546f43016edec0dffd2af32a1af429d3541aad784ee9aac588b1"),
+    10: ("9e48d8031a15bf0e32926aecb4e539fdd72c4ee0207bf451f146a87e5c97f009",
+        "8782396b8ba4d707e6ca6e5b3f14abc0f1bac62a6092ec918ecf21e76f542590",
+        "a3543ecccf469ab6ad84bec4336939639c61099e16cd84816aaf083279b8870d",
+        "f78ef8d90d725ef19f10eb5e9707e0bf24ba3a240f7ac638caf6e46638eed193"),
+    11: ("9806c1ba3cb542cec3e3b0efcc7c9dde8135fd551150d9b4655cf30dc987c66b",
+        "2a7f2bd1277a2d75fac6cd8d12889e33bad2318891b2c7fbef6394760c0460fe",
+        "15ef8e70dee0287119d4e4f2a1577d7bcd0dee366d38c4bfd187eb07596c75d8",
+        "7c8e85a1a58382ff058a814464800f7d2cf08f730081297f567fc3c1b1d95916"),
+    12: ("799cb83b3d4c041f5497cf1a2d686a2da5f74c8eb6cdfdd15f4bcb8d09d2f0a3",
+        "7dc3478ac0b40ad41ba0ba0e9dc5dd18b81983c865c1bba76e5801e03d01636a",
+        "2de5620c2a3ec0fb2bca887425dbe554bf529da4057be140db03635a67473006",
+        "0f568d2df2bf0b8dcdab49ca7330a3dd35ace6c451993a61e360eaaf36e22dcc"),
+    13: ("875a45196b78111467eb1baa542b0f52749996079c30c3f0f932f956c1ed1d0c",
+        "a9b7cd4de193ca13f877746e1ded841e7c80626c9b90870eb5119f92411de41b",
+        "3ddcf3d819d5a46e2ad54e9bd2fbeb5c6028660087d2c4d22f51d93a2554c18b",
+        "bb5c8613a4f8c641887f9dd5521033c890b90aad2913e89e49c0d53f4460a268"),
+    14: ("24b83693c7b03ccc6d94bcb3039c528665a64e0dd7f58a9dbc2d4398db37b6c3",
+        "74b1783fc508c3dbe4e796b16885abd0fb4aeacb969f6dcc404999b30fb556d0",
+        "7bc569af804998f8bcc46304d10f823a33f9dc7694a6b4a15b108e850e4b8942",
+        "27a94d3093308d3138357b1dbacf768bf19d3d075f8ba908fb622eba5229a445"),
+    15: ("34952dced1c2dbf14c512f68017451d971373079c3ae98c5801a042b013abc03",
+        "1745027b052290a0ac50fc4e3475178b60fc81bd1181d5f9d31dc35323ae847a",
+        "b942ac8c1a8e5f03cd43dfb734be41106a5de9bad43d58bd4f749e4065d13b63",
+        "f97c265167d4721e94e777b6df1bc3c4db67e3adb4c4f7cbcdd65fdcab343e2a"),
+    16: ("d99a963c7c36d66eee4c5cc16737b95e479b65d379ced1fa0d618bd7a1635928",
+        "11b33f542ef2be9c7c6353ace3a1d9117aa55ede7c225e8a52a0393c77b695ee",
+        "a640f2700bd87e84ac8aae153c1b3bd4e4ddc6081c95030360fc5144c8b81f84",
+        "468d2954e3059a3fbd978e7f246c2e217fdf7da92cdeaf15dece895c8dc6ed0b"),
 }
 
 
@@ -68,6 +103,11 @@ def test_seed_7_chain_bytes(tmp_path):
 
 def test_seed_8_chain_bytes(tmp_path):
     check_chain_bytes(tmp_path, 8)
+
+
+@pytest.mark.parametrize("seed", range(9, 17))
+def test_contract_seed_chain_bytes(tmp_path, seed):
+    check_chain_bytes(tmp_path, seed)
 
 
 def test_seed_7_330_patient_summary_bytes():
