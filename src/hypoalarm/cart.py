@@ -90,6 +90,29 @@ def leaf_class(n_n: int, n_h: int, costs: CostMatrix) -> str:
     return CLASS_H if costs.cost_fn * n_h >= costs.cost_fp * n_n else CLASS_N
 
 
+def _checked_predictors(X) -> np.ndarray:
+    """`X` as floats of shape (n, len(FEATURES)), all finite, each `-0.0`
+    made `0.0`; ValueError otherwise."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != len(FEATURES):
+        raise ValueError(f"X must have shape (n, {len(FEATURES)})")
+    if not np.isfinite(X).all():
+        raise ValueError("predictors must be finite")
+    return X + 0.0
+
+
+def _checked_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """`_checked_predictors(X)` and `y` as one integer label, 0 or 1, per
+    row of `X`; ValueError otherwise."""
+    X = _checked_predictors(X)
+    y = np.asarray(y, dtype=int)
+    if y.shape != X.shape[:1]:
+        raise ValueError("y must hold one label per row of X")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return X, y
+
+
 def best_split(X, y, costs: CostMatrix) -> SplitCandidate | None:
     """Search over midpoints of consecutive distinct values.
 
@@ -99,12 +122,10 @@ def best_split(X, y, costs: CostMatrix) -> SplitCandidate | None:
     Each `-0.0` counts as `0.0`, so a threshold is never `-0.0`. Each
     node of `grow_tree` runs the same split kernel, which scores only
     boundary cuts and picks what a scan of every cut picks, as long as the
-    decreases stay above rounding error (see `_best_cut`).
+    decreases stay above rounding error (see `_best_cut`). Its input is
+    checked as in `grow_tree`.
     """
-    y = np.asarray(y, dtype=int)
-    if y.size < 2:
-        return None
-    X = np.asarray(X, dtype=float) + 0.0
+    X, y = _checked_rows(X, y)
     found = _best_cut(X, y, np.argsort(X, axis=0).T, costs)
     if found is None:
         return None
@@ -187,7 +208,8 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None,
     sorted row lists, which stay sorted, between the children. Each node
     scores only the boundary cuts of `_best_cut`. Each `-0.0` counts as
     `0.0`: the tree depends only on the multiset of its training rows and
-    never holds a `-0.0` threshold.
+    never holds a `-0.0` threshold. `X` needs one finite column per name in
+    FEATURES and `y` one 0/1 label per row, or ValueError is raised.
 
     `order`, if given, is a presort that replaces the sort: an integer
     array of shape (n_features, m) whose row f lists the same m distinct
@@ -196,19 +218,11 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None,
     `cross_validate` sorts once and passes each fold's training rows so.
     A malformed `order` raises ValueError.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    X, y = _checked_rows(X, y)
     if y.size == 0:
         raise ValueError("cannot grow a tree from zero instances")
-    if X.ndim != 2 or X.shape[0] != y.size or not 1 <= X.shape[1] <= len(FEATURES):
-        raise ValueError("X must have shape (n, n_features<=2) aligned with y")
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("labels must be 0 or 1")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    X = X + 0.0
     order = np.argsort(X, axis=0).T if order is None else _checked_order(X, order)
     return _grow(X, y, order, costs, max_depth)
 
@@ -266,11 +280,7 @@ def predict_batch(tree: TreeNode, X) -> np.ndarray:
     """Class label of each row of `X` (columns x_t, rate): the row sets are
     routed down the tree, one mask per split; `feature >= threshold` goes
     right."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(FEATURES):
-        raise ValueError(f"X must have shape (n, {len(FEATURES)})")
-    if not np.isfinite(X).all():
-        raise ValueError("predictors must be finite")
+    X = _checked_predictors(X)
     labels = np.empty(X.shape[0], dtype="<U1")
     _route(tree, X, np.arange(X.shape[0]), labels)
     return labels

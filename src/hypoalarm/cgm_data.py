@@ -1,4 +1,4 @@
-"""CGM record files: parsing, validation, unit conversion, config constants.
+"""CGM record files: parsing, validation, unit conversion, CSV rules, pipeline constants.
 
 The on-disk format is a five-column CSV (``Sample#,Date,Time,Meal,SensorBG``)
 with ``D.Mon.YY`` dates, ``H:MM`` 24-hour times, ``.`` in the Meal column for
@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta
 from itertools import chain, compress, repeat
+from typing import ClassVar
 
 import numpy as np
 
@@ -120,49 +121,37 @@ class PatientSeries:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Fixed pipeline constants; everything downstream reads them from here.
+    """The paper's pipeline constants; everything downstream reads them from here.
 
     Decisions happen on a 15-min grid from 2 h to 3 h 30 m after a meal, the
     end of its peak window, each asking whether a reading 15 (the lead time),
-    20 or 25 min ahead will be at or under the alarm threshold.
+    20 or 25 min ahead will be at or under the alarm threshold. Only the
+    cross-validation plan, `folds` and `allocations`, can be set; the rest
+    are class constants, also readable from an instance.
     """
 
-    hypo_threshold: float = HYPO_THRESHOLD
-    horizon_offsets_min: tuple[int, ...] = (15, 20, 25)
-    decision_offsets_min: tuple[int, ...] = (120, 135, 150, 165, 180, 195, 210)
-    daytime_start: time = time(7, 0)
-    daytime_end: time = time(23, 0)
-    snap_tolerance_min: float = 2.5
-    costs: CostMatrix = CostMatrix()
-    prune_depth: int = 3
+    hypo_threshold: ClassVar[float] = HYPO_THRESHOLD
+    horizon_offsets_min: ClassVar[tuple[int, ...]] = (15, 20, 25)
+    decision_offsets_min: ClassVar[tuple[int, ...]] = (120, 135, 150, 165, 180, 195, 210)
+    lead_time_min: ClassVar[int] = horizon_offsets_min[0]
+    peak_window_min: ClassVar[int] = decision_offsets_min[0]
+    daytime_start: ClassVar[time] = time(7, 0)
+    daytime_end: ClassVar[time] = time(23, 0)
+    snap_tolerance_min: ClassVar[float] = 2.5
+    costs: ClassVar[CostMatrix] = CostMatrix()
+    prune_depth: ClassVar[int] = 3
     folds: int = 5
     allocations: int = 4
 
     def __post_init__(self):
-        offs = self.horizon_offsets_min
-        if not offs or list(offs) != sorted(set(offs)):
-            raise ValueError("horizon offsets must increase strictly")
-        dec = self.decision_offsets_min
-        if not dec or any(b - a != 15 for a, b in zip(dec, dec[1:])):
-            raise ValueError("decision grid must be non-empty and step by 15 minutes")
-        if self.snap_tolerance_min < 0:
-            raise ValueError("snap tolerance must be >= 0")
-        if self.prune_depth < 1 or self.folds < 2 or self.allocations < 1:
-            raise ValueError("prune_depth >= 1, folds >= 2, allocations >= 1 required")
-
-    @property
-    def lead_time_min(self) -> int:
-        return self.horizon_offsets_min[0]
-
-    @property
-    def peak_window_min(self) -> int:
-        return self.decision_offsets_min[0]
+        if self.folds < 2 or self.allocations < 1:
+            raise ValueError("folds >= 2 and allocations >= 1 required")
 
 
-def label_hypoglycemia(bg, threshold: float = HYPO_THRESHOLD):
-    """1 where BG is at or under the threshold, 0 above; elementwise over
+def label_hypoglycemia(bg):
+    """1 where BG is at or under `HYPO_THRESHOLD`, 0 above; elementwise over
     a scalar or an array."""
-    return (np.asarray(bg) <= threshold) * 1
+    return (np.asarray(bg) <= HYPO_THRESHOLD) * 1
 
 
 def _is_digits(cell: str, widths=range(1, 3)) -> bool:
@@ -214,6 +203,19 @@ def csv_rows(text: str) -> list[list[str]]:
     except csv.Error as exc:
         raise DataValidationError(str(exc), row=len(rows) + 1) from None
     return rows
+
+
+def csv_table(columns, rows) -> str:
+    """CSV text of a header and rows of string cells: minimal quoting, LF
+    line endings, and every cell of a row that holds a CR quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    # the minimal writer leaves a "\r" unquoted, where `csv_rows` would end the row
+    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(columns)
+    for row in rows:
+        (quote_all if "\r" in "".join(row) else writer).writerow(row)
+    return buf.getvalue()
 
 
 def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool]:

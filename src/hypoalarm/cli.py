@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .cart import finite_number, grow_tree, parse_tree, predict, serialize_tree, tree_depth
-from .cgm_data import DM_TYPES, DataValidationError, PipelineConfig, parse_cgm_file, series_to_csv
+from .cgm_data import (DM_TYPES, DataValidationError, PipelineConfig, csv_table, parse_cgm_file,
+                       series_to_csv)
 from .evaluation import (
     ConfusionMatrix,
     PatientRow,
@@ -35,7 +36,7 @@ from .evaluation import (
     select_best_run,
     summary_document,
 )
-from .features import build_instances, csv_table, read_feature_csv, write_feature_csv
+from .features import build_instances, read_feature_csv, write_feature_csv
 from .synth import SynthConfig, generate_cohort
 
 EXIT_OK = 0
@@ -170,9 +171,8 @@ def _load_cohort(files: _Files, path: Path, unit: str):
 
 
 def _cmd_features(args, files: _Files) -> int:
-    cfg = PipelineConfig()
     instances = [inst for series in _load_cohort(files, Path(args.infile), args.unit)
-                 for inst in build_instances(series, cfg)]
+                 for inst in build_instances(series)]
     out = Path(args.out)
     table = io.StringIO()
     write_feature_csv(instances, table)
@@ -193,13 +193,13 @@ def _read_features(files: _Files, path: str):
 
 def _cmd_train(args, files: _Files) -> int:
     instances = _read_features(files, args.features)
-    cfg = PipelineConfig()
     X, y = instances_to_arrays(instances)
-    tree = grow_tree(X, y, cfg.costs, cfg.prune_depth)
+    tree = grow_tree(X, y, PipelineConfig.costs, PipelineConfig.prune_depth)
     out = Path(args.out)
     files.write(out, _json_text(serialize_tree(tree)))
     files.manifest(out.with_suffix(".manifest.json"), "train",
-                   {"costs": dataclasses.asdict(cfg.costs), "depth": cfg.prune_depth}, [])
+                   {"costs": dataclasses.asdict(PipelineConfig.costs),
+                    "depth": PipelineConfig.prune_depth}, [])
     print(f"instances={len(instances)} depth={tree_depth(tree)} out={out}")
     return EXIT_OK
 
@@ -270,7 +270,7 @@ def _read_summary(files: _Files, path: str, tables: dict) -> dict:
 def _cmd_evaluate(args, files: _Files) -> int:
     instances = _read_features(files, args.features)
     try:
-        cfg = dataclasses.replace(PipelineConfig(), folds=args.k, allocations=args.allocations)
+        cfg = PipelineConfig(folds=args.k, allocations=args.allocations)
     except ValueError as exc:
         raise UsageError(str(exc))
 

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
 from operator import attrgetter
 
 import numpy as np
 from scipy.special import betainc
 
-from .cart import CLASS_H, TreeNode, grow_tree, predict_batch, serialize_tree
+from .cart import CLASS_H, FEATURES, TreeNode, grow_tree, predict_batch, serialize_tree
 from .cgm_data import SEVERE_THRESHOLD, PipelineConfig
 
 
@@ -147,10 +146,11 @@ def _allocate(n: int, k: int, seed):
 
 
 def instances_to_arrays(instances):
-    """(X, y) arrays for the tree: columns are x_t and rate."""
+    """(X, y) arrays for the tree: one column per name in FEATURES."""
     n = len(instances)
-    X = np.fromiter(chain.from_iterable(map(attrgetter("x_t", "rate"), instances)), float, 2 * n)
-    return X.reshape(n, 2), np.fromiter(map(attrgetter("label"), instances), int, n)
+    X = np.column_stack([np.fromiter(map(attrgetter(name), instances), float, n)
+                         for name in FEATURES])
+    return X, np.fromiter(map(attrgetter("label"), instances), int, n)
 
 
 def _mean_defined(values):
@@ -242,12 +242,11 @@ def evaluate_per_patient(tree: TreeNode, instances, dm_types=None) -> list[Patie
             for pid, cm, _ in _score_patients(tree, instances)]
 
 
-def missed_event_analysis(tree: TreeNode, instances,
-                          severe_threshold: float = SEVERE_THRESHOLD) -> SeverityReport:
+def missed_event_analysis(tree: TreeNode, instances) -> SeverityReport:
     """Lowest horizon BG of every false negative, grouped by patient.
 
-    A missed event is severe when that low sits at or under the severe
-    threshold. Patients without false negatives contribute no row.
+    A missed event is severe when that low sits at or under
+    `SEVERE_THRESHOLD`. Patients without false negatives contribute no row.
     """
     rows = []
     for pid, cm, missed in _score_patients(tree, instances):
@@ -260,7 +259,7 @@ def missed_event_analysis(tree: TreeNode, instances,
             predicted_events=cm.tp,
             missed_events=len(lows),
             lows=lows,
-            severe_count=sum(1 for low in lows if low <= severe_threshold),
+            severe_count=sum(1 for low in lows if low <= SEVERE_THRESHOLD),
         ))
     return SeverityReport(rows=tuple(rows),
                           total_missed=sum(row.missed_events for row in rows),
@@ -271,8 +270,9 @@ def summary_document(instances, cfg: PipelineConfig, seed: int, report: RunRepor
                      best: RunEntry, per_patient, severity: SeverityReport) -> dict:
     """The ``summary.json`` document of one evaluation, each section
     serialized from the type that holds it."""
-    config = asdict(cfg) | {"lead_time_min": cfg.lead_time_min,
-                            "peak_window_min": cfg.peak_window_min, "seed": seed}
+    # every name PipelineConfig declares, its constants and its two fields
+    config = {name: getattr(cfg, name) for name in PipelineConfig.__annotations__}
+    config |= {"costs": asdict(cfg.costs), "seed": seed}
     config["daytime"] = [f"{config.pop(key):%H:%M}" for key in ("daytime_start", "daytime_end")]
     n_hypo = int(sum(inst.label for inst in instances))
     return {

@@ -8,8 +8,6 @@ when any reading 15/20/25 min after t is at or under the alarm threshold.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta
@@ -26,6 +24,7 @@ from .cgm_data import (
     PatientSeries,
     PipelineConfig,
     csv_rows,
+    csv_table,
     label_hypoglycemia,
 )
 
@@ -122,21 +121,8 @@ def build_instances(series: PatientSeries,
     peak_time, peak_value = minutes[peak[k]], bg[peak[k]]
     columns = (meals[k], peak_time, peak_value, decision, x,
                rate_of_decrease(peak_value, peak_time, x, decision),
-               label_hypoglycemia(low, cfg.hypo_threshold), low)
+               label_hypoglycemia(low), low)
     return list(map(DecisionInstance, repeat(series.patient_id), *(c.tolist() for c in columns)))
-
-
-def csv_table(columns, rows) -> str:
-    """CSV text of a header and rows of string cells: minimal quoting, LF
-    line endings, and every cell of a row that holds a CR quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    # the minimal writer leaves a "\r" unquoted, and no reader takes that back
-    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(columns)
-    for row in rows:
-        (quote_all if "\r" in "".join(row) else writer).writerow(row)
-    return buf.getvalue()
 
 
 def write_feature_csv(instances, stream) -> None:

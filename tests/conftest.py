@@ -20,16 +20,15 @@ def ts_minutes(hhmm: str, day: int = 7) -> float:
     return minutes(ts(hhmm, day))
 
 
-def decision_at(rows, probe, cfg=None):
+def decision_at(rows, probe):
     """The instance `build_instances` emits for the decision at minute
     `probe`, or None. `rows` are (minute, bg) pairs, bg None or NaN for a
     missing reading. A meal row holding a 30 mmol/L peak is added one
     decision offset before `probe`, so `probe` is its first grid time."""
-    cfg = cfg or PipelineConfig()
-    meal = probe - cfg.decision_offsets_min[0]
+    meal = probe - PipelineConfig.decision_offsets_min[0]
     samples = sorted([(m, math.nan if bg is None else bg, math.nan) for m, bg in rows]
                      + [(meal, 30.0, 6.0)])
-    hits = [inst for inst in build_instances(PatientSeries("p", samples), cfg)
+    hits = [inst for inst in build_instances(PatientSeries("p", samples))
             if inst.decision_time == probe]
     return hits[0] if hits else None
 

@@ -130,6 +130,19 @@ class TestBestSplit:
         y = np.array([0, 1, 0, 1, 0, 1])
         assert best_split(X, y, COSTS) is None
 
+    @pytest.mark.parametrize("X,y", [
+        ([[math.nan, 0.0], [1.0, 0.0], [2.0, 0.0]], [0, 1, 1]),
+        ([[math.inf, 0.0], [1.0, 0.0]], [0, 1]),
+        ([[0.0, 0.0], [1.0, 0.0]], [0, 2]),
+        ([[0.0], [1.0]], [0, 1]),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0, 1]),
+        ([[0.0, 0.0], [1.0, 0.0]], [0, 1, 1]),
+    ], ids=["nan", "inf", "label_2", "one_column", "three_columns", "misaligned"])
+    def test_bad_input_rejected_by_both_growers(self, X, y):
+        for grower in (best_split, grow_tree):
+            with pytest.raises(ValueError):
+                grower(X, y, COSTS)
+
     @pytest.mark.parametrize("duplicates", [False, True])
     def test_matches_brute_force(self, duplicates):
         rng = np.random.default_rng(7 if duplicates else 3)

@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import random
-from datetime import datetime, timedelta
+from datetime import datetime, time, timedelta
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from hypoalarm import (
     series_to_csv,
 )
 from hypoalarm.cgm_data import MG_PER_DL_PER_MMOL_L
+from hypoalarm.features import _snap
 from hypoalarm.synth import SynthConfig, generate_cohort
 
 from conftest import decision_at, minutes, ts
@@ -309,7 +310,6 @@ class TestLabel:
         labels = label_hypoglycemia(grid)
         assert labels.tolist() == [label_hypoglycemia(bg) for bg in grid.tolist()]
         assert labels.tolist() == [1 if bg <= 3.9 else 0 for bg in grid.tolist()]
-        assert label_hypoglycemia(grid, 2.8).tolist() == [int(bg <= 2.8) for bg in grid.tolist()]
 
     def test_monotone_non_increasing(self):
         rng = np.random.default_rng(1)
@@ -323,12 +323,12 @@ def make_series(times_bgs):
                                for t, bg in times_bgs])
 
 
-def snapped(times_bgs, probe, tol=2.5):
+def snapped(times_bgs, probe):
     """x_t that `build_instances` snaps for a decision at `probe` (H:MM),
     with present readings 15/20/25 min later; None when it emits none."""
     at = minutes(ts(probe))
     rows = [(minutes(ts(t)), bg) for t, bg in times_bgs] + [(at + h, 6.0) for h in (15, 20, 25)]
-    inst = decision_at(rows, at, PipelineConfig(snap_tolerance_min=tol))
+    inst = decision_at(rows, at)
     return None if inst is None else inst.x_t
 
 
@@ -352,30 +352,23 @@ class TestSampleAt:
         assert snapped(times_bgs, "9:32") is None
         assert snapped(times_bgs, "9:35") == 7.0
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            PipelineConfig(snap_tolerance_min=-1)
-
     def test_never_beyond_tolerance(self):
-        # whole-minute readings against quarter-minute decision times, so the
-        # added meal and horizon rows never share a reading's time
+        # `_snap`, which `build_instances` calls with the fixed tolerance, at
+        # random tolerances: whole-minute readings, quarter-minute probes
         rng = np.random.default_rng(2)
-        base = minutes(ts("8:00"))
-        times = base + np.sort(rng.choice(600, size=60, replace=False))
+        times = minutes(ts("8:00")) + np.sort(rng.choice(600, size=60, replace=False))
         bgs = rng.uniform(3, 10, size=60)
-        rows = list(zip(times.tolist(), bgs.tolist()))
         found = 0
         for _ in range(200):
-            probe = base + int(rng.integers(0, 600)) + int(rng.integers(1, 4)) / 4
+            probe = times[0] + int(rng.integers(0, 600)) + int(rng.integers(1, 4)) / 4
             tol = float(rng.uniform(0, 10))
-            frame = [(probe + h, 6.0) for h in (15, 20, 25)]
-            inst = decision_at(rows + frame, probe, PipelineConfig(snap_tolerance_min=tol))
+            (x_t,) = _snap(times, bgs, np.array([probe]), tol)
             distance = np.abs(times - probe)
-            if inst is None:
+            if math.isnan(x_t):
                 assert (distance > tol).all()
                 continue
             found += 1
-            (hit,) = np.flatnonzero(bgs == inst.x_t)
+            (hit,) = np.flatnonzero(bgs == x_t)
             assert distance[hit] <= tol
             assert hit == np.argmin(distance)  # nearest, the earlier one on ties
         assert found > 50
@@ -408,18 +401,29 @@ class TestPipelineConfig:
         assert cfg.hypo_threshold == 3.9
         assert cfg.decision_offsets_min == (120, 135, 150, 165, 180, 195, 210)
         assert cfg.horizon_offsets_min == (15, 20, 25)
+        assert (cfg.daytime_start, cfg.daytime_end) == (time(7, 0), time(23, 0))
+        assert cfg.snap_tolerance_min == 2.5
         assert cfg.costs.cost_fn == 15.0 and cfg.costs.cost_fp == 1.0
+        assert (cfg.prune_depth, cfg.folds, cfg.allocations) == (3, 5, 4)
 
     def test_lead_time_and_peak_window_are_no_fields(self):
-        names = {f.name for f in dataclasses.fields(PipelineConfig)}
-        assert not names & {"lead_time_min", "peak_window_min"}
-        assert len(names) == 10
+        assert {f.name for f in dataclasses.fields(PipelineConfig)} == {"folds", "allocations"}
 
     def test_lead_time_and_peak_window_follow_the_grids(self):
-        assert (PipelineConfig().lead_time_min, PipelineConfig().peak_window_min) == (15, 120)
-        cfg = PipelineConfig(horizon_offsets_min=(20, 30), decision_offsets_min=(90, 105))
-        assert (cfg.lead_time_min, cfg.peak_window_min) == (20, 90)
+        cfg = PipelineConfig()
+        assert (cfg.lead_time_min, cfg.peak_window_min) == (15, 120)
+        assert cfg.lead_time_min == cfg.horizon_offsets_min[0]
+        assert cfg.peak_window_min == cfg.decision_offsets_min[0]
 
-    def test_grid_must_step_fifteen(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(decision_offsets_min=(120, 140))
+    @pytest.mark.parametrize("name", ["hypo_threshold", "horizon_offsets_min",
+                                      "decision_offsets_min", "lead_time_min",
+                                      "peak_window_min", "daytime_start", "daytime_end",
+                                      "snap_tolerance_min", "costs", "prune_depth"])
+    def test_constants_cannot_be_set(self, name):
+        with pytest.raises(TypeError):
+            PipelineConfig(**{name: getattr(PipelineConfig, name)})
+
+    @pytest.mark.parametrize("folds,allocations", [(1, 4), (5, 0)])
+    def test_bad_plan_rejected(self, folds, allocations):
+        with pytest.raises(ValueError, match="folds >= 2 and allocations >= 1"):
+            PipelineConfig(folds=folds, allocations=allocations)

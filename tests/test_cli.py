@@ -297,6 +297,17 @@ class TestEvaluate:
         assert set(manifest["outputs"]) == {
             "summary.json", "performance.csv", "per_patient.csv", "missed_events.csv"}
 
+    def test_summary_config_lists_every_constant(self, tmp_path, features_csv):
+        out = tmp_path / "report"
+        assert main(["evaluate", "--features", str(features_csv), "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"] == {
+            "allocations": 4, "costs": {"cost_fn": 15.0, "cost_fp": 1.0},
+            "daytime": ["07:00", "23:00"],
+            "decision_offsets_min": [120, 135, 150, 165, 180, 195, 210], "folds": 5,
+            "horizon_offsets_min": [15, 20, 25], "hypo_threshold": 3.9, "lead_time_min": 15,
+            "peak_window_min": 120, "prune_depth": 3, "seed": 7, "snap_tolerance_min": 2.5}
+
     def test_usage_error_for_bad_k(self, tmp_path, features_csv, capsys):
         code = main(["evaluate", "--features", str(features_csv), "--k", "1",
                      "--out", str(tmp_path / "r")])

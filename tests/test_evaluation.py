@@ -365,12 +365,12 @@ class TestPatientScoringOracle:
         assert [i.patient_id for i in instances] != sorted(i.patient_id for i in instances)
         dm_types = {"p10": "type1", "é": "type2"}
         got = [(tree, evaluate_per_patient(tree, instances, dm_types),
-                missed_event_analysis(tree, instances, severe_threshold=2.8))
+                missed_event_analysis(tree, instances))
                for tree in (ALWAYS_N, SPLIT_AT_SIX, DEPTH_TWO)]
         monkeypatch.setattr(evaluation, "_score_patients", loop_score_patients)
         for tree, per_patient, severity in got:
             assert per_patient == evaluate_per_patient(tree, instances, dm_types)
-            assert severity == missed_event_analysis(tree, instances, severe_threshold=2.8)
+            assert severity == missed_event_analysis(tree, instances)
         assert [r.patient_id for r in per_patient] == \
             ["Z", "calm", "p09", "p1", "p10", "p9", "solo", "ß", "é"]
         assert {r.patient_id: r.n_points for r in per_patient}["solo"] == 1
@@ -418,7 +418,7 @@ class TestMissedEvents:
 
     def test_matches_per_row_scoring(self):
         instances = random_cohort_instances(13)
-        report = missed_event_analysis(DEPTH_TWO, instances, severe_threshold=2.8)
+        report = missed_event_analysis(DEPTH_TWO, instances)
         expected = {}
         for inst in instances:
             alarm = loop_predict(DEPTH_TWO, inst.x_t, inst.rate) == "H"

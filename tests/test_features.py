@@ -2,7 +2,7 @@ import csv
 import dataclasses
 import io
 import math
-from datetime import time, timedelta
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -17,7 +17,8 @@ from hypoalarm import (
     read_feature_csv,
     write_feature_csv,
 )
-from hypoalarm.features import FEATURE_COLUMNS, csv_table
+from hypoalarm.cgm_data import csv_table
+from hypoalarm.features import FEATURE_COLUMNS
 from hypoalarm.synth import SynthConfig, generate_cohort
 
 from conftest import (
@@ -51,10 +52,10 @@ def flat_series(meals, start, end):
     return PatientSeries("flat", rows)
 
 
-def decision_times(meal, series, cfg=None):
+def decision_times(meal, series):
     """Decision times, as datetimes, of the meal at datetime `meal`."""
     return [EPOCH + timedelta(minutes=inst.decision_time)
-            for inst in build_instances(series, cfg) if inst.meal_time == minutes(meal)]
+            for inst in build_instances(series) if inst.meal_time == minutes(meal)]
 
 
 class TestPeak:
@@ -119,12 +120,11 @@ class TestDecisionGrid:
     def test_overnight_horizon_dropped(self):
         series = flat_series({ts("22:00")}, ts("22:00"), ts("2:00", day=8))
         assert build_instances(series) == []
-        # with daytime spanning the whole clock only the one horizon across
-        # midnight (23:55 to 00:05 after the 23:40 decision) is dropped
-        cfg = PipelineConfig(daytime_start=time(0, 0), daytime_end=time(23, 59))
+        # the 23:40 decision's horizon, 23:55 to 00:05, crosses midnight. Both
+        # ends count from the midnight before 23:55, so it ends at 24:05, after
+        # 23:00, though 23:55 comes after 07:00 and 00:05 before 23:00.
         series = flat_series({ts("21:40")}, ts("21:40"), ts("2:00", day=8))
-        grid = decision_times(ts("21:40"), series, cfg)
-        assert grid == [ts("21:40") + timedelta(minutes=m) for m in (135, 150, 165, 180, 195, 210)]
+        assert decision_times(ts("21:40"), series) == []
 
 
 class TestHorizonLabel:
