@@ -207,14 +207,20 @@ def csv_rows(text: str) -> list[list[str]]:
 
 def csv_table(columns, rows) -> str:
     """CSV text of a header and rows of string cells: minimal quoting, LF
-    line endings, and every cell of a row that holds a CR quoted."""
+    line endings, and every cell of a row that holds a CR quoted; the rows
+    are written again one at a time only when their text holds a CR."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    # the minimal writer leaves a "\r" unquoted, where `csv_rows` would end the row
-    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(columns)
-    for row in rows:
-        (quote_all if "\r" in "".join(row) else writer).writerow(row)
+    body_start, rows = buf.tell(), list(rows)
+    writer.writerows(rows)
+    if "\r" in buf.getvalue():
+        # the minimal writer leaves a "\r" unquoted, where `csv_rows` would end the row
+        quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        buf.seek(body_start)
+        buf.truncate()
+        for row in rows:
+            (quote_all if "\r" in "".join(row) else writer).writerow(row)
     return buf.getvalue()
 
 
@@ -233,6 +239,8 @@ def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     header, *body = text.split("\n")  # not str.splitlines, which also splits at \v, \x85, ...
+    if body and not body[-1]:  # the empty row after the final line end
+        body.pop()
     widths = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body)) + 1
     cells = ",".join(body).split(",") if body else []
     padded = (any(c in text for c in _ASCII_INNER_SPACE) if text.isascii()

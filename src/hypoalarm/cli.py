@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -335,6 +336,7 @@ def _cmd_anova(args, files: _Files) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; `parse_args` leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hypoalarm",
                      description="Daytime low-glucose alarm pipeline over CGM records.")

@@ -11,7 +11,6 @@ from dataclasses import asdict, dataclass
 from operator import attrgetter
 
 import numpy as np
-from scipy.special import betainc
 
 from .cart import CLASS_H, FEATURES, TreeNode, grow_tree, predict_batch, serialize_tree
 from .cgm_data import SEVERE_THRESHOLD, PipelineConfig
@@ -308,6 +307,8 @@ def f_upper_tail(f_stat: float, d1: int, d2: int) -> float:
         return 0.0
     if f_stat <= 0.0:
         return 1.0
+    from scipy.special import betainc  # slow to load, and only `anova` needs it
+
     return float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f_stat)))
 
 

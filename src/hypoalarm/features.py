@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta
-from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,9 @@ from .cgm_data import (
 )
 
 _TS_FORMAT = "%Y-%m-%dT%H:%M"
+# the HH:MM clock of each minute of the day, as `_TS_FORMAT` writes it, and back
+_CLOCK_CELLS = tuple(f"{minute // 60:02d}:{minute % 60:02d}" for minute in range(1440))
+_CLOCK_MINUTES = {cell: minute for minute, cell in enumerate(_CLOCK_CELLS)}
 
 FEATURE_COLUMNS = ("patient_id", "meal_time", "peak_time", "peak_value",
                    "decision_time", "x_t", "rate", "ph_min_bg", "label")
@@ -125,21 +128,36 @@ def build_instances(series: PatientSeries,
     return list(map(DecisionInstance, repeat(series.patient_id), *(c.tolist() for c in columns)))
 
 
+def _stamp(minutes: float) -> str:
+    return (EPOCH + timedelta(minutes=minutes)).strftime(_TS_FORMAT)
+
+
+def _stamp_cells(times) -> list[str]:
+    """`_stamp` of each time, once per distinct time: one `strftime` per day
+    and the clock from a table, or `strftime` whole for a time that is not a
+    finite whole minute."""
+    times, dates, cells = list(times), {}, {}
+    for m in set(times):
+        if m % 1 != 0:
+            cells[m] = _stamp(m)
+            continue
+        day, minute = divmod(int(m), 1440)
+        if (date := dates.get(day)) is None:
+            dates[day] = date = _stamp(1440 * day)[:-5]
+        cells[m] = date + _CLOCK_CELLS[minute]
+    return list(map(cells.__getitem__, times))
+
+
 def write_feature_csv(instances, stream) -> None:
-    """One instance per row to a text stream, full float precision, LF line endings."""
-    # a meal's rows share its times
-    stamp = cache(lambda m: (EPOCH + timedelta(minutes=m)).strftime(_TS_FORMAT))
-    stream.write(csv_table(FEATURE_COLUMNS, ([
-        inst.patient_id,
-        stamp(inst.meal_time),
-        stamp(inst.peak_time),
-        repr(float(inst.peak_value)),
-        stamp(inst.decision_time),
-        repr(float(inst.x_t)),
-        repr(float(inst.rate)),
-        repr(float(inst.ph_min_bg)),
-        str(int(inst.label)),
-    ] for inst in instances)))
+    """One instance per row to a text stream, full float precision, LF line
+    endings; the cells are built a column at a time."""
+    columns = list(zip(*map(attrgetter(*FEATURE_COLUMNS), instances))) or [()] * 9
+    n = len(columns[0])
+    stamps = _stamp_cells(chain(columns[1], columns[2], columns[4]))
+    values = [map(repr, map(float, columns[k])) for k in (3, 5, 6, 7)]
+    stream.write(csv_table(FEATURE_COLUMNS, zip(
+        columns[0], stamps[:n], stamps[n:2 * n], values[0], stamps[2 * n:], *values[1:],
+        map(str, map(int, columns[8])))))
 
 
 def _finite(cell: str, column: str) -> float:
@@ -148,38 +166,68 @@ def _finite(cell: str, column: str) -> float:
     raise ValueError(f"{column} must be a finite number, got {cell!r}")
 
 
+def _parse_time(cell: str) -> float:
+    return (datetime.strptime(cell, _TS_FORMAT) - EPOCH) / timedelta(minutes=1)
+
+
+def _time_column(cells) -> list[float]:
+    """`_parse_time` of each cell, once per distinct cell, with one
+    `strptime` per date for the cells that end in a ``HH:MM`` clock."""
+    cells, starts, times = list(cells), {}, {}
+    for cell in set(cells):
+        minute = _CLOCK_MINUTES.get(cell[-5:])
+        if minute is None:
+            times[cell] = _parse_time(cell)
+            continue
+        if (start := starts.get(date := cell[:-5])) is None:
+            starts[date] = start = _parse_time(date + "00:00")
+        times[cell] = start + minute
+    return list(map(times.__getitem__, cells))
+
+
+def _row_instance(row: list) -> DecisionInstance:
+    """One table row as an instance: the label first, then the cells left to right."""
+    label = int(row[8])
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    meal, peak, peak_value, decision, x_t, rate, ph_min_bg = (
+        _parse_time(row[k]) if k in (1, 2, 4) else _finite(row[k], FEATURE_COLUMNS[k])
+        for k in range(1, 8))
+    return DecisionInstance(row[0], meal, peak, peak_value, decision, x_t, rate, label, ph_min_bg)
+
+
 def read_feature_csv(source: str | Path) -> list[DecisionInstance]:
     """Load a feature table written by `write_feature_csv`, from its text or a
-    Path; a float cell that is not a finite number is a data error on its row."""
+    Path; a float cell that is not a finite number is a data error on its row.
+
+    Rows of blank cells are skipped. The rows before the first one of the
+    wrong width are converted a column at a time, and a row at a time only
+    when a cell fails, so that the error names the first bad row.
+    """
     if isinstance(source, Path):
         source = source.read_bytes().decode()  # no newline translation: keeps a quoted "\r"
     rows = csv_rows(source)
     if not rows or tuple(c.strip() for c in rows[0]) != FEATURE_COLUMNS:
         raise DataValidationError(f"expected header {','.join(FEATURE_COLUMNS)!r}", row=1)
-    instances = []
-    parse_time = cache(  # a time cell to minutes since EPOCH, once per distinct cell
-        lambda cell: (datetime.strptime(cell, _TS_FORMAT) - EPOCH) / timedelta(minutes=1))
-    for line, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(FEATURE_COLUMNS):
-            raise DataValidationError(
-                f"expected {len(FEATURE_COLUMNS)} columns, got {len(row)}", row=line)
-        try:
-            label = int(row[8])
-            if label not in (0, 1):
-                raise ValueError(f"label must be 0 or 1, got {label}")
-            instances.append(DecisionInstance(
-                patient_id=row[0],
-                meal_time=parse_time(row[1]),
-                peak_time=parse_time(row[2]),
-                peak_value=_finite(row[3], "peak_value"),
-                decision_time=parse_time(row[4]),
-                x_t=_finite(row[5], "x_t"),
-                rate=_finite(row[6], "rate"),
-                ph_min_bg=_finite(row[7], "ph_min_bg"),
-                label=label,
-            ))
-        except ValueError as exc:
-            raise DataValidationError(str(exc), row=line) from exc
-    return instances
+    body = [(line, row) for line, row in enumerate(rows[1:], start=2) if "".join(row).strip()]
+    cut = next((k for k, (_, row) in enumerate(body) if len(row) != 9), len(body))
+    columns = list(zip(*(row for _, row in body[:cut]))) or [()] * 9
+    try:
+        labels = list(map(int, columns[8]))
+        values = [list(map(float, columns[k])) for k in (3, 5, 6, 7)]
+        if not (set(labels) <= {0, 1} and np.isfinite(values).all()):
+            raise ValueError("a label or value out of range")
+        times = _time_column(chain(columns[1], columns[2], columns[4]))
+    except ValueError:
+        for line, row in body[:cut]:
+            try:
+                _row_instance(row)
+            except ValueError as exc:
+                raise DataValidationError(str(exc), row=line) from exc
+        raise RuntimeError("a feature column failed to convert, but none of its rows") from None
+    if cut < len(body):
+        line, row = body[cut]
+        raise DataValidationError(f"expected 9 columns, got {len(row)}", row=line)
+    meal, peak, decision = times[:cut], times[cut:2 * cut], times[2 * cut:]
+    return list(map(DecisionInstance, columns[0], meal, peak, values[0], decision, *values[1:3],
+                    labels, values[3]))

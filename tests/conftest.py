@@ -33,6 +33,15 @@ def decision_at(rows, probe):
     return hits[0] if hits else None
 
 
+def outcome(call, *args, **kwargs):
+    """What `call` returns, or the type and text of the `ValueError` or
+    `OverflowError` it raises."""
+    try:
+        return call(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
 def series_from_anchors(anchors, meals=None, missing=None, start="7:02", end="22:57",
                         patient_id="anchored", dm_type="other") -> PatientSeries:
     """5-min series interpolating linearly between (H:MM, bg) anchors.

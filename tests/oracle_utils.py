@@ -16,6 +16,7 @@ import numpy as np
 from hypoalarm import (ConfusionMatrix, DataValidationError, DecisionInstance, Leaf,
                        PatientSeries, Split)
 from hypoalarm.cgm_data import BG_MAX, CSV_COLUMNS, MG_PER_DL_PER_MMOL_L, SAMPLING_PERIOD_MIN
+from hypoalarm.features import FEATURE_COLUMNS
 from hypoalarm.synth import _COHORT_START_MIN, _SLOTS
 
 EPOCH = datetime(2000, 1, 1)  # sample times are minutes since this instant
@@ -359,6 +360,79 @@ def loop_parse_cgm_file(text, patient_id="unknown", dm_type="other", unit="mmol"
         bg = math.nan if bg_cell == "N/A" else loop_bg(bg_cell, "SensorBG", unit, line)
         samples.append((minute, bg, meal_ref))
     return PatientSeries(patient_id=patient_id, samples=samples, dm_type=dm_type)
+
+
+TS_FORMAT = "%Y-%m-%dT%H:%M"  # feature-table time cells
+
+
+def loop_write_feature_csv(instances, stream):
+    """`write_feature_csv` one row at a time: each time cell through
+    `strftime`, minimal quoting, and every cell of a row that holds a CR
+    quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(FEATURE_COLUMNS)
+    for inst in instances:
+        row = [inst.patient_id]
+        for name in FEATURE_COLUMNS[1:]:
+            value = getattr(inst, name)
+            if name.endswith("_time"):
+                row.append((EPOCH + timedelta(minutes=value)).strftime(TS_FORMAT))
+            else:
+                row.append(str(int(value)) if name == "label" else repr(float(value)))
+        (quote_all if "\r" in "".join(row) else writer).writerow(row)
+    stream.write(buf.getvalue())
+
+
+def loop_feature_time(cell):
+    return (datetime.strptime(cell, TS_FORMAT) - EPOCH) / timedelta(minutes=1)
+
+
+def loop_finite(cell, column):
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be a finite number, got {cell!r}")
+    return value
+
+
+def loop_read_feature_csv(text):
+    """`read_feature_csv` of a table's text, one `csv.reader` row at a time:
+    rows of blank cells are skipped, and the first bad row raises, with the
+    first check it fails in the order column count, label, then the cells
+    left to right."""
+    rows = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise DataValidationError(str(exc), row=len(rows) + 1) from None
+    if not rows or tuple(c.strip() for c in rows[0]) != FEATURE_COLUMNS:
+        raise DataValidationError(f"expected header {','.join(FEATURE_COLUMNS)!r}", row=1)
+    instances = []
+    for line, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(FEATURE_COLUMNS):
+            raise DataValidationError(
+                f"expected {len(FEATURE_COLUMNS)} columns, got {len(row)}", row=line)
+        try:
+            label = int(row[8])
+            if label not in (0, 1):
+                raise ValueError(f"label must be 0 or 1, got {label}")
+            instances.append(DecisionInstance(
+                patient_id=row[0],
+                meal_time=loop_feature_time(row[1]),
+                peak_time=loop_feature_time(row[2]),
+                peak_value=loop_finite(row[3], "peak_value"),
+                decision_time=loop_feature_time(row[4]),
+                x_t=loop_finite(row[5], "x_t"),
+                rate=loop_finite(row[6], "rate"),
+                ph_min_bg=loop_finite(row[7], "ph_min_bg"),
+                label=label,
+            ))
+        except ValueError as exc:
+            raise DataValidationError(str(exc), row=line) from exc
+    return instances
 
 
 def loop_generate_cohort(cfg):

@@ -18,7 +18,7 @@ from hypoalarm.cgm_data import MG_PER_DL_PER_MMOL_L
 from hypoalarm.features import _snap
 from hypoalarm.synth import SynthConfig, generate_cohort
 
-from conftest import decision_at, minutes, ts
+from conftest import decision_at, minutes, outcome, ts
 from oracle_utils import EPOCH, MONTHS, loop_parse_cgm_file
 
 HEADER = "Sample#,Date,Time,Meal,SensorBG"
@@ -132,14 +132,6 @@ class TestParse:
         again = parse_cgm_file(series_to_csv(series), patient_id=series.patient_id,
                                dm_type=series.dm_type)
         assert again == series
-
-
-def outcome(parse, text, **kwargs):
-    """The series `parse` returns, or the type and text of what it raises."""
-    try:
-        return parse(text, **kwargs)
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 def record_rows(rng, start, count, unit="mmol"):
@@ -260,6 +252,30 @@ class TestParseMatchesLoop:
                                       HEADER + "\n1,2\n0,7.Sep.15,9:22,.,x\n"])
     def test_header_only_and_short_files(self, text):
         assert_parsers_agree(text)
+
+
+class TestLineEnds:
+    """The same rows with each kind of line end, a blank last line and a
+    whitespace-only row in the middle parse as the row-at-a-time oracle does."""
+
+    START = minutes(datetime(2015, 9, 7, 9, 2))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("tail", ["none", "end", "blank line"])
+    @pytest.mark.parametrize("middle", [None, "", " \t", " , ,,,"])
+    def test_matches_loop(self, end, tail, middle):
+        for bad in (None, "1,7.Sep.15,9:60,.,11.4", "1,7.Sep.15,9:27,.,x", "1,7.Sep.15,9:27,."):
+            rng = random.Random(repr((end, tail, middle, bad)))
+            rows = [",".join(row) for row in record_rows(rng, self.START, 12)]
+            if bad is not None:
+                rows.insert(rng.randrange(len(rows)), bad)
+            if middle is not None:
+                rows.insert(len(rows) // 2, middle)
+            ending = {"none": "", "end": end, "blank line": 2 * end}[tail]
+            text = end.join([HEADER, *rows]) + ending
+            assert_parsers_agree(text)
+            if bad is None:
+                assert len(parse_cgm_file(text).samples) == 12
 
 
 def parsed_bg(cells, unit):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hypoalarm import DecisionInstance, write_feature_csv
+from hypoalarm import DecisionInstance, cli, write_feature_csv
 from hypoalarm.cgm_data import CSV_COLUMNS
 from hypoalarm.cli import main
 from hypoalarm.features import FEATURE_COLUMNS
@@ -18,6 +18,13 @@ from hypoalarm.features import FEATURE_COLUMNS
 from oracle_utils import minutes
 
 SMALL_CONFIG = {"n_patients": 5, "days_min": 3, "days_max": 3, "seed": 1}
+
+
+def source_tree_env() -> dict:
+    """The environment with this tree's ``src`` first on PYTHONPATH, installed or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture
@@ -646,10 +653,26 @@ class TestUsage:
         assert main(["frobnicate"]) == 1
 
     def test_module_entry_point(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")  # this tree, installed or not
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "hypoalarm.cli", "--help"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=source_tree_env())
         assert proc.returncode == 0
         assert "synth" in proc.stdout and "evaluate" in proc.stdout
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        code = "import sys, hypoalarm.cli; print('scipy.special' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=source_tree_env())
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
+        record = tmp_path / "r.csv"  # 700 is a reading in mg/dL, and past BG_MAX in mmol/L
+        record.write_text("Sample#,Date,Time,Meal,SensorBG\n0,7.Sep.15,9:22,.,700\n")
+        assert main(["ingest", "--in", str(record), "--unit", "mg", "--nope"]) == 1
+        assert main(["ingest", "--in", str(record), "--unit", "mg"]) == 0
+        assert main(["ingest", "--in", str(record)]) == 2  # the default unit, not the last one
+        out, err = capsys.readouterr()
+        assert out == "patient=r samples=1 meals=0 missing=0\n"
+        assert err.splitlines() == [
+            "error[usage]: unrecognized arguments: --nope",
+            "error[data]: row 2: SensorBG must be a number in (0, 40.0] mmol/L, got '700'"]
+        assert cli._build_parser() is cli._build_parser()

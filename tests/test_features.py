@@ -6,9 +6,12 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypoalarm import (
     DataValidationError,
+    DecisionInstance,
     PatientSeries,
     PipelineConfig,
     build_instances,
@@ -27,11 +30,12 @@ from conftest import (
     WORKED_ROWS,
     decision_at,
     minutes,
+    outcome,
     series_from_anchors,
     ts,
     ts_minutes,
 )
-from oracle_utils import EPOCH
+from oracle_utils import EPOCH, loop_read_feature_csv, loop_write_feature_csv
 
 
 def peaks(series):
@@ -307,3 +311,114 @@ class TestFeatureCsv:
         with pytest.raises(DataValidationError,
                            match=r"^row 2: field larger than field limit \(131072\)$"):
             read_feature_csv(text)
+
+
+def written(write, instances):
+    buf = io.StringIO()
+    return outcome(write, instances, buf) or buf.getvalue()
+
+
+# whole minutes, as int and as float, and fractions of one, all within years 99-9604
+MINUTES = st.integers(-10**9, 4 * 10**9)
+TIME = MINUTES | MINUTES.map(float) | st.floats(-1e9, 4e9) | st.sampled_from([-0.0, 0.5, True])
+VALUE = st.floats() | st.integers(-5, 5)
+IDS = st.text() | st.text(',"\r\n\t x')
+INSTANCES = st.lists(st.builds(
+    DecisionInstance, patient_id=IDS, meal_time=TIME, peak_time=TIME, peak_value=VALUE,
+    decision_time=TIME, x_t=VALUE, rate=VALUE, label=st.sampled_from((0, 1, True)),
+    ph_min_bg=VALUE), max_size=6)
+
+# cells a reader may meet, by column kind; some are valid but not what the writer writes
+ODD_CELLS = {
+    "label": ["2", "x", "01", "-1", " 1", "1.0", "", "+0", "1_0"],
+    "value": ["nan", "inf", "-inf", "1e400", "x", "", " 2.5 ", "1_0", "\u0665"],
+    "time": ["2015-9-7T7:05", "2015-02-30T10:00", "2015-09-07T24:00", "2015-09-07t07:05",
+             "2015-09-07 07:05", "2015-09-07T07:05:00", "07:05", "", " 2015-09-07T07:05",
+             "2015-09-07T07:5", "1999-12-31T23:59", "0999-01-01T00:00"],
+    "id": ["", ",", '"', "\r", "a\r\nb"],
+}
+COLUMN_KINDS = ("id", "time", "time", "value", "time", "value", "value", "value", "label")
+BLANK_ROWS = ([], [""], ["  "], [" "] * 9, ["", "\t", "\u3000"])
+
+
+@st.composite
+def feature_tables(draw):
+    """The text of a written feature table, with odd cells, rows of the wrong
+    width and blank rows put in, then rewritten with LF, CRLF or CR line ends."""
+    instances = draw(st.lists(st.builds(
+        DecisionInstance, patient_id=IDS, meal_time=TIME, peak_time=TIME,
+        peak_value=st.floats(-1e6, 1e6), decision_time=TIME, x_t=st.floats(0, 40),
+        rate=st.floats(-1, 1), label=st.sampled_from((0, 1)), ph_min_bg=st.floats(0, 40)),
+        max_size=5))
+    buf = io.StringIO()
+    loop_write_feature_csv(instances, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(rows)))
+        edit = draw(st.sampled_from(("cell", "cell", "width", "blank")))
+        if edit == "blank":
+            rows.insert(at, list(draw(st.sampled_from(BLANK_ROWS))))
+        elif at < len(rows) and rows[at]:
+            row = rows[at]
+            if edit == "cell":
+                column = draw(st.integers(0, len(row) - 1))
+                row[column] = draw(st.sampled_from(ODD_CELLS[COLUMN_KINDS[column % 9]]))
+            elif draw(st.booleans()):
+                del row[draw(st.integers(0, len(row) - 1))]
+            else:
+                row.append(draw(st.sampled_from(("", "1"))))
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(("\n", "\r\n", "\r"))),
+               quoting=draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))).writerows(rows)
+    return out.getvalue()
+
+
+class TestFeatureCsvMatchesLoop:
+    """The column-wise feature codec against the row-at-a-time oracles: the
+    same bytes, the same instances, or the same error message and row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(INSTANCES)
+    def test_writer_bytes_and_reader(self, instances):
+        text = written(write_feature_csv, instances)
+        assert text == written(loop_write_feature_csv, instances)
+        if isinstance(text, str):
+            assert outcome(read_feature_csv, text) == outcome(loop_read_feature_csv, text)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, 1e13, -1e13, 2**62])
+    @pytest.mark.parametrize("column", ["meal_time", "peak_time", "decision_time"])
+    def test_an_unwritable_time_raises_as_in_the_loop(self, worked_series, column, time):
+        instances = build_instances(worked_series)
+        instances[2] = dataclasses.replace(instances[2], **{column: time})
+        assert written(write_feature_csv, instances)[0] in (ValueError, OverflowError)
+        assert written(write_feature_csv, instances) == written(loop_write_feature_csv, instances)
+
+    @settings(max_examples=300, deadline=None)
+    @given(feature_tables())
+    def test_reader_on_edited_tables(self, text):
+        assert outcome(read_feature_csv, text) == outcome(loop_read_feature_csv, text)
+
+    @pytest.mark.parametrize("kind,cell", [(k, c) for k, cells in ODD_CELLS.items()
+                                           for c in cells])
+    def test_each_odd_cell_in_each_column_of_its_kind(self, worked_series, kind, cell):
+        buf = io.StringIO()
+        loop_write_feature_csv(build_instances(worked_series), buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+        for column in (k for k, name in enumerate(COLUMN_KINDS) if name == kind):
+            edited = [list(row) for row in rows]
+            edited[3][column] = cell
+            text = csv_table(edited[0], edited[1:])
+            assert outcome(read_feature_csv, text) == outcome(loop_read_feature_csv, text)
+
+    def test_first_bad_row_wins_over_a_later_misshapen_one(self, worked_series):
+        buf = io.StringIO()
+        write_feature_csv(build_instances(worked_series), buf)
+        lines = buf.getvalue().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",2"
+        lines[4] += ",extra"
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(DataValidationError, match="^row 3: label must be 0 or 1, got 2$"):
+            read_feature_csv(text)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",1"
+        with pytest.raises(DataValidationError, match="^row 5: expected 9 columns, got 10$"):
+            read_feature_csv("\n".join(lines) + "\n")
