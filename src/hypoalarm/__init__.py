@@ -18,7 +18,6 @@ from .cart import (
     Split,
     TreeDocumentError,
     TreeNode,
-    best_split,
     format_tree,
     grow_tree,
     leaf_class,

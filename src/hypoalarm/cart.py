@@ -62,13 +62,6 @@ class Split:
 TreeNode = Split | Leaf
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    feature: str
-    threshold: float  # midpoint of two consecutive distinct observed values
-    impurity_decrease: float
-
-
 def _gini_and_mass(n_n, n_h, costs):
     # cost-weighted Gini and class mass of nodes with these counts, scalars or arrays
     mass = costs.cost_fp * n_n + costs.cost_fn * n_h
@@ -113,88 +106,83 @@ def _checked_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def best_split(X, y, costs: CostMatrix) -> SplitCandidate | None:
-    """Search over midpoints of consecutive distinct values.
-
-    Returns the candidate with the largest strictly positive decrease in
-    cost-weighted Gini impurity, or None when no such candidate exists.
-    Ties prefer the earlier feature in FEATURES, then the lowest threshold.
-    Each `-0.0` counts as `0.0`, so a threshold is never `-0.0`. Each
-    node of `grow_tree` runs the same split kernel, which scores only
-    boundary cuts and picks what a scan of every cut picks, as long as the
-    decreases stay above rounding error (see `_best_cut`). Its input is
-    checked as in `grow_tree`.
-    """
-    X, y = _checked_rows(X, y)
-    found = _best_cut(X, y, np.argsort(X, axis=0).T, costs)
-    if found is None:
-        return None
-    fi, _, threshold, decrease = found
-    return SplitCandidate(FEATURES[fi], threshold, decrease)
-
-
 def _best_cut(X, y, order, costs: CostMatrix):
     """The split kernel. Row `order[f]` lists a node's rows sorted by
-    feature f, with no `-0.0` among them. Returns (feature index, rows left
-    of the cut, threshold, impurity decrease) of the best split, or None.
+    feature f, with no `-0.0` among them, and `y` holds 0/1 labels. Returns
+    (feature index, rows left of the cut, threshold, impurity decrease, H
+    rows left of the cut) of the best split, or None.
 
-    Only the cut positions, the class counts at or below each cut and the
-    values on either side of it enter the result, and none of them depends
-    on the order of tied rows.
+    Candidates come from the node's class changes, the positions c at which
+    sorted rows c and c+1 differ in class. A change between two distinct
+    values gives the cut after row c; a change inside a run of equal values
+    gives the cuts at both ends of the run, less the node's edges. The cuts
+    are scored in ascending order, feature by feature, and the first
+    maximum wins: ties go to the earlier feature, then the lower cut.
 
-    Only boundary cuts are scored: a cut between two groups of equal values
-    is skipped when both groups are pure and of the same class (Fayyad &
-    Irani, Machine Learning 1992; Elomaa & Rousu, Machine Learning 1999,
-    for Gini). In exact arithmetic this cannot change the result, and in
-    floats it cannot while the decreases stay above the formula's rounding
-    error (see the end of this paragraph). A child's weighted impurity
-    `mass * gini` is `2ab/(a+b)` with `a = cost_fn * n_H` and
-    `b = cost_fp * n_N`. Along a run of pure groups of one class, moving the
-    cut moves rows of that class between the children with both `b` fixed,
-    and the node holds both classes, so the sum of the two child terms is
-    strictly concave and the decrease strictly convex along the run. A cut
-    inside the run therefore scores strictly less than one of the two cuts
-    that bound it; those are boundary cuts or the node's edge, where the
-    decrease is 0. It can neither win nor tie, and every scored cut gets
-    the same value, from the same formula, as in a scan of all cuts. The
-    computed decreases keep that order unless they shrink to the formula's
-    rounding error (about 1e-16). `CostMatrix` allows that: at a cost ratio
-    near 1e6, a node holding a single row of one class has every decrease
-    at that noise, both searches split on it, and they may pick different
-    cuts. The pipeline's 15:1 ratio stays far from it.
+    These are exactly the boundary cuts, the cuts between two value groups
+    that are not both pure and of the same class: such a cut has a class
+    change inside the lower group, at the seam, or inside the upper group.
+    Only a boundary cut can win (Fayyad & Irani, Machine Learning 1992;
+    Elomaa & Rousu, Machine Learning 1999, for Gini). A child's weighted
+    impurity `mass * gini` is `2ab/(a+b)` with `a = cost_fn * n_H` and
+    `b = cost_fp * n_N`. Along a run of pure groups of one class, moving
+    the cut moves rows of that class between the children with both `b`
+    fixed, and the node holds both classes, so the decrease is strictly
+    convex along the run: a cut inside it scores strictly less than one of
+    the cuts that bound it, boundary cuts or the node's edge (decrease 0).
+    In floats a skipped cut could tie or win only when the decreases shrink
+    to the formula's rounding error (about 1e-16). `CostMatrix` allows
+    that at a cost ratio near 1e6, in a node holding a single row of one
+    class; the pipeline's 15:1 ratio stays far from it. No part of the
+    result depends on the order of tied rows.
+
+    Cost: one gather of the node's labels and one scan of them for changes.
+    Feature values are read only at the changes, and a feature's whole
+    sorted value column only when a change falls inside a run of equal
+    values. The H count left of each cut comes from the lengths of the
+    alternating class runs between changes, so the rest of the work grows
+    with the number of changes, not of rows.
     """
     hs = y[order]
     n = order.shape[1]
-    tot_h = int(hs[0].sum())
+    tot_h = int(np.count_nonzero(hs[0]))
     tot_n = n - tot_h
     if tot_h == 0 or tot_n == 0:
         return None
     parent_gini, parent_mass = _gini_and_mass(tot_n, tot_h, costs)
 
     best = None
-    changes = np.zeros(n, dtype=np.intp)
-    for fi, rows in enumerate(order):
-        xs = X[rows, fi]
-        ends = np.flatnonzero(xs[:-1] != xs[1:])  # last row of each value group but the last
-        if ends.size == 0:
-            continue
-        h = hs[fi]
-        np.cumsum(h[:-1] != h[1:], out=changes[1:])  # class changes among rows 0..i
-        edges = np.concatenate(([-1], ends, [n - 1]))
-        # a cut is a boundary when its two groups, rows edges[j]+1 .. edges[j+2], hold a change
-        cut = ends[changes[edges[2:]] != changes[edges[:-2] + 1]]
-        left_h = np.cumsum(h)[cut]
+    for fi, (rows, h) in enumerate(zip(order, hs)):
+        changes = np.flatnonzero(h[:-1] != h[1:])
+        # class runs: run r holds rows last[r]+1 .. last[r+1], all of class h_run[r]
+        last = np.concatenate(([-1], changes, [n - 1]))
+        h_run = (np.arange(changes.size + 1) & 1) ^ int(h[0])
+        h_upto = np.cumsum(np.diff(last) * h_run)  # H rows up to the end of run r
+        lo, hi = X[rows[changes], fi], X[rows[changes + 1], fi]
+        tied = lo == hi
+        if tied.any():  # a change inside a run of equal values: cut at the run's ends
+            xs = X[rows, fi]
+            ties = lo[tied]
+            cut = np.unique(np.concatenate((changes[~tied], np.searchsorted(xs, ties) - 1,
+                                            np.searchsorted(xs, ties, "right") - 1)))
+            cut = cut[(cut >= 0) & (cut < n - 1)]
+            if cut.size == 0:
+                continue
+            run = np.searchsorted(changes, cut)
+            left_h = h_upto[run] - (last[run + 1] - cut) * h_run[run]
+        else:
+            cut, left_h = changes, h_upto[:-1]
         left_n = (cut + 1) - left_h
         g_l, m_l = _gini_and_mass(left_n, left_h, costs)
         g_r, m_r = _gini_and_mass(tot_n - left_n, tot_h - left_h, costs)
         decrease = parent_gini - (m_l * g_l + m_r * g_r) / parent_mass
         j = int(np.argmax(decrease))
         if decrease[j] > 0.0 and (best is None or decrease[j] > best[3]):
-            lo, hi = xs[cut[j]], xs[cut[j] + 1]
+            lo, hi = X[rows[cut[j]], fi], X[rows[cut[j] + 1], fi]
             threshold = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 can overflow
             if not threshold > lo:  # midpoint of adjacent floats can round down
                 threshold = hi
-            best = (fi, int(cut[j]) + 1, float(threshold), float(decrease[j]))
+            best = (fi, int(cut[j]) + 1, float(threshold), float(decrease[j]), int(left_h[j]))
     return best
 
 
@@ -206,10 +194,13 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None,
     `leaf_class` over its own rows; None grows every path to purity.
     Each feature is sorted once per tree, and every split partitions the
     sorted row lists, which stay sorted, between the children. Each node
-    scores only the boundary cuts of `_best_cut`. Each `-0.0` counts as
-    `0.0`: the tree depends only on the multiset of its training rows and
-    never holds a `-0.0` threshold. `X` needs one finite column per name in
-    FEATURES and `y` one 0/1 label per row, or ValueError is raised.
+    scores only the boundary cuts of `_best_cut`, found from its class
+    changes. A split `max_depth - 1` edges below the root does not
+    partition its rows: its two leaves take their class counts from the
+    cut. Each `-0.0` counts as `0.0`: the tree depends only on the
+    multiset of its training rows and never holds a `-0.0` threshold. `X`
+    needs one finite column per name in FEATURES and `y` one 0/1 label per
+    row, or ValueError is raised.
 
     `order`, if given, is a presort that replaces the sort: an integer
     array of shape (n_features, m) whose row f lists the same m distinct
@@ -224,7 +215,8 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None,
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     order = np.argsort(X, axis=0).T if order is None else _checked_order(X, order)
-    return _grow(X, y, order, costs, max_depth)
+    y = y.astype(bool)  # a label gather moves one byte a row
+    return _grow(X, y, order, int(np.count_nonzero(y[order[0]])), costs, max_depth)
 
 
 def _checked_order(X, order):
@@ -252,21 +244,31 @@ def _checked_order(X, order):
     return order
 
 
-def _grow(X, y, order, costs: CostMatrix, max_depth: int | None, depth: int = 0) -> TreeNode:
-    # order[f]: this node's rows of X and y, sorted by feature f
-    found = None if depth == max_depth else _best_cut(X, y, order, costs)
+def _leaf(n_n: int, n_h: int, costs: CostMatrix) -> Leaf:
+    return Leaf(leaf_class(n_n, n_h, costs), n_n, n_h)
+
+
+def _grow(X, y, order, n_h: int, costs: CostMatrix, max_depth: int | None,
+          depth: int = 0) -> TreeNode:
+    # order[f]: this node's rows of X and y, sorted by feature f; n_h of them are H
+    n = order.shape[1]
+    found = _best_cut(X, y, order, costs)
     if found is None:
-        n_h = int(y[order[0]].sum())
-        n_n = order.shape[1] - n_h
-        return Leaf(leaf_class(n_n, n_h, costs), n_n, n_h)
-    fi, n_left, threshold, _ = found
+        return _leaf(n - n_h, n_h, costs)
+    fi, n_left, threshold, _, left_h = found
+    if depth + 1 == max_depth:  # both children are leaves: their counts are the cut's
+        right_h = n_h - left_h
+        return Split(FEATURES[fi], threshold, _leaf(n_left - left_h, left_h, costs),
+                     _leaf(n - n_left - right_h, right_h, costs))
     goes_left = np.zeros(y.size, dtype=bool)
     goes_left[order[fi, :n_left]] = True
     left = goes_left[order]
     width = order.shape[0]
     return Split(FEATURES[fi], threshold,
-                 _grow(X, y, order[left].reshape(width, n_left), costs, max_depth, depth + 1),
-                 _grow(X, y, order[~left].reshape(width, -1), costs, max_depth, depth + 1))
+                 _grow(X, y, order[left].reshape(width, n_left), left_h, costs, max_depth,
+                       depth + 1),
+                 _grow(X, y, order[~left].reshape(width, -1), n_h - left_h, costs, max_depth,
+                       depth + 1))
 
 
 def tree_depth(node: TreeNode) -> int:

@@ -1,20 +1,26 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately plain-Python and loop-based so it shares
-no code path with the vectorized implementations under test.
+no code path with the vectorized implementations under test. The split
+kernels are the exception: `full_scan_best_cut` and
+`boundary_scan_best_cut` are earlier vectorized searches that
+`cart._best_cut` must match bit for bit, and `best_split` is a thin
+wrapper that drives `cart._best_cut` on a whole row set.
 """
 
 import csv
 import io
 import math
 import re
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import groupby
 
 import numpy as np
 
-from hypoalarm import (ConfusionMatrix, DataValidationError, DecisionInstance, Leaf,
-                       PatientSeries, Split)
+from hypoalarm import (FEATURES, ConfusionMatrix, CostMatrix, DataValidationError,
+                       DecisionInstance, Leaf, PatientSeries, Split)
+from hypoalarm.cart import _best_cut, _checked_rows
 from hypoalarm.cgm_data import BG_MAX, CSV_COLUMNS, MG_PER_DL_PER_MMOL_L, SAMPLING_PERIOD_MIN
 from hypoalarm.features import FEATURE_COLUMNS
 from hypoalarm.synth import _COHORT_START_MIN, _SLOTS
@@ -90,25 +96,27 @@ def brute_force_tree(rows, costs, max_depth, depth=0):
                                   depth + 1))
 
 
+def _gini_and_mass(n_n, n_h, costs):
+    # cart._gini_and_mass, the same operations in the same order
+    mass = costs.cost_fp * n_n + costs.cost_fn * n_h
+    p_h = costs.cost_fn * n_h / mass
+    return 2.0 * p_h * (1.0 - p_h), mass
+
+
 def full_scan_best_cut(X, y, order, costs):
     """The split kernel scoring every cut between distinct values, the
     search the boundary-cut kernel `cart._best_cut` must match bit for bit.
     Same arguments and result: row `order[f]` lists the rows sorted by
     feature f, with no `-0.0`; returns (feature index, rows left of the
-    cut, threshold, decrease) or None. Each decrease is computed with the
-    library's operations in the library's order."""
-
-    def gini_and_mass(n_n, n_h):
-        mass = costs.cost_fp * n_n + costs.cost_fn * n_h
-        p_h = costs.cost_fn * n_h / mass
-        return 2.0 * p_h * (1.0 - p_h), mass
-
+    cut, threshold, decrease, H rows left of the cut) or None. Each
+    decrease is computed with the library's operations in the library's
+    order."""
     hs = y[order]
     tot_h = int(hs[0].sum())
     tot_n = order.shape[1] - tot_h
     if tot_h == 0 or tot_n == 0:
         return None
-    parent_gini, parent_mass = gini_and_mass(tot_n, tot_h)
+    parent_gini, parent_mass = _gini_and_mass(tot_n, tot_h, costs)
     best = None
     for fi, rows in enumerate(order):
         xs = X[rows, fi]
@@ -117,8 +125,8 @@ def full_scan_best_cut(X, y, order, costs):
             continue
         left_h = np.cumsum(hs[fi])[cut]
         left_n = (cut + 1) - left_h
-        g_l, m_l = gini_and_mass(left_n, left_h)
-        g_r, m_r = gini_and_mass(tot_n - left_n, tot_h - left_h)
+        g_l, m_l = _gini_and_mass(left_n, left_h, costs)
+        g_r, m_r = _gini_and_mass(tot_n - left_n, tot_h - left_h, costs)
         decrease = parent_gini - (m_l * g_l + m_r * g_r) / parent_mass
         j = int(np.argmax(decrease))
         if decrease[j] > 0.0 and (best is None or decrease[j] > best[3]):
@@ -126,8 +134,91 @@ def full_scan_best_cut(X, y, order, costs):
             threshold = lo / 2.0 + hi / 2.0
             if not threshold > lo:
                 threshold = hi
-            best = (fi, int(cut[j]) + 1, float(threshold), float(decrease[j]))
+            best = (fi, int(cut[j]) + 1, float(threshold), float(decrease[j]),
+                    int(left_h[j]))
     return best
+
+
+def boundary_scan_best_cut(X, y, order, costs):
+    """The boundary-cut kernel that scans every row of a node: it finds the
+    value groups of each feature, then keeps each cut whose two neighbouring
+    groups hold a class change. Same arguments and result as
+    `cart._best_cut`, which finds the same cuts from the class changes alone
+    and must match this search bit for bit at every cost ratio."""
+    hs = y[order]
+    n = order.shape[1]
+    tot_h = int(hs[0].sum())
+    tot_n = n - tot_h
+    if tot_h == 0 or tot_n == 0:
+        return None
+    parent_gini, parent_mass = _gini_and_mass(tot_n, tot_h, costs)
+
+    best = None
+    changes = np.zeros(n, dtype=np.intp)
+    for fi, rows in enumerate(order):
+        xs = X[rows, fi]
+        ends = np.flatnonzero(xs[:-1] != xs[1:])  # last row of each value group but the last
+        if ends.size == 0:
+            continue
+        h = hs[fi]
+        np.cumsum(h[:-1] != h[1:], out=changes[1:])  # class changes among rows 0..i
+        edges = np.concatenate(([-1], ends, [n - 1]))
+        # a cut is a boundary when its two groups, rows edges[j]+1 .. edges[j+2], hold a change
+        cut = ends[changes[edges[2:]] != changes[edges[:-2] + 1]]
+        left_h = np.cumsum(h)[cut]
+        left_n = (cut + 1) - left_h
+        g_l, m_l = _gini_and_mass(left_n, left_h, costs)
+        g_r, m_r = _gini_and_mass(tot_n - left_n, tot_h - left_h, costs)
+        decrease = parent_gini - (m_l * g_l + m_r * g_r) / parent_mass
+        j = int(np.argmax(decrease))
+        if decrease[j] > 0.0 and (best is None or decrease[j] > best[3]):
+            lo, hi = xs[cut[j]], xs[cut[j] + 1]
+            threshold = lo / 2.0 + hi / 2.0
+            if not threshold > lo:
+                threshold = hi
+            best = (fi, int(cut[j]) + 1, float(threshold), float(decrease[j]),
+                    int(left_h[j]))
+    return best
+
+
+@dataclass(frozen=True)
+class SplitCandidate:
+    feature: str
+    threshold: float  # midpoint of two consecutive distinct observed values
+    impurity_decrease: float
+
+
+def best_split(X, y, costs: CostMatrix) -> SplitCandidate | None:
+    """The split `grow_tree` makes at the root of a tree over (X, y):
+    `cart._best_cut` over the whole row set, its input checked as in
+    `grow_tree`. None when no cut has a strictly positive decrease."""
+    X, y = _checked_rows(X, y)
+    found = _best_cut(X, y, np.argsort(X, axis=0).T, costs)
+    if found is None:
+        return None
+    fi, _, threshold, decrease, _ = found
+    return SplitCandidate(FEATURES[fi], threshold, decrease)
+
+
+def loop_leaf_counts(tree, X, y):
+    """(leaf, n_N, n_H) for each leaf of `tree`, left to right, counting the
+    rows of (X, y) that a one-row-at-a-time walk routes to it."""
+    leaves = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            leaves.append(node)
+        else:
+            stack += [node.right, node.left]
+    counts = {id(leaf): [0, 0] for leaf in leaves}
+    for (x_t, rate), label in zip(X, y):
+        node = tree
+        while isinstance(node, Split):
+            value = x_t if node.feature == "x_t" else rate
+            node = node.left if value < node.threshold else node.right
+        counts[id(node)][int(label)] += 1
+    return [(leaf, *counts[id(leaf)]) for leaf in leaves]
 
 
 def node_counts(node):

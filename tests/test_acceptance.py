@@ -16,7 +16,6 @@ from hypoalarm import (
     Leaf,
     Split,
     allocate_folds,
-    best_split,
     build_instances,
     cross_validate,
     f_upper_tail,
@@ -36,7 +35,8 @@ from hypoalarm.features import DecisionInstance
 from hypoalarm.synth import SynthConfig, generate_cohort
 
 from conftest import WORKED_ROWS, WORKED_ANCHORS, WORKED_MEALS, series_from_anchors, ts_minutes
-from oracle_utils import brute_force_best_split, f_upper_tail_by_quadrature, oracle_prune
+from oracle_utils import (best_split, brute_force_best_split, f_upper_tail_by_quadrature,
+                          oracle_prune)
 
 COSTS = CostMatrix(15.0, 1.0)
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from hypoalarm import (
+    FEATURES,
     CostMatrix,
     Leaf,
     Split,
     TreeDocumentError,
-    best_split,
     grow_tree,
     leaf_class,
     parse_tree,
@@ -20,10 +20,14 @@ from hypoalarm import (
     weighted_gini,
 )
 
+from hypoalarm.cart import _best_cut
 from oracle_utils import (
+    best_split,
+    boundary_scan_best_cut,
     brute_force_best_split,
     brute_force_tree,
     full_scan_best_cut,
+    loop_leaf_counts,
     loop_predict,
     node_counts,
     oracle_prune,
@@ -358,9 +362,9 @@ class TestBoundaryCuts:
             if expected is None:
                 assert got is None
             else:
-                fi, _, threshold, decrease = expected
+                fi, _, threshold, decrease, _ = expected
                 assert (got.feature, got.threshold, got.impurity_decrease) == \
-                    (("x_t", "rate")[fi], threshold, decrease)
+                    (FEATURES[fi], threshold, decrease)
                 assert repr(got.threshold) != "-0.0"
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -382,7 +386,7 @@ def presort(X, rows):
 
 
 class TestPresortedGrowth:
-    @pytest.mark.parametrize("depth", [1, 3, None])
+    @pytest.mark.parametrize("depth", [1, 2, 3, None])
     def test_equals_growth_on_the_subset(self, depth):
         rng = np.random.default_rng(50 if depth is None else 50 + depth)
         for _ in range(25):
@@ -418,6 +422,107 @@ class TestPresortedGrowth:
         X = np.array([[1.0, 0.3], [2.0, 0.2], [3.0, 0.1]])
         with pytest.raises(ValueError):
             grow_tree(X, np.array([1, 0, 1]), COSTS, order=order)
+
+
+def continuous_dataset(rng, n):
+    """(X, y) with distinct values in both columns and a random class mix."""
+    X = np.column_stack([rng.uniform(2.0, 16.0, n), rng.uniform(-0.05, 0.12, n)])
+    return X, (rng.random(n) < rng.uniform(0.02, 0.6)).astype(int)
+
+
+#: Cost ratios from one where N dominates to 1e6, where a node holding a
+#: single H row has only decreases at rounding noise.
+RATIO_COSTS = tuple(CostMatrix(ratio, 1.0) for ratio in (1e-3, 1.0, 15.0, 1e4, 1e6))
+
+
+class CountingArray(np.ndarray):
+    """An array that records the size of each read through indexing and
+    hands out plain arrays."""
+
+    def __getitem__(self, key):
+        out = np.asarray(self)[key]
+        self.reads.append(np.size(out))
+        return out
+
+
+def value_reads(X, y, costs):
+    """`_best_cut` over all rows of (X, y) and the sizes of its reads of X."""
+    counted = X.view(CountingArray)
+    counted.reads = []
+    return _best_cut(counted, y, np.argsort(X, axis=0).T, costs), counted.reads
+
+
+class TestChangeKernel:
+    """`_best_cut` finds its cuts from a node's class changes alone; it must
+    return the tuple of the boundary scan over every row, bit for bit, at
+    every cost ratio, including the ratio where the full scan may differ."""
+
+    @pytest.mark.parametrize("costs", RATIO_COSTS, ids=lambda c: f"ratio{c.cost_fn:g}")
+    @pytest.mark.parametrize("dataset", [tie_heavy_dataset, continuous_dataset],
+                             ids=["ties", "continuous"])
+    def test_matches_the_boundary_scan(self, costs, dataset):
+        rng = np.random.default_rng(int(np.log10(costs.cost_fn)) + 70)
+        for n in [2, 3, 5, 40, 300, 3000] * 12:
+            X, y = dataset(rng, n)
+            X = X + 0.0
+            rows = np.flatnonzero(rng.random(n) < rng.uniform(0.1, 1.0))
+            for order in (np.argsort(X, axis=0).T, presort(X, rows)):
+                if order.shape[1]:
+                    expected = boundary_scan_best_cut(X, y, order, costs)
+                    assert _best_cut(X, y.astype(bool), order, costs) == expected
+                    assert _best_cut(X, y, order, costs) == expected
+
+    @pytest.mark.parametrize("x_t,rate,y,expected", [
+        ([1, 1, 2, 3, 4], [0] * 5, [0, 1, 0, 0, 0], (0, 2, 1.5, 1)),
+        ([1, 2, 3, 4, 4], [0] * 5, [0, 0, 0, 0, 1], (0, 3, 3.5, 0)),
+        ([5] * 4, [0.4, 0.1, 0.3, 0.2], [0, 1, 0, 1], (1, 2, 0.25, 2)),
+        (range(10), [0] * 10, [0] * 6 + [1] + [0] * 3, (0, 6, 5.5, 0)),
+        ([2, 2, 2, 2], [7, 7, 7, 7], [0, 1, 1, 0], None),
+    ], ids=["tie_run_at_first_rows", "tie_run_at_last_rows", "constant_column",
+            "single_minority_row", "all_tied"])
+    def test_edge_cases(self, x_t, rate, y, expected):
+        X, y = np.column_stack([x_t, rate]).astype(float), np.array(y)
+        order = np.argsort(X, axis=0).T
+        for costs in RATIO_COSTS:
+            assert _best_cut(X, y, order, costs) == boundary_scan_best_cut(X, y, order, costs)
+        found = _best_cut(X, y, order, COSTS)
+        assert (found if found is None else (*found[:3], found[4])) == expected
+
+    def test_reads_values_only_at_changes(self):
+        rng = np.random.default_rng(77)
+        X, y = continuous_dataset(rng, 500)
+        found, reads = value_reads(X, y, COSTS)
+        assert found == boundary_scan_best_cut(X, y, np.argsort(X, axis=0).T, COSTS)
+        assert reads and max(reads) < 500
+        X[:, 0] = np.round(X[:, 0])  # class changes inside runs of equal x_t
+        found, reads = value_reads(X, y, COSTS)
+        assert found == boundary_scan_best_cut(X, y, np.argsort(X, axis=0).T, COSTS)
+        assert reads.count(500) == 1  # the x_t column, once
+
+
+class TestLastLevelLeaves:
+    """A split one level above `max_depth` builds its leaves from the cut's
+    counts; every leaf must still hold exactly the training rows routed to it."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, None])
+    def test_leaf_counts_equal_the_routed_rows(self, depth):
+        rng = np.random.default_rng(80 if depth is None else 80 + depth)
+        for case in range(40):
+            dataset = (tie_heavy_dataset, continuous_dataset)[case % 2]
+            X, y = dataset(rng, int(rng.integers(2, 120)))
+            rows = np.flatnonzero(rng.random(len(y)) < rng.uniform(0.2, 1.0))
+            grown = [(grow_tree(X, y, COSTS, depth), X, y)]
+            if rows.size:
+                grown.append((grow_tree(X, y, COSTS, depth, order=presort(X, rows)),
+                              X[rows], y[rows]))
+            for tree, X_train, y_train in grown:
+                for leaf, n_n, n_h in loop_leaf_counts(tree, X_train, y_train):
+                    assert (leaf.n_n, leaf.n_h) == (n_n, n_h)
+                    assert n_n + n_h >= 1 and leaf.label == leaf_class(n_n, n_h, COSTS)
+                if depth is not None and depth <= 3:
+                    train = [(float(a), float(b), int(c))
+                             for (a, b), c in zip(X_train + 0.0, y_train)]
+                    assert tree == brute_force_tree(train, COSTS, depth)
 
 
 class TestPredict:
