@@ -114,9 +114,11 @@ def _cmd_synth(args, files: _Files) -> int:
         name = f"{series.patient_id}.csv"
         files.write(out / name, series_to_csv(series))
         patients.append({"id": series.patient_id, "dm_type": series.dm_type, "file": name})
+    # every name SynthConfig declares, its constants and its two fields
+    config = {name: getattr(cfg, name) for name in SynthConfig.__annotations__}
     files.write(out / "cohort.json", _json_text(
-        {"config": dataclasses.asdict(cfg), "patients": patients, "seed": cfg.seed}))
-    files.manifest(out / "manifest.json", "synth", dataclasses.asdict(cfg), [cfg.seed])
+        {"config": config, "patients": patients, "seed": cfg.seed}))
+    files.manifest(out / "manifest.json", "synth", config, [cfg.seed])
     print(f"patients={len(cohort)} out={out}")
     return EXIT_OK
 
@@ -318,7 +320,7 @@ def _cmd_predict(args, files: _Files) -> int:
 
 
 def _cmd_anova(args, files: _Files) -> int:
-    rows = _read_summary(files, args.report, {"per_patient": {args.group_by: str}})["per_patient"]
+    rows = _read_summary(files, args.report, {"per_patient": {"dm_type": str}})["per_patient"]
     groups: dict[str, list[float]] = {}
     for k, row in enumerate(rows):
         value = row.get(args.metric)
@@ -327,10 +329,10 @@ def _cmd_anova(args, files: _Files) -> int:
         if not (finite_number(value) and 0 <= value <= 1):  # a ratio; huge ones overflow
             raise DataValidationError(
                 f"summary per_patient[{k}] {args.metric!r} must be a number in [0, 1] or null")
-        groups.setdefault(row[args.group_by], []).append(float(value))
+        groups.setdefault(row["dm_type"], []).append(float(value))
     if len(groups) < 2:
         raise DataValidationError(
-            f"need at least two {args.group_by} groups with defined {args.metric}")
+            f"need at least two dm_type groups with defined {args.metric}")
     f_stat, p_value = one_way_anova([groups[k] for k in sorted(groups)])
     print(f"F={f_stat} p={p_value}")
     return EXIT_OK
@@ -343,7 +345,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic CGM cohort")
-    p.add_argument("--config", help="SynthConfig JSON (defaults to the built-in cohort shape)")
+    p.add_argument("--config", help='JSON object with "n_patients" and/or "seed"')
     p.add_argument("--seed", type=int, help="overrides the config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
@@ -387,9 +389,8 @@ def _build_parser() -> _Parser:
                    help="rate of decrease from the peak, (mmol/L)/min")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("anova", help="one-way ANOVA of a per-patient metric")
+    p = sub.add_parser("anova", help="one-way ANOVA of a per-patient metric across dm_types")
     p.add_argument("--report", required=True, help="summary.json from evaluate")
-    p.add_argument("--group-by", choices=("dm_type",), default="dm_type")
     p.add_argument("--metric", choices=("accuracy", "sensitivity", "specificity"),
                    default="sensitivity")
     p.set_defaults(func=_cmd_anova)

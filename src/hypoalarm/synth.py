@@ -21,13 +21,12 @@ bytes whatever the cohort size and whatever its neighbours' lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .cart import finite_number
 from .cgm_data import EPOCH, SAMPLING_PERIOD_MIN, PatientSeries
 
 # an arbitrary fixed start date, in minutes since `EPOCH`
@@ -42,81 +41,59 @@ _BLOCK_STEPS = 64  # sample times per block of the batched recurrences
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Cohort shape parameters; all rates are (mmol/L)/min.
+    """The synthetic cohort: its size and seed, and the shape of its curves.
 
-    Every float field must be finite, every rate > 0, every `*_sd` >= 0,
-    every `*_min` at most its `*_max` and the seed >= 0.
+    Only `n_patients` and `seed` can be set; the shape values are class
+    constants, also readable from an instance. All rates are (mmol/L)/min.
 
     `max_drop_rate` stays well under 2.55/15 so a reading at or above 6.45
-    mmol/L cannot reach 3.9 within the 15-min lead time (at the default
-    0.055 not even within the full 25-min horizon), which keeps the
-    high-BG region free of alarm labels.
+    mmol/L cannot reach 3.9 within the 15-min lead time (at 0.055 not even
+    within the full 25-min horizon), which keeps the high-BG region free of
+    alarm labels.
     """
 
+    days_min: ClassVar[int] = 3
+    days_max: ClassVar[int] = 4
+    meals_per_day_min: ClassVar[int] = 2
+    meals_per_day_max: ClassVar[int] = 3
+    baseline_min: ClassVar[float] = 7.2
+    baseline_max: ClassVar[float] = 9.8
+    peak_delay_mean: ClassVar[float] = 45.0   # minutes from meal to peak
+    peak_delay_sd: ClassVar[float] = 18.0
+    rise_min: ClassVar[float] = 2.0           # meal excursion, mmol/L
+    rise_max: ClassVar[float] = 6.0
+    decay_rate_min: ClassVar[float] = 0.020   # drift back toward baseline
+    decay_rate_max: ClassVar[float] = 0.050
+    hypo_pressure: ClassVar[float] = 0.10     # per-meal probability of a post-meal low
+    nadir_min: ClassVar[float] = 2.6          # depth of a low, mmol/L
+    nadir_max: ClassVar[float] = 3.6
+    nadir_delay_min: ClassVar[float] = 155.0  # minutes from meal to the low
+    nadir_delay_max: ClassVar[float] = 215.0
+    nadir_plateau_min: ClassVar[float] = 5.0  # dwell at the low before recovery
+    nadir_plateau_max: ClassVar[float] = 25.0
+    dip_fall_rate_min: ClassVar[float] = 0.030
+    dip_fall_rate_max: ClassVar[float] = 0.045
+    recovery_rate_min: ClassVar[float] = 0.022
+    recovery_rate_max: ClassVar[float] = 0.050
+    max_drop_rate: ClassVar[float] = 0.055    # hard per-step clamp
+    max_rise_rate: ClassVar[float] = 0.35
+    noise_sd: ClassVar[float] = 0.12          # stationary sd of the AR(1) sensor noise
+    noise_clip: ClassVar[float] = 0.28        # absolute cap on the noise, mmol/L
+    missing_prob: ClassVar[float] = 0.01
+    bg_floor: ClassVar[float] = 2.0
+    bg_ceil: ClassVar[float] = 20.0
     n_patients: int = 33
-    days_min: int = 3
-    days_max: int = 4
-    meals_per_day_min: int = 2
-    meals_per_day_max: int = 3
-    baseline_min: float = 7.2
-    baseline_max: float = 9.8
-    peak_delay_mean: float = 45.0   # minutes from meal to peak
-    peak_delay_sd: float = 18.0
-    rise_min: float = 2.0           # meal excursion, mmol/L
-    rise_max: float = 6.0
-    decay_rate_min: float = 0.020   # drift back toward baseline
-    decay_rate_max: float = 0.050
-    hypo_pressure: float = 0.10     # per-meal probability of a post-meal low
-    nadir_min: float = 2.6          # depth of a low, mmol/L
-    nadir_max: float = 3.6
-    nadir_delay_min: float = 155.0  # minutes from meal to the low
-    nadir_delay_max: float = 215.0
-    nadir_plateau_min: float = 5.0  # dwell at the low before recovery
-    nadir_plateau_max: float = 25.0
-    dip_fall_rate_min: float = 0.030
-    dip_fall_rate_max: float = 0.045
-    recovery_rate_min: float = 0.022
-    recovery_rate_max: float = 0.050
-    max_drop_rate: float = 0.055    # hard per-step clamp
-    max_rise_rate: float = 0.35
-    noise_sd: float = 0.12          # stationary sd of the AR(1) sensor noise
-    noise_clip: float = 0.28        # absolute cap on the noise, mmol/L
-    missing_prob: float = 0.01
-    bg_floor: float = 2.0
-    bg_ceil: float = 20.0
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # each *_min field comes before its *_max
-            value = getattr(self, f.name)
-            if f.type == "int" and type(value) is not int:  # bool and float are not counts
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not finite_number(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            if "rate" in f.name and not value > 0:
-                raise ValueError(f"{f.name} must be > 0, got {value!r}")
-            if f.name.endswith("_sd") and not value >= 0:
-                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
-            if f.name.endswith("_max") and not getattr(self, f.name[:-4] + "_min") <= value:
-                raise ValueError(f"{f.name[:-4]}_min must not exceed {f.name}")
+        for name in ("n_patients", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool and float are not counts
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_patients < 1 or self.days_min < 1:
-            raise ValueError("degenerate config: need >= 1 patient and >= 1 day")
-        if not 1 <= self.meals_per_day_min <= self.meals_per_day_max <= len(_SLOTS):
-            raise ValueError(f"meals per day must fit 1..{len(_SLOTS)}")
-        for name in ("hypo_pressure", "missing_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {p!r}")
-        if not self.max_drop_rate < 2.55 / 15.0:
-            raise ValueError("max_drop_rate must stay under 2.55/15 mmol/L per min")
-        if self.dip_fall_rate_max >= self.max_drop_rate:
-            raise ValueError("dip fall rates must stay under the drop clamp")
-        if self.noise_clip < 0:
-            raise ValueError(f"noise_clip must be >= 0, got {self.noise_clip!r}")
-        if not 0 < self.bg_floor < self.bg_ceil:
-            raise ValueError("need 0 < bg_floor < bg_ceil")
+        if self.n_patients < 1:
+            raise ValueError(f"degenerate config: need >= 1 patient, got {self.n_patients}")
 
 
 def generate_cohort(cfg: SynthConfig) -> list[PatientSeries]:
@@ -242,8 +219,8 @@ def _draw_patient(cfg: SynthConfig, pidx: int) -> _Lane:
 
     # AR(1) sensor noise: smooth enough that the rate clamp rarely bites
     eps_sd = cfg.noise_sd * math.sqrt(1.0 - _PHI * _PHI)
-    samples[:, 1] = rng_noise.normal(0.0, eps_sd, n_samples) if cfg.noise_sd > 0 else 0.0
-    level = rng_noise.normal(0.0, cfg.noise_sd) if cfg.noise_sd > 0 else 0.0
+    samples[:, 1] = rng_noise.normal(0.0, eps_sd, n_samples)
+    level = rng_noise.normal(0.0, cfg.noise_sd)
     meal_idx = np.array(meal_minutes, dtype=np.int64) // SAMPLING_PERIOD_MIN
     return _Lane(pidx, dm_type, samples, level, meal_idx, ref_jitter)
 

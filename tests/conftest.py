@@ -1,12 +1,15 @@
-"""Shared fixtures: hand-built series with known peaks, rates, and labels."""
+"""Shared fixtures: hand-built series with known peaks, rates, and labels,
+and synthetic cohort shapes with some constants overridden."""
 
 import math
+import typing
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from hypoalarm import PatientSeries, PipelineConfig, build_instances
+from hypoalarm import PatientSeries, PipelineConfig, SynthConfig, build_instances
+from hypoalarm.cart import finite_number
 from oracle_utils import minutes
 
 
@@ -40,6 +43,53 @@ def outcome(call, *args, **kwargs):
         return call(*args, **kwargs)
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
+
+
+# the shape constants of SynthConfig and the type each is declared with
+SHAPE_CONSTANTS = {name: typing.get_args(kind)[0]
+                   for name, kind in typing.get_type_hints(SynthConfig).items()
+                   if typing.get_origin(kind) is typing.ClassVar}
+
+
+def shape_violations(cfg) -> list[str]:
+    """The invariants of a synthetic cohort's shape that `cfg` breaks."""
+    value = {name: getattr(cfg, name) for name in SHAPE_CONSTANTS}
+    broken = [name for name, kind in SHAPE_CONSTANTS.items()
+              if not (type(value[name]) is int if kind is int else finite_number(value[name]))]
+    if broken:
+        return broken
+    broken += [name for name in value if "rate" in name and not value[name] > 0]
+    broken += [name for name in value if name.endswith("_sd") and not value[name] >= 0]
+    broken += [f"{name[:-4]}_min <= {name}" for name in value
+               if name.endswith("_max") and not value[name[:-4] + "_min"] <= value[name]]
+    broken += [name for name in ("hypo_pressure", "missing_prob") if not 0 <= value[name] <= 1]
+    checks = {
+        # 2.55/15 is the rate at which 6.45 mmol/L could reach 3.9 in 15 min
+        "max_drop_rate < 2.55/15": cfg.max_drop_rate < 2.55 / 15,
+        "dip_fall_rate_max < max_drop_rate": cfg.dip_fall_rate_max < cfg.max_drop_rate,
+        "noise_clip >= 0": cfg.noise_clip >= 0,
+        "0 < bg_floor < bg_ceil": 0 < cfg.bg_floor < cfg.bg_ceil,
+        # three meal slots: breakfast, lunch, dinner
+        "1 <= meals_per_day_min <= meals_per_day_max <= 3":
+            1 <= cfg.meals_per_day_min <= cfg.meals_per_day_max <= 3,
+        "days_min >= 1": cfg.days_min >= 1,
+    }
+    return broken + [check for check, holds in checks.items() if not holds]
+
+
+def shaped(**constants) -> type[SynthConfig]:
+    """A `SynthConfig` subclass with the named shape constants overridden.
+
+    A name that is not a shape constant is a `TypeError`, and a shape that
+    breaks an invariant of `shape_violations` a `ValueError`.
+    """
+    unknown = sorted(set(constants) - set(SHAPE_CONSTANTS))
+    if unknown:
+        raise TypeError(f"not SynthConfig shape constants: {unknown}")
+    cls = type("ShapedSynthConfig", (SynthConfig,), constants)
+    if broken := shape_violations(cls):
+        raise ValueError(f"shape breaks {broken}")
+    return cls
 
 
 def series_from_anchors(anchors, meals=None, missing=None, start="7:02", end="22:57",

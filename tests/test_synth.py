@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypoalarm import build_instances, series_to_csv
 from hypoalarm.cgm_data import SAMPLING_PERIOD_MIN
 from hypoalarm.synth import SynthConfig, generate_cohort
 
+from conftest import SHAPE_CONSTANTS, shape_violations, shaped
 from oracle_utils import loop_generate_cohort
 
 
@@ -22,22 +24,45 @@ class TestConfig:
         with pytest.raises(ValueError, match="degenerate"):
             SynthConfig(n_patients=0)
 
-    def test_zero_days_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            SynthConfig(days_min=0, days_max=0)
-
-    def test_drop_rate_must_leave_high_bg_safe(self):
-        # 2.55/15 is the rate at which 6.45 could reach 3.9 in 15 min
-        with pytest.raises(ValueError):
-            SynthConfig(max_drop_rate=0.18)
-
-    def test_bad_probability_rejected(self):
-        with pytest.raises(ValueError):
-            SynthConfig(hypo_pressure=1.5)
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             SynthConfig(seed=-1)
+
+    def test_only_size_and_seed_can_be_set(self):
+        assert [f.name for f in fields(SynthConfig)] == ["n_patients", "seed"]
+        assert len(SHAPE_CONSTANTS) == 30
+        for name in SHAPE_CONSTANTS:
+            with pytest.raises(TypeError, match=f"'{name}'$"):
+                SynthConfig(**{name: getattr(SynthConfig, name)})
+
+    def test_default_shape_keeps_its_invariants(self):
+        assert shape_violations(SynthConfig) == []
+        # the clamp keeps a reading at or above 6.45 mmol/L from reaching
+        # 3.9 within the 15-min lead time: 2.55/15 is that fall's rate
+        assert SynthConfig.max_drop_rate < 2.55 / 15
+
+    @pytest.mark.parametrize("constants, broken", [
+        ({"days_min": 0, "days_max": 0}, "days_min >= 1"),
+        ({"max_drop_rate": 0.18}, "max_drop_rate < 2.55/15"),
+        ({"hypo_pressure": 1.5}, "hypo_pressure"),
+        ({"meals_per_day_max": 2.5}, "meals_per_day_max"),
+        ({"baseline_min": math.nan}, "baseline_min"),
+        ({"rise_max": 10**400}, "rise_max"),
+        ({"noise_sd": True}, "noise_sd"),
+        ({"max_rise_rate": -1.0}, "max_rise_rate"),
+        ({"peak_delay_sd": -1.0}, "peak_delay_sd"),
+        ({"nadir_delay_min": 230.0}, "nadir_delay_min <= nadir_delay_max"),
+    ])
+    def test_shaped_refuses_a_broken_shape(self, constants, broken):
+        with pytest.raises(ValueError) as info:
+            shaped(**constants)
+        assert broken in str(info.value)
+
+    def test_shaped_refuses_a_name_that_is_no_constant(self):
+        with pytest.raises(TypeError, match="bg_flor"):
+            shaped(bg_flor=1.0)
+        with pytest.raises(TypeError, match="seed"):
+            shaped(seed=1)
 
 
 class TestDeterminism:
@@ -89,15 +114,15 @@ class TestLoopOracle:
         for n in (1, 33, 330):
             assert_same_cohort(generate_cohort(SynthConfig(n_patients=n, seed=seed)), oracle[:n])
 
-    @pytest.mark.parametrize("fields, biting", [
+    @pytest.mark.parametrize("constants, biting", [
         ({"bg_floor": 7.0, "bg_ceil": 9.0}, ("floor", "ceil")),
         ({"noise_sd": 1.0, "noise_clip": 3.0, "max_drop_rate": 0.05, "dip_fall_rate_max": 0.049},
          ("drop", "rise")),
         ({"noise_sd": 0.0}, ()),
         ({"days_min": 1, "days_max": 5}, ()),
     ])
-    def test_stressed_shapes(self, fields, biting):
-        cfg = SynthConfig(n_patients=33, seed=7, **fields)
+    def test_stressed_shapes(self, constants, biting):
+        cfg = shaped(**constants)(n_patients=33, seed=7)
         cohort = generate_cohort(cfg)
         assert_same_cohort(cohort, loop_generate_cohort(cfg))
         hits = clamp_hits(cfg, cohort)
@@ -107,7 +132,7 @@ class TestLoopOracle:
 
 class TestSignalShape:
     def test_zero_pressure_means_zero_alarms(self):
-        instances = cohort_instances(SynthConfig(n_patients=8, seed=2, hypo_pressure=0.0))
+        instances = cohort_instances(shaped(hypo_pressure=0.0)(n_patients=8, seed=2))
         assert instances
         assert sum(inst.label for inst in instances) == 0
 
@@ -129,14 +154,14 @@ class TestSignalShape:
             assert all(m in stamps for m in series.meal_times.tolist())
 
     def test_missing_samples_exist_but_rows_are_kept(self):
-        cohort = generate_cohort(SynthConfig(n_patients=5, seed=6, missing_prob=0.05))
+        cohort = generate_cohort(shaped(missing_prob=0.05)(n_patients=5, seed=6))
         assert any(series.missing_count > 0 for series in cohort)
 
     def test_prevalence_monotone_in_pressure(self):
         for seed in (0, 1):
             rates = []
             for pressure in (0.05, 0.15, 0.30):
-                cfg = SynthConfig(n_patients=10, seed=seed, hypo_pressure=pressure)
+                cfg = shaped(hypo_pressure=pressure)(n_patients=10, seed=seed)
                 instances = cohort_instances(cfg)
                 rates.append(sum(i.label for i in instances) / len(instances))
             assert rates[0] <= rates[1] <= rates[2]
