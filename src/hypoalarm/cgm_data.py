@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, repeat
 from typing import ClassVar
 
 import numpy as np
@@ -194,58 +194,111 @@ def _bg_column(cells: list, missing_cell: str, unit: str) -> tuple[np.ndarray, n
     return value, bad
 
 
-def csv_rows(text: str) -> list[list[str]]:
-    """The `csv.reader` rows of `text`, any of CRLF, CR and LF ending a row; a
-    row it refuses (a cell over its field size limit) is a data error."""
+def csv_table(columns, rows) -> str:
+    """CSV text of a header and rows (sequences of string cells): minimal
+    quoting, LF line endings, and every cell of a row that holds a CR quoted.
+
+    A table with nothing to quote is joined directly: every cell a `str`,
+    none holding a comma, quote, CR, LF or NUL, and no row empty or a single
+    empty cell (which `csv.writer` writes as ``""``). Any other goes through
+    `csv.writer`; its rows are written again one at a time only when their
+    text holds a CR.
+    """
+    rows = [columns, *rows]
+    try:
+        lines = list(map(",".join, rows))
+        text = "\n".join(lines)
+        plain = ("" not in lines and not any(c in text for c in '"\r\0')
+                 and text.count("\n") == len(rows) - 1
+                 and text.count(",") == sum(map(len, rows)) - len(rows))
+    except TypeError:  # a cell that is no str
+        plain = False
+    if plain:
+        return text + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    body_start = buf.tell()
+    writer.writerows(rows[1:])
+    if "\r" in buf.getvalue():
+        # the minimal writer leaves a "\r" unquoted, where a reader would end the row
+        quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        buf.seek(body_start)
+        buf.truncate()
+        for row in rows[1:]:
+            (quote_all if "\r" in "".join(row) else writer).writerow(row)
+    return buf.getvalue()
+
+
+def _row_widths(lines: str) -> tuple[np.ndarray, bool] | None:
+    """Cells per row of quote-free `lines`, each row ended by a LF, and
+    whether a cell is empty, from one scan of its UTF-8 bytes; None when a
+    cell may be over `csv.field_size_limit()`, which `csv.reader` refuses."""
+    data = np.frombuffer(lines.encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.flatnonzero((data == 10) | (data == 44))  # each cell's closing "\n" or ","
+    spans = np.diff(ends, prepend=-1)  # UTF-8 length + 1; a cell has no more characters than bytes
+    if (spans > csv.field_size_limit() + 1).any():
+        return None
+    return np.diff(np.flatnonzero(data[ends] == 10), prepend=-1), bool((spans == 1).any())
+
+
+def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool, bool]:
+    """Header cells, body cells in row order, each body row's cell count,
+    whether a cell may need stripping, and whether one may be blank once
+    stripped.
+
+    A row ends at CRLF, CR or LF, as for `csv.reader`. Text that `csv.reader`
+    reads otherwise than a plain split is read by it: text holding a quote,
+    where a cell may span commas and line ends, a NUL, or a cell over its
+    field size limit; a row it refuses is a data error.
+    """
+    if '"' not in text and "\0" not in text:
+        lines = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+        if not lines.endswith("\n"):
+            lines += "\n"
+        if (counted := _row_widths(lines)) is not None:
+            widths, empty = counted
+            header, _, body = lines.partition("\n")
+            cells = body.replace("\n", ",").split(",")
+            cells.pop()  # the empty cell after the last row's "\n"
+            padded = (any(c in lines for c in _ASCII_INNER_SPACE) if lines.isascii()
+                      else _INNER_SPACE.search(lines) is not None)
+            return header.split(","), cells, widths[1:], padded, padded or empty
     rows = []
     try:
         rows.extend(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise DataValidationError(str(exc), row=len(rows) + 1) from None
-    return rows
+    body = rows[1:]
+    widths = np.fromiter(map(len, body), np.intp, len(body))
+    return (rows[0] if rows else []), list(chain.from_iterable(body)), widths, True, True
 
 
-def csv_table(columns, rows) -> str:
-    """CSV text of a header and rows of string cells: minimal quoting, LF
-    line endings, and every cell of a row that holds a CR quoted; the rows
-    are written again one at a time only when their text holds a CR."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    body_start, rows = buf.tell(), list(rows)
-    writer.writerows(rows)
-    if "\r" in buf.getvalue():
-        # the minimal writer leaves a "\r" unquoted, where `csv_rows` would end the row
-        quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        buf.seek(body_start)
-        buf.truncate()
-        for row in rows:
-            (quote_all if "\r" in "".join(row) else writer).writerow(row)
-    return buf.getvalue()
+def csv_cells(text: str, width: int,
+              strip: bool = False) -> tuple[list, list, np.ndarray, tuple[int, int] | None]:
+    """A CSV table's cells, its body read up to the first row that is not
+    `width` cells wide, rows whose cells are all blank skipped.
 
-
-def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool]:
-    """Header cells, body cells in row order, each body row's cell count,
-    and whether a cell may need stripping.
-
-    A row ends at CRLF, CR or LF, as for `csv.reader`, which splits only
-    text holding a quote, where a cell may span commas and line ends.
+    Returns the header cells; the cells of the rows read, in row order and
+    stripped if `strip`; the 1-based line number of each row read; and the
+    first misshapen row's line number and width, None when there is none.
     """
-    if '"' in text:
-        rows = csv_rows(text)
-        body = rows[1:]
-        widths = np.fromiter(map(len, body), np.intp, len(body))
-        return (rows[0] if rows else []), list(chain.from_iterable(body)), widths, True
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    header, *body = text.split("\n")  # not str.splitlines, which also splits at \v, \x85, ...
-    if body and not body[-1]:  # the empty row after the final line end
-        body.pop()
-    widths = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body)) + 1
-    cells = ",".join(body).split(",") if body else []
-    padded = (any(c in text for c in _ASCII_INNER_SPACE) if text.isascii()
-              else _INNER_SPACE.search(text) is not None)
-    return header.split(","), cells, widths, padded
+    header, cells, widths, padded, blank = _split_cells(text)
+    stripped = list(map(str.strip, cells)) if padded else cells
+    if strip:
+        cells = stripped
+    lines = np.arange(2, len(widths) + 2)
+    if blank and ("" in stripped or not widths.all()):  # drop rows whose cells are all blank
+        filled = np.concatenate(([0], np.cumsum(np.array(stripped, dtype=object).astype(bool))))
+        ends = np.cumsum(widths)
+        keep = filled[ends] > filled[ends - widths]
+        cells = list(compress(cells, np.repeat(keep, widths)))
+        widths, lines = widths[keep], lines[keep]
+    short = np.flatnonzero(widths != width)
+    if not len(short):
+        return header, cells, lines, None
+    k = short[0]
+    return header, cells[:width * k], lines[:k], (int(lines[k]), int(widths[k]))
 
 
 def parse_cgm_file(text: str, patient_id: str = "unknown", dm_type: str = "other",
@@ -254,26 +307,15 @@ def parse_cgm_file(text: str, patient_id: str = "unknown", dm_type: str = "other
 
     Malformed rows are rejected with their 1-based line number; `unit="mg"`
     converts both BG columns from mg/dL on the way in. Cells may be CSV-quoted.
+    The rows before the first misshapen one are checked first.
     """
     if unit not in ("mmol", "mg"):
         raise ValueError(f"unknown unit {unit!r}, expected 'mmol' or 'mg'")
 
-    header, cells, widths, padded = _split_cells(text)
+    header, cells, lines, misshapen = csv_cells(text, 5, strip=True)
     if tuple(map(str.strip, header)) != CSV_COLUMNS:
         raise DataValidationError(
             f"expected header {','.join(CSV_COLUMNS)!r}", row=1)
-    if padded:
-        cells = list(map(str.strip, cells))
-    lines = np.arange(2, len(widths) + 2)
-    if "" in cells or not widths.all():  # drop rows whose cells are all blank
-        filled = np.concatenate(([0], np.cumsum(np.array(cells, dtype=object).astype(bool))))
-        ends = np.cumsum(widths)
-        keep = filled[ends] > filled[ends - widths]
-        cells = list(compress(cells, np.repeat(keep, widths)))
-        widths, lines = widths[keep], lines[keep]
-    short = np.flatnonzero(widths != 5)
-    if len(short):  # rows before the first misshapen one are checked first
-        cells = cells[:5 * short[0]]
 
     sample_col, date_col, time_col, meal_col, bg_col = (cells[i::5] for i in range(5))
     n = len(sample_col)
@@ -282,8 +324,8 @@ def parse_cgm_file(text: str, patient_id: str = "unknown", dm_type: str = "other
     if "" in sample_col or not (digits.isascii() and digits.isdigit()):
         bad_sample = ~(np.fromiter(map(str.isascii, sample_col), bool, n)
                        & np.fromiter(map(str.isdigit, sample_col), bool, n))
-    day_starts = {cell: _day_start(cell) for cell in set(date_col)}
-    minute = (np.fromiter(map(day_starts.__getitem__, date_col), float, n)
+    runs = [(cell, len(list(run))) for cell, run in groupby(date_col)]  # a run per day
+    minute = (np.repeat([_day_start(cell) for cell, _ in runs], [k for _, k in runs])
               + np.fromiter(map(_DAY_MINUTES.get, time_col, repeat(math.nan)), float, n))
     bad_order = np.zeros(n, bool)
     bad_order[1:] = ~(np.diff(minute) > 0)
@@ -301,9 +343,9 @@ def parse_cgm_file(text: str, patient_id: str = "unknown", dm_type: str = "other
                    f"Meal must be a number in (0, {BG_MAX}] mmol/L, got {meal_col[i]!r}",
                    f"SensorBG must be a number in (0, {BG_MAX}] mmol/L, got {bg_col[i]!r}")
         raise DataValidationError(message[check], row=int(lines[i]))
-    if len(short):
-        k = short[0]
-        raise DataValidationError(f"expected 5 columns, got {widths[k]}", row=int(lines[k]))
+    if misshapen:
+        line, width = misshapen
+        raise DataValidationError(f"expected 5 columns, got {width}", row=line)
     return PatientSeries(patient_id=patient_id, samples=np.column_stack((minute, bg, meal_ref)),
                          dm_type=dm_type)
 

@@ -9,11 +9,10 @@ when any reading 15/20/25 min after t is at or under the alarm threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import datetime, time, timedelta
 from itertools import chain, repeat
-from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .cgm_data import (
     DataValidationError,
     PatientSeries,
     PipelineConfig,
-    csv_rows,
+    csv_cells,
     csv_table,
     label_hypoglycemia,
 )
@@ -37,10 +36,10 @@ FEATURE_COLUMNS = ("patient_id", "meal_time", "peak_time", "peak_value",
                    "decision_time", "x_t", "rate", "ph_min_bg", "label")
 
 
-@dataclass(frozen=True)
-class DecisionInstance:
+class DecisionInstance(NamedTuple):
     """One alarm decision: the two predictors, the label, and audit fields.
-    Times are minutes since `EPOCH`."""
+    Times are minutes since `EPOCH`. A tuple: immutable, and equal to a
+    plain tuple of the same values."""
 
     patient_id: str
     meal_time: float
@@ -151,13 +150,14 @@ def _stamp_cells(times) -> list[str]:
 def write_feature_csv(instances, stream) -> None:
     """One instance per row to a text stream, full float precision, LF line
     endings; the cells are built a column at a time."""
-    columns = list(zip(*map(attrgetter(*FEATURE_COLUMNS), instances))) or [()] * 9
-    n = len(columns[0])
-    stamps = _stamp_cells(chain(columns[1], columns[2], columns[4]))
-    values = [map(repr, map(float, columns[k])) for k in (3, 5, 6, 7)]
+    patient_id, meal, peak, peak_value, decision, x_t, rate, label, ph_min_bg = (
+        list(zip(*instances)) or [()] * 9)
+    n = len(patient_id)
+    stamps = _stamp_cells(chain(meal, peak, decision))
+    values = [map(repr, map(float, column)) for column in (peak_value, x_t, rate, ph_min_bg)]
     stream.write(csv_table(FEATURE_COLUMNS, zip(
-        columns[0], stamps[:n], stamps[n:2 * n], values[0], stamps[2 * n:], *values[1:],
-        map(str, map(int, columns[8])))))
+        patient_id, stamps[:n], stamps[n:2 * n], values[0], stamps[2 * n:], *values[1:],
+        map(str, map(int, label)))))
 
 
 def _finite(cell: str, column: str) -> float:
@@ -206,12 +206,10 @@ def read_feature_csv(source: str | Path) -> list[DecisionInstance]:
     """
     if isinstance(source, Path):
         source = source.read_bytes().decode()  # no newline translation: keeps a quoted "\r"
-    rows = csv_rows(source)
-    if not rows or tuple(c.strip() for c in rows[0]) != FEATURE_COLUMNS:
+    header, cells, lines, misshapen = csv_cells(source, 9)
+    if tuple(c.strip() for c in header) != FEATURE_COLUMNS:
         raise DataValidationError(f"expected header {','.join(FEATURE_COLUMNS)!r}", row=1)
-    body = [(line, row) for line, row in enumerate(rows[1:], start=2) if "".join(row).strip()]
-    cut = next((k for k, (_, row) in enumerate(body) if len(row) != 9), len(body))
-    columns = list(zip(*(row for _, row in body[:cut]))) or [()] * 9
+    columns = [cells[k::9] for k in range(9)]
     try:
         labels = list(map(int, columns[8]))
         values = [list(map(float, columns[k])) for k in (3, 5, 6, 7)]
@@ -219,15 +217,16 @@ def read_feature_csv(source: str | Path) -> list[DecisionInstance]:
             raise ValueError("a label or value out of range")
         times = _time_column(chain(columns[1], columns[2], columns[4]))
     except ValueError:
-        for line, row in body[:cut]:
+        for k, line in enumerate(lines.tolist()):
             try:
-                _row_instance(row)
+                _row_instance(cells[9 * k:9 * k + 9])
             except ValueError as exc:
                 raise DataValidationError(str(exc), row=line) from exc
         raise RuntimeError("a feature column failed to convert, but none of its rows") from None
-    if cut < len(body):
-        line, row = body[cut]
-        raise DataValidationError(f"expected 9 columns, got {len(row)}", row=line)
-    meal, peak, decision = times[:cut], times[cut:2 * cut], times[2 * cut:]
+    if misshapen:
+        line, width = misshapen
+        raise DataValidationError(f"expected 9 columns, got {width}", row=line)
+    n = len(labels)
+    meal, peak, decision = times[:n], times[n:2 * n], times[2 * n:]
     return list(map(DecisionInstance, columns[0], meal, peak, values[0], decision, *values[1:3],
                     labels, values[3]))

@@ -456,14 +456,22 @@ def loop_parse_cgm_file(text, patient_id="unknown", dm_type="other", unit="mmol"
 TS_FORMAT = "%Y-%m-%dT%H:%M"  # feature-table time cells
 
 
-def loop_write_feature_csv(instances, stream):
-    """`write_feature_csv` one row at a time: each time cell through
-    `strftime`, minimal quoting, and every cell of a row that holds a CR
-    quoted."""
+def loop_csv_table(columns, rows):
+    """`csv_table` through `csv.writer` one row at a time: minimal quoting,
+    LF line ends, and every cell of a row that holds a CR quoted."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(FEATURE_COLUMNS)
+    writer.writerow(columns)
+    for row in rows:
+        (quote_all if "\r" in "".join(row) else writer).writerow(row)
+    return buf.getvalue()
+
+
+def loop_write_feature_csv(instances, stream):
+    """`write_feature_csv` one row at a time: each time cell through
+    `strftime`, and the table through `loop_csv_table`."""
+    rows = []
     for inst in instances:
         row = [inst.patient_id]
         for name in FEATURE_COLUMNS[1:]:
@@ -472,8 +480,8 @@ def loop_write_feature_csv(instances, stream):
                 row.append((EPOCH + timedelta(minutes=value)).strftime(TS_FORMAT))
             else:
                 row.append(str(int(value)) if name == "label" else repr(float(value)))
-        (quote_all if "\r" in "".join(row) else writer).writerow(row)
-    stream.write(buf.getvalue())
+        rows.append(row)
+    stream.write(loop_csv_table(FEATURE_COLUMNS, rows))
 
 
 def loop_feature_time(cell):

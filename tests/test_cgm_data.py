@@ -1,10 +1,14 @@
+import csv
 import dataclasses
+import io
 import math
 import random
 from datetime import datetime, time, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypoalarm import (
     DataValidationError,
@@ -14,7 +18,7 @@ from hypoalarm import (
     parse_cgm_file,
     series_to_csv,
 )
-from hypoalarm.cgm_data import MG_PER_DL_PER_MMOL_L
+from hypoalarm.cgm_data import MG_PER_DL_PER_MMOL_L, _split_cells
 from hypoalarm.features import _snap
 from hypoalarm.synth import SynthConfig, generate_cohort
 
@@ -116,6 +120,14 @@ class TestParse:
     def test_bad_header_rejected(self):
         with pytest.raises(DataValidationError, match="header"):
             parse_cgm_file("a,b,c,d,e\n0,7.Sep.15,9:22,.,11.8\n")
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    def test_oversized_cell_is_a_data_error(self, quote):
+        cell = quote + "1" * 200_000 + quote
+        text = make_csv("0,7.Sep.15,9:22,.,11.8", f"1,7.Sep.15,9:27,.,{cell}")
+        with pytest.raises(DataValidationError,
+                           match=r"^row 3: field larger than field limit \(131072\)$"):
+            parse_cgm_file(text)
 
     def test_round_trip_identity(self):
         series = parse_cgm_file(make_csv(
@@ -254,6 +266,45 @@ class TestParseMatchesLoop:
         assert_parsers_agree(text)
 
 
+def split_rows(text):
+    """The rows `_split_cells` reads, the header first, or its error message."""
+    try:
+        header, cells, widths, padded, blank = _split_cells(text)
+    except DataValidationError as exc:
+        return str(exc)
+    ends = np.cumsum(widths).tolist()
+    rows = [header, *(cells[end - width:end] for end, width in zip(ends, widths.tolist()))]
+    assert padded or all(cell == cell.strip() for row in rows for cell in row)
+    assert blank or all(cell.strip() for row in rows for cell in row)
+    if not text:  # no row for `csv.reader`, one empty header row for the split
+        assert rows == [[""]]
+        return []
+    return rows
+
+
+def reader_rows(text):
+    """The `csv.reader` rows of `text`, or its error as `parse_cgm_file` words it."""
+    rows = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        return f"row {len(rows) + 1}: {exc}"
+    return rows
+
+
+def empty_as_blank(rows):
+    """`rows` with each empty row as one empty cell: `csv.reader` reads an
+    empty line as [], the split as [""], and both are blank rows."""
+    return rows if isinstance(rows, str) else [row or [""] for row in rows]
+
+
+# text dense in what `csv.reader` treats apart: delimiter, quote, line ends, NUL
+CSV_TEXT = (st.text('a,"\r\n\0 ')
+            | st.builds(lambda rows, end, final: end.join(rows) + end * final,
+                        st.lists(st.text('a,"\0 ', max_size=5), max_size=6),
+                        st.sampled_from(("\n", "\r\n", "\r")), st.booleans()))
+
+
 class TestLineEnds:
     """The same rows with each kind of line end, a blank last line and a
     whitespace-only row in the middle parse as the row-at-a-time oracle does."""
@@ -276,6 +327,11 @@ class TestLineEnds:
             assert_parsers_agree(text)
             if bad is None:
                 assert len(parse_cgm_file(text).samples) == 12
+
+    @settings(max_examples=400, deadline=None)
+    @given(CSV_TEXT)
+    def test_split_rows_match_csv_reader(self, text):
+        assert empty_as_blank(split_rows(text)) == empty_as_blank(reader_rows(text))
 
 
 def parsed_bg(cells, unit):

@@ -121,6 +121,14 @@ class TestIngest:
         assert capsys.readouterr().err.splitlines() == [
             "error[data]: row 2: field larger than field limit (131072)"]
 
+    def test_oversized_unquoted_cell_is_a_data_error(self, tmp_path, capsys):
+        record = tmp_path / "big.csv"
+        record.write_text("Sample#,Date,Time,Meal,SensorBG\n0,7.Sep.15,9:22,.,5.0\n"
+                          "1,7.Sep.15,9:27,.," + "1" * 200_000 + "\n")
+        assert main(["ingest", "--in", str(record)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error[data]: row 3: field larger than field limit (131072)"]
+
 
 class TestFeatures:
     def test_table_written(self, features_csv):
@@ -224,7 +232,8 @@ class TestTrain:
     @pytest.mark.parametrize("column,cell,error", [
         (0, '"' + "p" * 200_000 + '"', "field larger than field limit (131072)"),
         (7, "nan", "ph_min_bg must be a finite number, got 'nan'"),
-    ], ids=["oversized_cell", "non_finite_cell"])
+        (0, "p" * 200_000, "field larger than field limit (131072)"),
+    ], ids=["oversized_cell", "non_finite_cell", "oversized_unquoted_cell"])
     def test_bad_first_row_is_a_data_error(self, tmp_path, features_csv, capsys,
                                            column, cell, error):
         header, first, rest = features_csv.read_text().split("\n", 2)

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 from datetime import timedelta
@@ -35,7 +34,7 @@ from conftest import (
     ts,
     ts_minutes,
 )
-from oracle_utils import EPOCH, loop_read_feature_csv, loop_write_feature_csv
+from oracle_utils import EPOCH, loop_csv_table, loop_read_feature_csv, loop_write_feature_csv
 
 
 def peaks(series):
@@ -293,7 +292,7 @@ class TestFeatureCsv:
     @pytest.mark.parametrize("column", ["peak_value", "x_t", "rate", "ph_min_bg"])
     def test_non_finite_cell_rejected_on_its_row(self, worked_series, column, value):
         instances = build_instances(worked_series)
-        instances[1] = dataclasses.replace(instances[1], **{column: value})
+        instances[1] = instances[1]._replace(**{column: value})
         buf = io.StringIO()
         write_feature_csv(instances, buf)
         with pytest.raises(DataValidationError,
@@ -311,6 +310,44 @@ class TestFeatureCsv:
         with pytest.raises(DataValidationError,
                            match=r"^row 2: field larger than field limit \(131072\)$"):
             read_feature_csv(text)
+
+    def test_oversized_unquoted_cell_is_a_data_error(self, worked_series):
+        buf = io.StringIO()
+        write_feature_csv(build_instances(worked_series), buf)
+        header, first, rest = buf.getvalue().split("\n", 2)
+        text = "\n".join((header, first, "p" * 200_000 + "," + ",".join("1" * 8), rest))
+        with pytest.raises(DataValidationError,
+                           match=r"^row 3: field larger than field limit \(131072\)$"):
+            read_feature_csv(text)
+
+    @pytest.mark.parametrize("char", ["p", "\u00e9"], ids=["ascii", "two_byte"])
+    def test_cell_at_the_field_limit_is_read_and_one_past_it_is_not(self, worked_series, char):
+        limit = csv.field_size_limit()
+        instances = build_instances(worked_series)[:2]
+        for length in (limit, limit + 1):
+            wide = [instances[0], instances[1]._replace(patient_id=char * length)]
+            buf = io.StringIO()
+            write_feature_csv(wide, buf)
+            assert outcome(read_feature_csv, buf.getvalue()) == (
+                wide if length == limit
+                else (DataValidationError, f"row 3: field larger than field limit ({limit})"))
+
+
+class TestDecisionInstance:
+    def test_fields_keep_their_order(self):
+        assert DecisionInstance._fields == ("patient_id", "meal_time", "peak_time", "peak_value",
+                                            "decision_time", "x_t", "rate", "label", "ph_min_bg")
+
+    @pytest.mark.parametrize("name", [*DecisionInstance._fields, "other"])
+    def test_assigning_a_field_raises(self, worked_series, name):
+        inst = build_instances(worked_series)[0]
+        with pytest.raises(AttributeError):
+            setattr(inst, name, 1.0)
+
+    def test_equal_to_a_plain_tuple_of_its_values(self, worked_series):
+        inst = build_instances(worked_series)[0]
+        assert inst == tuple(getattr(inst, name) for name in DecisionInstance._fields)
+        assert inst != inst._replace(x_t=inst.x_t + 1.0)
 
 
 def written(write, instances):
@@ -339,6 +376,10 @@ ODD_CELLS = {
 }
 COLUMN_KINDS = ("id", "time", "time", "value", "time", "value", "value", "value", "label")
 BLANK_ROWS = ([], [""], ["  "], [" "] * 9, ["", "\t", "\u3000"])
+
+
+# table rows dense in what `csv.writer` quotes, with empty cells and one-cell rows
+TABLE_ROW = st.lists(st.text(',"\r\na ', max_size=3), max_size=4)
 
 
 @st.composite
@@ -389,9 +430,14 @@ class TestFeatureCsvMatchesLoop:
     @pytest.mark.parametrize("column", ["meal_time", "peak_time", "decision_time"])
     def test_an_unwritable_time_raises_as_in_the_loop(self, worked_series, column, time):
         instances = build_instances(worked_series)
-        instances[2] = dataclasses.replace(instances[2], **{column: time})
+        instances[2] = instances[2]._replace(**{column: time})
         assert written(write_feature_csv, instances)[0] in (ValueError, OverflowError)
         assert written(write_feature_csv, instances) == written(loop_write_feature_csv, instances)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TABLE_ROW, st.lists(TABLE_ROW | st.just([""]), max_size=6))
+    def test_table_bytes_match_the_csv_writer(self, columns, rows):
+        assert csv_table(columns, rows) == loop_csv_table(columns, rows)
 
     @settings(max_examples=300, deadline=None)
     @given(feature_tables())
