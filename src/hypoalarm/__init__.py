@@ -18,12 +18,12 @@ from .cart import (
     Split,
     TreeDocumentError,
     TreeNode,
+    alarms,
     format_tree,
     grow_tree,
     leaf_class,
     parse_tree,
     predict,
-    predict_batch,
     serialize_tree,
     tree_depth,
     weighted_gini,
@@ -40,18 +40,13 @@ from .cgm_data import (
 )
 from .evaluation import (
     ConfusionMatrix,
-    FoldPlan,
     PatientRow,
     PerformanceVector,
     RunEntry,
-    RunReport,
-    SeverityReport,
     SeverityRow,
     allocate_folds,
-    confusion,
     cross_validate,
     evaluate_per_patient,
-    f_upper_tail,
     instances_to_arrays,
     metrics,
     missed_event_analysis,
@@ -62,7 +57,6 @@ from .evaluation import (
 from .features import (
     DecisionInstance,
     build_instances,
-    rate_of_decrease,
     read_feature_csv,
     write_feature_csv,
 )

@@ -278,28 +278,28 @@ def tree_depth(node: TreeNode) -> int:
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
-def predict_batch(tree: TreeNode, X) -> np.ndarray:
-    """Class label of each row of `X` (columns x_t, rate): the row sets are
-    routed down the tree, one mask per split; `feature >= threshold` goes
-    right."""
+def alarms(tree: TreeNode, X) -> np.ndarray:
+    """Whether `tree` alarms (class H) on each row of `X` (columns x_t,
+    rate): the row sets are routed down the tree, one mask per split;
+    `feature >= threshold` goes right."""
     X = _checked_predictors(X)
-    labels = np.empty(X.shape[0], dtype="<U1")
-    _route(tree, X, np.arange(X.shape[0]), labels)
-    return labels
+    alarm = np.zeros(X.shape[0], dtype=bool)
+    _route(tree, X, np.arange(X.shape[0]), alarm)
+    return alarm
 
 
-def _route(node: TreeNode, X, rows, labels) -> None:
+def _route(node: TreeNode, X, rows, alarm) -> None:
     if isinstance(node, Leaf):
-        labels[rows] = node.label
+        alarm[rows] = node.label == CLASS_H
         return
     left = X[rows, FEATURES.index(node.feature)] < node.threshold
-    _route(node.left, X, rows[left], labels)
-    _route(node.right, X, rows[~left], labels)
+    _route(node.left, X, rows[left], alarm)
+    _route(node.right, X, rows[~left], alarm)
 
 
 def predict(tree: TreeNode, x_t: float, rate: float) -> str:
     """Class label of one instance."""
-    return str(predict_batch(tree, [[x_t, rate]])[0])
+    return CLASS_H if alarms(tree, [[x_t, rate]])[0] else CLASS_N
 
 
 def serialize_tree(tree: TreeNode) -> dict:

@@ -76,7 +76,7 @@ class _Files:
     def json(self, path):
         try:
             return json.loads(self.read(path))
-        except ValueError as exc:  # bad syntax or UTF-8, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, huge int, deep nesting
             raise DataValidationError(f"{path}: not valid JSON ({exc})") from None
 
     def write(self, path: Path, text: str) -> None:
@@ -276,6 +276,8 @@ def _cmd_evaluate(args, files: _Files) -> int:
         cfg = PipelineConfig(folds=args.k, allocations=args.allocations)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
 
     dm_types = {} if args.cohort is None else {
         pid: dm_type for pid, dm_type, _ in _read_cohort_json(files, args.cohort)}

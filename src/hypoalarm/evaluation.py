@@ -7,12 +7,12 @@ summary document that records them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 
 import numpy as np
 
-from .cart import CLASS_H, FEATURES, TreeNode, grow_tree, predict_batch, serialize_tree
+from .cart import FEATURES, TreeNode, alarms, grow_tree, serialize_tree
 from .cgm_data import SEVERE_THRESHOLD, PipelineConfig
 
 
@@ -69,6 +69,7 @@ class RunReport:
     fold_plans: tuple[FoldPlan, ...]
     runs: tuple[RunEntry, ...]
     aggregate: dict
+    alarms: np.ndarray = field(compare=False)  # [allocation, instance]: out-of-fold, read-only
 
 
 @dataclass(frozen=True)
@@ -99,18 +100,12 @@ class SeverityReport:
     total_severe: int
 
 
-def confusion(predictions, labels) -> ConfusionMatrix:
-    """Count (prediction, truth) pairs; predictions are "N"/"H", labels 0/1."""
-    if len(predictions) != len(labels):
-        raise ValueError("predictions and labels differ in length")
-    if len(predictions) == 0:
-        raise ValueError("nothing to score")
-    alarm = np.asarray(predictions) == CLASS_H
-    hypo = np.asarray(labels) == 1
-    tp = int(np.count_nonzero(alarm & hypo))
-    fp = int(np.count_nonzero(alarm)) - tp
-    fn = int(np.count_nonzero(hypo)) - tp
-    return ConfusionMatrix(tp, fn, fp, len(alarm) - tp - fn - fp)
+def _confusions(codes, k, alarm, hypo) -> list[ConfusionMatrix]:
+    """The confusion matrix of each group 0..k-1, from the group code,
+    alarm and hypo flag of each instance: one count over (code, alarm,
+    hypo) gives every group's cells."""
+    cells = np.bincount(codes * 4 + alarm * 2 + hypo, minlength=4 * k)
+    return [ConfusionMatrix(tp, fn, fp, tn) for tn, fn, fp, tp in cells.reshape(-1, 4).tolist()]
 
 
 def metrics(cm: ConfusionMatrix) -> PerformanceVector:
@@ -135,8 +130,10 @@ def allocate_folds(n: int, k: int, seed) -> FoldPlan:
 
 def _allocate(n: int, k: int, seed):
     # the FoldPlan of `allocate_folds` and its groups as index arrays
-    if k < 2 or n < k:
-        raise ValueError("need n >= k >= 2")
+    if k < 2:
+        raise ValueError(f"need at least 2 folds, got {k}")
+    if n < k:
+        raise ValueError(f"{n} instances cannot fill {k} folds")
     perm = np.random.default_rng(seed).permutation(n)
     base, extra = divmod(n, k)
     cuts = np.cumsum([base] * (k - extra) + [base + 1] * extra)[:-1]
@@ -164,7 +161,8 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
     the defined (non-None) per-run values. A training split holding a
     single class just grows a single-leaf tree. Both features are sorted
     once, and each fold's tree grows from that presort filtered to its
-    training rows.
+    training rows. Each tree's alarms on its held-out rows fill its
+    allocation's row of `alarms`, from which the runs are counted.
     """
     cfg = cfg or PipelineConfig()
     if not instances:
@@ -172,26 +170,33 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
     X, y = instances_to_arrays(instances)
     presort = np.argsort(X, axis=0).T
     n = len(instances)
+    alarm = np.empty((cfg.allocations, n), dtype=bool)
+    fold_of = np.empty(n, dtype=np.intp)
     plans = []
     runs = []
     for allocation in range(cfg.allocations):
         alloc_seed = seed + allocation
         plan, chunks = _allocate(n, cfg.folds, alloc_seed)
         plans.append(plan)
+        trees = []
         for fold, test in enumerate(chunks):
             train = np.ones(n, dtype=bool)
             train[test] = False
             order = presort[train[presort]].reshape(presort.shape[0], -1)
-            tree = grow_tree(X, y, cfg.costs, cfg.prune_depth, order=order)
-            cm = confusion(predict_batch(tree, X[test]), y[test])
-            runs.append(RunEntry(allocation, fold, alloc_seed, cm, metrics(cm), tree))
+            trees.append(grow_tree(X, y, cfg.costs, cfg.prune_depth, order=order))
+            alarm[allocation, test] = alarms(trees[-1], X[test])
+            fold_of[test] = fold
+        cms = _confusions(fold_of, cfg.folds, alarm[allocation], y == 1)
+        runs += [RunEntry(allocation, fold, alloc_seed, cm, metrics(cm), tree)
+                 for fold, (cm, tree) in enumerate(zip(cms, trees))]
+    alarm.flags.writeable = False
     aggregate = {
         name: _mean_defined([getattr(entry.vector, name) for entry in runs])
         for name in ("accuracy", "sensitivity", "specificity")
     }
     return RunReport(seed=seed, k=cfg.folds, allocations=cfg.allocations,
                      n_instances=n, fold_plans=tuple(plans), runs=tuple(runs),
-                     aggregate=aggregate)
+                     aggregate=aggregate, alarms=alarm)
 
 
 def select_best_run(report: RunReport) -> RunEntry:
@@ -211,22 +216,20 @@ def _score_patients(tree: TreeNode, instances):
     """The scoring pass of both patient reports: per patient in id order,
     its id, confusion matrix under `tree` and missed-event (false negative)
     indices in instance order. All instances are routed in one batch, and
-    one count over (patient, alarm, hypo) codes gives every patient's
-    confusion cells."""
+    `_confusions` counts every patient's cells at once, patients as codes."""
     X, y = instances_to_arrays(instances)
-    alarm = predict_batch(tree, X) == CLASS_H
+    alarm = alarms(tree, X)
     hypo = y == 1
     ids = [inst.patient_id for inst in instances]
     names = sorted(set(ids))
     code_of = {pid: code for code, pid in enumerate(names)}
     codes = np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
-    cells = np.bincount(codes * 4 + alarm * 2 + hypo, minlength=4 * len(names))
     missed = np.flatnonzero(~alarm & hypo)
     missed = missed[np.argsort(codes[missed], kind="stable")].tolist()
     start = 0
-    for pid, (tn, fn, fp, tp) in zip(names, cells.reshape(-1, 4).tolist()):
-        yield pid, ConfusionMatrix(tp, fn, fp, tn), missed[start:start + fn]
-        start += fn
+    for pid, cm in zip(names, _confusions(codes, len(names), alarm, hypo)):
+        yield pid, cm, missed[start:start + cm.fn]
+        start += cm.fn
 
 
 def evaluate_per_patient(tree: TreeNode, instances, dm_types=None) -> list[PatientRow]:

@@ -260,6 +260,22 @@ def loop_predict(tree, x_t, rate):
     return node.label
 
 
+def loop_confusion(predictions, labels):
+    """`ConfusionMatrix` of "H"/"N" class labels against 0/1 truth labels,
+    counted one pair at a time."""
+    tp = fn = fp = tn = 0
+    for predicted, label in zip(predictions, labels, strict=True):
+        if predicted == "H" and label == 1:
+            tp += 1
+        elif label == 1:
+            fn += 1
+        elif predicted == "H":
+            fp += 1
+        else:
+            tn += 1
+    return ConfusionMatrix(tp, fn, fp, tn)
+
+
 def loop_score_patients(tree, instances):
     """The scoring pass of the patient reports by sort and group: per
     patient in id order, its id, `ConfusionMatrix` under `tree` and the

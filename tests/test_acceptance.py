@@ -18,7 +18,6 @@ from hypoalarm import (
     allocate_folds,
     build_instances,
     cross_validate,
-    f_upper_tail,
     grow_tree,
     leaf_class,
     metrics,
@@ -30,7 +29,7 @@ from hypoalarm import (
     weighted_gini,
 )
 from hypoalarm.cli import main
-from hypoalarm.evaluation import ConfusionMatrix
+from hypoalarm.evaluation import ConfusionMatrix, f_upper_tail
 from hypoalarm.features import DecisionInstance
 from hypoalarm.synth import SynthConfig, generate_cohort
 

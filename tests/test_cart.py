@@ -13,8 +13,8 @@ from hypoalarm import (
     grow_tree,
     leaf_class,
     parse_tree,
+    alarms,
     predict,
-    predict_batch,
     serialize_tree,
     tree_depth,
     weighted_gini,
@@ -563,31 +563,33 @@ def threshold_rows(tree):
     return np.array(rows).reshape(-1, 2)
 
 
-class TestPredictBatch:
+class TestAlarms:
     def test_matches_per_row_walk_on_random_trees(self):
         rng = np.random.default_rng(30)
         for case in range(40):
             X, y = random_dataset(rng, duplicates=bool(case % 2))
             tree = grow_tree(X, y, COSTS, None if case % 3 else 3)
             queries = np.vstack([X, random_dataset(rng, n=50)[0], threshold_rows(tree)])
-            got = predict_batch(tree, queries)
-            assert got.shape == (len(queries),)
-            assert list(got) == [loop_predict(tree, a, b) for a, b in queries]
-            assert [predict(tree, a, b) for a, b in queries[:10]] == list(got[:10])
+            got = alarms(tree, queries)
+            assert (got.dtype, got.shape) == (np.bool_, (len(queries),))
+            assert got.tolist() == [loop_predict(tree, a, b) == "H" for a, b in queries]
+            assert [predict(tree, a, b) for a, b in queries[:10]] == \
+                ["H" if alarm else "N" for alarm in got[:10]]
 
     def test_threshold_goes_right(self):
         tree = Split("x_t", 6.45, Leaf("H", 1, 10),
                      Split("rate", 0.05, Leaf("N", 5, 0), Leaf("H", 0, 5)))
         X = [[6.45, 0.05], [6.45, 0.049], [np.nextafter(6.45, 0.0), 0.05]]
-        assert list(predict_batch(tree, X)) == ["H", "N", "H"]
+        assert alarms(tree, X).tolist() == [True, False, True]
 
     def test_empty_rows(self):
         tree = Split("x_t", 6.45, Leaf("H", 1, 10), Leaf("N", 50, 0))
-        assert predict_batch(tree, np.empty((0, 2))).shape == (0,)
-        assert predict_batch(Leaf("N", 1, 0), np.empty((0, 2))).shape == (0,)
+        assert alarms(tree, np.empty((0, 2))).shape == (0,)
+        assert alarms(Leaf("N", 1, 0), np.empty((0, 2))).shape == (0,)
 
     def test_single_leaf_labels_every_row(self):
-        assert list(predict_batch(Leaf("H", 0, 1), [[12.0, -0.5], [3.0, 0.2]])) == ["H", "H"]
+        assert alarms(Leaf("H", 0, 1), [[12.0, -0.5], [3.0, 0.2]]).tolist() == [True, True]
+        assert alarms(Leaf("N", 1, 0), [[12.0, -0.5], [3.0, 0.2]]).tolist() == [False, False]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("col", [0, 1])
@@ -595,12 +597,12 @@ class TestPredictBatch:
         X = np.array([[5.0, 0.01], [6.0, 0.02], [7.0, 0.03]])
         X[1, col] = bad
         with pytest.raises(ValueError, match="predictors must be finite"):
-            predict_batch(Split("x_t", 6.45, Leaf("H", 1, 10), Leaf("N", 50, 0)), X)
+            alarms(Split("x_t", 6.45, Leaf("H", 1, 10), Leaf("N", 50, 0)), X)
 
     @pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 3)])
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="shape"):
-            predict_batch(Leaf("N", 1, 0), np.zeros(shape))
+            alarms(Leaf("N", 1, 0), np.zeros(shape))
 
 
 class TestSerialization:

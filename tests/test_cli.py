@@ -319,6 +319,25 @@ class TestEvaluate:
         assert code == 1
         assert "error[usage]" in capsys.readouterr().err
 
+    def test_usage_error_for_negative_seed(self, tmp_path, features_csv, capsys):
+        out = tmp_path / "r"
+        capsys.readouterr()
+        assert main(["evaluate", "--features", str(features_csv), "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error[usage]: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_fewer_instances_than_folds_is_a_data_error(self, tmp_path, capsys):
+        t0 = minutes(datetime(2015, 9, 7, 9, 0))
+        table = tmp_path / "three.csv"
+        with open(table, "w", newline="") as f:
+            write_feature_csv([DecisionInstance("p", t0, t0, 10.0, t0 + 5 * k, 8.0, 0.05, k % 2,
+                                                8.0) for k in range(3)], f)
+        out = tmp_path / "r"
+        assert main(["evaluate", "--features", str(table), "--k", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error[data]: 3 instances cannot fill 5 folds\n"
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, features_csv):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -605,7 +624,8 @@ JSON_INPUTS = {
 
 class TestJsonInputs:
     @pytest.mark.parametrize("argv", JSON_INPUTS.values(), ids=JSON_INPUTS.keys())
-    @pytest.mark.parametrize("text", [b'{"a": ', b'{"a": "\xff"}'], ids=["syntax", "utf8"])
+    @pytest.mark.parametrize("text", [b'{"a": ', b'{"a": "\xff"}', b"[" * 5000 + b"]" * 5000],
+                             ids=["syntax", "utf8", "deep"])
     def test_a_decode_error_names_the_file(self, tmp_path, features_csv, capsys, argv, text):
         bad = tmp_path / "bad" / "cohort.json"
         bad.parent.mkdir()

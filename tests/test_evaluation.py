@@ -10,25 +10,26 @@ from hypoalarm import (
     PerformanceVector,
     PipelineConfig,
     RunEntry,
-    RunReport,
     Split,
+    alarms,
     allocate_folds,
-    confusion,
     cross_validate,
     evaluate_per_patient,
-    f_upper_tail,
     grow_tree,
     instances_to_arrays,
     metrics,
     missed_event_analysis,
     one_way_anova,
+    predict,
     select_best_run,
 )
 from hypoalarm import evaluation
+from hypoalarm.evaluation import RunReport, _confusions, f_upper_tail
 from hypoalarm.features import DecisionInstance
 
 from conftest import ts_minutes
-from oracle_utils import f_upper_tail_by_quadrature, loop_predict, loop_score_patients
+from oracle_utils import (f_upper_tail_by_quadrature, loop_confusion, loop_predict,
+                          loop_score_patients)
 
 
 def make_instance(x_t, rate, label, patient_id="p00", ph_min_bg=None, minute=0):
@@ -46,39 +47,43 @@ def make_instance(x_t, rate, label, patient_id="p00", ph_min_bg=None, minute=0):
     )
 
 
-class TestConfusion:
+def one_group(alarm, labels):
+    """`_confusions` of a single group: "H"/"N" alarms against 0/1 labels."""
+    alarm = np.array(alarm) == "H"
+    return _confusions(np.zeros(alarm.size, dtype=np.intp), 1, alarm, np.array(labels) == 1)
+
+
+class TestConfusions:
     def test_direct_count(self):
-        cm = confusion(["H", "N", "H", "N"], [1, 1, 0, 0])
+        [cm] = one_group(["H", "N", "H", "N"], [1, 1, 0, 0])
         assert (cm.tp, cm.fn, cm.fp, cm.tn) == (1, 1, 1, 1)
 
     def test_all_correct(self):
-        cm = confusion(["H", "N", "N"], [1, 0, 0])
+        [cm] = one_group(["H", "N", "N"], [1, 0, 0])
         assert cm.fn == 0 and cm.fp == 0
 
     def test_one_of_five_events_caught(self):
         preds = ["H"] + ["N"] * 4
-        cm = confusion(preds, [1] * 5)
+        [cm] = one_group(preds, [1] * 5)
         assert cm.tp == 1 and cm.fn == 4
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            confusion(["H"], [1, 0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            confusion([], [])
-
-    def test_arrays_count_like_lists(self):
+    def test_groups_count_like_a_loop(self):
         rng = np.random.default_rng(4)
         for n in (1, 2, 7, 100):
-            preds = rng.choice(["H", "N"], size=n)
-            labels = rng.integers(0, 2, size=n)
-            pairs = list(zip(preds.tolist(), labels.tolist()))
-            expected = (pairs.count(("H", 1)), pairs.count(("N", 1)),
-                        pairs.count(("H", 0)), pairs.count(("N", 0)))
-            for p, y in ((preds, labels), (preds.tolist(), labels.tolist())):
-                cm = confusion(p, y)
-                assert (cm.tp, cm.fn, cm.fp, cm.tn) == expected
+            for k in (1, 3, 8):
+                codes = rng.integers(0, k, size=n)
+                preds = rng.choice(["H", "N"], size=n)
+                labels = rng.integers(0, 2, size=n)
+                got = _confusions(codes, k, preds == "H", labels == 1)
+                assert len(got) == k
+                for code, cm in enumerate(got):
+                    group = codes == code
+                    assert cm == loop_confusion(preds[group].tolist(), labels[group].tolist())
+
+    def test_a_group_without_instances_counts_zero(self):
+        got = _confusions(np.array([0, 2]), 4, np.array([True, False]), np.array([True, True]))
+        assert got == [ConfusionMatrix(1, 0, 0, 0), ConfusionMatrix(0, 0, 0, 0),
+                       ConfusionMatrix(0, 1, 0, 0), ConfusionMatrix(0, 0, 0, 0)]
 
 
 class TestMetrics:
@@ -174,6 +179,18 @@ def separable_instances(n=40, prefix="p"):
     return out
 
 
+def tie_heavy_instances(seed, n=120):
+    """Random instances whose predictors often repeat, -0.0 and 0.0 among them."""
+    rng = np.random.default_rng(seed)
+    return [make_instance(float(rng.choice([6.0, -0.0, 0.0, rng.uniform(3.0, 9.0)])),
+                          float(rng.choice([0.02, rng.uniform(-0.05, 0.1)])),
+                          int(rng.random() < 0.3), minute=i) for i in range(n)]
+
+
+CV_INSTANCES = {"separable": lambda: separable_instances(60),
+                "tie_heavy": lambda: tie_heavy_instances(4)}
+
+
 class TestCrossValidate:
     def test_twenty_runs(self):
         report = cross_validate(separable_instances(60), PipelineConfig(), seed=0)
@@ -208,10 +225,7 @@ class TestCrossValidate:
     def test_each_tree_grows_from_its_training_rows(self):
         # the trees grow from one presort; each must equal a tree grown on
         # its fold's training rows alone
-        rng = np.random.default_rng(4)
-        instances = [make_instance(float(rng.choice([6.0, -0.0, 0.0, rng.uniform(3.0, 9.0)])),
-                                   float(rng.choice([0.02, rng.uniform(-0.05, 0.1)])),
-                                   int(rng.random() < 0.3), minute=i) for i in range(120)]
+        instances = tie_heavy_instances(4)
         cfg = PipelineConfig(folds=3, allocations=2)
         report = cross_validate(instances, cfg, seed=3)
         X, y = instances_to_arrays(instances)
@@ -222,6 +236,29 @@ class TestCrossValidate:
                 train[list(test_group)] = False
                 assert next(runs).tree == grow_tree(X[train], y[train], cfg.costs,
                                                     cfg.prune_depth)
+
+    @pytest.mark.parametrize("allocations", [1, 2, 3])
+    @pytest.mark.parametrize("folds", [2, 3, 4, 5])
+    @pytest.mark.parametrize("make", CV_INSTANCES.values(), ids=CV_INSTANCES.keys())
+    def test_out_of_fold_alarms(self, make, folds, allocations):
+        instances = make()
+        n = len(instances)
+        report = cross_validate(instances, PipelineConfig(folds, allocations), seed=6)
+        X, y = instances_to_arrays(instances)
+        matrix = report.alarms
+        assert (matrix.dtype, matrix.shape) == (np.bool_, (allocations, n))
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = True
+        runs = iter(report.runs)
+        for a, plan in enumerate(report.fold_plans):
+            assert sorted(i for g in plan.groups for i in g) == list(range(n))
+            for test_group in plan.groups:
+                run, g = next(runs), list(test_group)
+                assert run.allocation == a
+                assert matrix[a, g].tolist() == alarms(run.tree, X[g]).tolist()
+                assert run.cm == loop_confusion([predict(run.tree, *X[i]) for i in g], y[g])
+        assert next(runs, None) is None
 
     def test_aggregate_is_mean_of_defined_values(self):
         report = cross_validate(separable_instances(60), PipelineConfig(), seed=2)
@@ -236,6 +273,7 @@ class TestCrossValidate:
         a = cross_validate(instances, PipelineConfig(), seed=5)
         b = cross_validate(instances, PipelineConfig(), seed=5)
         assert a == b
+        assert np.array_equal(a.alarms, b.alarms)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -251,7 +289,8 @@ def fake_entry(allocation, fold, sens, acc, spec):
 def fake_report(entries):
     return RunReport(seed=0, k=5, allocations=4, n_instances=4,
                      fold_plans=(), runs=tuple(entries),
-                     aggregate={"accuracy": None, "sensitivity": None, "specificity": None})
+                     aggregate={"accuracy": None, "sensitivity": None, "specificity": None},
+                     alarms=np.zeros((4, 4), dtype=bool))
 
 
 class TestSelectBest:
@@ -333,7 +372,7 @@ class TestPerPatient:
         for row in rows:
             group = [i for i in instances if i.patient_id == row.patient_id]
             preds = [loop_predict(DEPTH_TWO, i.x_t, i.rate) for i in group]
-            vec = metrics(confusion(preds, [i.label for i in group]))
+            vec = metrics(loop_confusion(preds, [i.label for i in group]))
             assert (row.n_points, row.n_hypo) == (len(group), sum(i.label for i in group))
             assert (row.accuracy, row.sensitivity, row.specificity) == \
                 (vec.accuracy, vec.sensitivity, vec.specificity)

@@ -15,12 +15,11 @@ from hypoalarm import (
     PipelineConfig,
     build_instances,
     label_hypoglycemia,
-    rate_of_decrease,
     read_feature_csv,
     write_feature_csv,
 )
 from hypoalarm.cgm_data import csv_table
-from hypoalarm.features import FEATURE_COLUMNS
+from hypoalarm.features import FEATURE_COLUMNS, rate_of_decrease
 from hypoalarm.synth import SynthConfig, generate_cohort
 
 from conftest import (
