@@ -10,14 +10,7 @@ cross-validation plus per-patient and severity reporting.
 __version__ = "0.1.0"
 
 from .cart import (
-    CLASS_H,
-    CLASS_N,
-    FEATURES,
     CostMatrix,
-    Leaf,
-    Split,
-    TreeDocumentError,
-    TreeNode,
     alarms,
     format_tree,
     grow_tree,
@@ -25,13 +18,9 @@ from .cart import (
     parse_tree,
     predict,
     serialize_tree,
-    tree_depth,
     weighted_gini,
 )
 from .cgm_data import (
-    HYPO_THRESHOLD,
-    SEVERE_THRESHOLD,
-    DataValidationError,
     PatientSeries,
     PipelineConfig,
     label_hypoglycemia,
@@ -39,11 +28,6 @@ from .cgm_data import (
     series_to_csv,
 )
 from .evaluation import (
-    ConfusionMatrix,
-    PatientRow,
-    PerformanceVector,
-    RunEntry,
-    SeverityRow,
     allocate_folds,
     cross_validate,
     evaluate_per_patient,

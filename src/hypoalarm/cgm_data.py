@@ -201,8 +201,7 @@ def csv_table(columns, rows) -> str:
     A table with nothing to quote is joined directly: every cell a `str`,
     none holding a comma, quote, CR, LF or NUL, and no row empty or a single
     empty cell (which `csv.writer` writes as ``""``). Any other goes through
-    `csv.writer`; its rows are written again one at a time only when their
-    text holds a CR.
+    `csv.writer`, a row with a CR in a cell through a `QUOTE_ALL` one.
     """
     rows = [columns, *rows]
     try:
@@ -217,16 +216,11 @@ def csv_table(columns, rows) -> str:
         return text + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(columns)
-    body_start = buf.tell()
-    writer.writerows(rows[1:])
-    if "\r" in buf.getvalue():
+    for row in rows[1:]:
         # the minimal writer leaves a "\r" unquoted, where a reader would end the row
-        quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        buf.seek(body_start)
-        buf.truncate()
-        for row in rows[1:]:
-            (quote_all if "\r" in "".join(row) else writer).writerow(row)
+        (quote_all if "\r" in "".join(map(str, row)) else writer).writerow(row)
     return buf.getvalue()
 
 

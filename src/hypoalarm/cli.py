@@ -98,6 +98,13 @@ def _load_synth_config(args, files: _Files) -> SynthConfig:
         raise DataValidationError("synth config must be a JSON object")
     if args.seed is not None:
         fields["seed"] = args.seed
+    # the config that synth echoes also names each shape constant, at its value
+    settable = {field.name for field in dataclasses.fields(SynthConfig)}
+    for name in [n for n in fields if n in SynthConfig.__annotations__ and n not in settable]:
+        value, constant = fields.pop(name), getattr(SynthConfig, name)
+        if value != constant:
+            raise DataValidationError(
+                f"bad synth config: {name!r} is the shape constant {constant!r}, not {value!r}")
     try:
         return SynthConfig(**fields)
     except (TypeError, ValueError) as exc:
@@ -134,8 +141,9 @@ def _cmd_ingest(args, files: _Files) -> int:
 def _read_cohort_json(files: _Files, path) -> list[tuple[str, str, Path]]:
     """(id, dm_type, record file) for each patient entry of a cohort.json.
 
-    Every entry needs a string ``id`` and a string ``file`` inside the cohort
-    directory; an optional ``dm_type`` is one of `DM_TYPES` ("other" if absent).
+    Every entry needs a string ``id`` that no other entry holds and a string
+    ``file`` inside the cohort directory; an optional ``dm_type`` is one of
+    `DM_TYPES` ("other" if absent).
     """
     doc = files.json(path)
     path = Path(path)
@@ -143,12 +151,15 @@ def _read_cohort_json(files: _Files, path) -> list[tuple[str, str, Path]]:
     if not isinstance(patients, list):
         raise DataValidationError(f"{path}: 'patients' must be a list")
     root = path.parent.resolve()
-    entries = []
+    entries, first = [], {}  # first: id -> index of the entry that holds it
     for k, pat in enumerate(patients):
         if not (isinstance(pat, dict) and isinstance(pat.get("id"), str)
                 and isinstance(pat.get("file"), str) and pat.get("dm_type", "other") in DM_TYPES):
             raise DataValidationError(f"{path}: patients[{k}] needs a string 'id' and 'file'"
                                       f" and, if it has a 'dm_type', one of {DM_TYPES}")
+        if (j := first.setdefault(pat["id"], k)) != k:
+            raise DataValidationError(
+                f"{path}: patients[{k}] repeats the id {pat['id']!r} of patients[{j}]")
         file = path.parent / pat["file"]
         if not file.resolve().is_relative_to(root):
             raise DataValidationError(

@@ -18,10 +18,11 @@ from itertools import groupby
 
 import numpy as np
 
-from hypoalarm import (FEATURES, ConfusionMatrix, CostMatrix, DataValidationError,
-                       DecisionInstance, Leaf, PatientSeries, Split)
-from hypoalarm.cart import _best_cut, _checked_rows
-from hypoalarm.cgm_data import BG_MAX, CSV_COLUMNS, MG_PER_DL_PER_MMOL_L, SAMPLING_PERIOD_MIN
+from hypoalarm import CostMatrix, DecisionInstance, PatientSeries
+from hypoalarm.cart import FEATURES, Leaf, Split, _best_cut, _checked_rows
+from hypoalarm.cgm_data import (BG_MAX, CSV_COLUMNS, MG_PER_DL_PER_MMOL_L, SAMPLING_PERIOD_MIN,
+                                DataValidationError)
+from hypoalarm.evaluation import ConfusionMatrix
 from hypoalarm.features import FEATURE_COLUMNS
 from hypoalarm.synth import _COHORT_START_MIN, _SLOTS
 

@@ -13,8 +13,6 @@ import pytest
 
 from hypoalarm import (
     CostMatrix,
-    Leaf,
-    Split,
     allocate_folds,
     build_instances,
     cross_validate,
@@ -25,9 +23,9 @@ from hypoalarm import (
     one_way_anova,
     predict,
     select_best_run,
-    tree_depth,
     weighted_gini,
 )
+from hypoalarm.cart import Leaf, Split, tree_depth
 from hypoalarm.cli import main
 from hypoalarm.evaluation import ConfusionMatrix, f_upper_tail
 from hypoalarm.features import DecisionInstance

@@ -5,22 +5,17 @@ import numpy as np
 import pytest
 
 from hypoalarm import (
-    FEATURES,
     CostMatrix,
-    Leaf,
-    Split,
-    TreeDocumentError,
     grow_tree,
     leaf_class,
     parse_tree,
     alarms,
     predict,
     serialize_tree,
-    tree_depth,
     weighted_gini,
 )
 
-from hypoalarm.cart import _best_cut
+from hypoalarm.cart import FEATURES, Leaf, Split, TreeDocumentError, _best_cut, tree_depth
 from oracle_utils import (
     best_split,
     boundary_scan_best_cut,

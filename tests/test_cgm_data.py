@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoalarm import (
-    DataValidationError,
     PatientSeries,
     PipelineConfig,
     label_hypoglycemia,
     parse_cgm_file,
     series_to_csv,
 )
-from hypoalarm.cgm_data import MG_PER_DL_PER_MMOL_L, _split_cells
+from hypoalarm.cgm_data import MG_PER_DL_PER_MMOL_L, DataValidationError, _split_cells
 from hypoalarm.features import _snap
 from hypoalarm.synth import SynthConfig, generate_cohort
 

@@ -77,13 +77,30 @@ class TestSynth:
         assert not (tmp_path / "x").exists()
 
     def test_shape_key_rejected(self, tmp_path, capsys):
-        # only n_patients and seed can be set, even to a shape constant's own value
+        # a shape constant may be named only at its own value
         config = tmp_path / "synth.json"
-        config.write_text(json.dumps({**SMALL_CONFIG, "bg_floor": SynthConfig.bg_floor}))
+        config.write_text(json.dumps({**SMALL_CONFIG, "bg_floor": SynthConfig.bg_floor + 0.5}))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error[data]: bad synth config: ") and "'bg_floor'" in err
         assert not (tmp_path / "x").exists()
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "n_days": 3}))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert "'n_days'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_echoed_config_reproduces_the_cohort(self, tmp_path, cohort_dir):
+        config = tmp_path / "echo.json"
+        echo = json.loads((cohort_dir / "cohort.json").read_text())["config"]
+        assert echo.keys() == SynthConfig.__annotations__.keys()
+        config.write_text(json.dumps(echo))
+        again = tmp_path / "again"
+        assert main(["synth", "--config", str(config), "--out", str(again)]) == 0
+        for path in [*cohort_dir.glob("*.csv"), cohort_dir / "cohort.json"]:
+            assert (again / path.name).read_bytes() == path.read_bytes()
 
 
 class TestIngest:
@@ -182,6 +199,7 @@ BAD_ENTRIES = {
     "file_absolute": lambda pat, outside: pat.update(file=str(outside)),
     "dm_type_list": lambda pat, outside: pat.update(dm_type=["x"]),
     "dm_type_unknown": lambda pat, outside: pat.update(dm_type="type9"),
+    "repeated_id": lambda pat, outside: pat.update(id="p01"),
 }
 
 
@@ -200,6 +218,14 @@ class TestCohortJson:
         assert main(["evaluate", "--features", str(features_csv), "--cohort", str(cohort),
                      "--k", "2", "--allocations", "1", "--out", str(tmp_path / "r")]) == 2
         assert "error[data]: " in capsys.readouterr().err
+
+    def test_repeated_id_names_both_entries(self, tmp_path, cohort_dir, capsys):
+        cohort = _rewrite_cohort(cohort_dir, BAD_ENTRIES["repeated_id"])
+        assert main(["features", "--in", str(cohort_dir),
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[data]: {cohort}: patients[1] repeats the id 'p01' of patients[0]\n")
+        assert not (tmp_path / "f.csv").exists()
 
     def test_patients_must_be_a_list(self, tmp_path, cohort_dir):
         (cohort_dir / "cohort.json").write_text('{"patients": {"id": "p00"}}')

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypoalarm import Leaf, missed_event_analysis, read_feature_csv
+from hypoalarm import missed_event_analysis, read_feature_csv
+from hypoalarm.cart import Leaf
 from hypoalarm.cli import main
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from hypoalarm import (
-    ConfusionMatrix,
-    Leaf,
-    PerformanceVector,
     PipelineConfig,
-    RunEntry,
-    Split,
     alarms,
     allocate_folds,
     cross_validate,
@@ -24,7 +19,9 @@ from hypoalarm import (
     select_best_run,
 )
 from hypoalarm import evaluation
-from hypoalarm.evaluation import RunReport, _confusions, f_upper_tail
+from hypoalarm.cart import Leaf, Split
+from hypoalarm.evaluation import (ConfusionMatrix, PerformanceVector, RunEntry, RunReport,
+                                  _confusions, f_upper_tail)
 from hypoalarm.features import DecisionInstance
 
 from conftest import ts_minutes

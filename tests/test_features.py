@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoalarm import (
-    DataValidationError,
     DecisionInstance,
     PatientSeries,
     PipelineConfig,
@@ -18,7 +17,7 @@ from hypoalarm import (
     read_feature_csv,
     write_feature_csv,
 )
-from hypoalarm.cgm_data import csv_table
+from hypoalarm.cgm_data import DataValidationError, csv_table
 from hypoalarm.features import FEATURE_COLUMNS, rate_of_decrease
 from hypoalarm.synth import SynthConfig, generate_cohort
 

@@ -13,11 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoalarm import (
-    FEATURES,
     DecisionInstance,
-    Leaf,
     PatientSeries,
-    Split,
     parse_cgm_file,
     parse_tree,
     read_feature_csv,
@@ -25,6 +22,7 @@ from hypoalarm import (
     series_to_csv,
     write_feature_csv,
 )
+from hypoalarm.cart import FEATURES, Leaf, Split
 from hypoalarm.cgm_data import DM_TYPES
 
 from oracle_utils import minutes
