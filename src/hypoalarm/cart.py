@@ -186,8 +186,8 @@ def _best_cut(X, y, order, costs: CostMatrix):
     return best
 
 
-def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None,
-              order=None) -> TreeNode:
+def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None, *,
+              _presort=None) -> TreeNode:
     """Grow a tree; nodes stop at purity, when unsplittable, or at `max_depth`.
 
     A node `max_depth` edges below the root becomes a leaf labeled by
@@ -202,46 +202,17 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None,
     needs one finite column per name in FEATURES and `y` one 0/1 label per
     row, or ValueError is raised.
 
-    `order`, if given, is a presort that replaces the sort: an integer
-    array of shape (n_features, m) whose row f lists the same m distinct
-    rows of `X`, sorted by feature f (ties in any order). The tree is then
-    grown from those rows alone, equal to `grow_tree(X[rows], y[rows])`.
-    `cross_validate` sorts once and passes each fold's training rows so.
-    A malformed `order` raises ValueError.
+    `_presort`, passed only by `cross_validate`, is its sort of `X` kept to
+    a fold's training rows (row f by feature f), used unchecked as the sort.
     """
     X, y = _checked_rows(X, y)
     if y.size == 0:
         raise ValueError("cannot grow a tree from zero instances")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    order = np.argsort(X, axis=0).T if order is None else _checked_order(X, order)
+    order = np.argsort(X, axis=0).T if _presort is None else _presort
     y = y.astype(bool)  # a label gather moves one byte a row
     return _grow(X, y, order, int(np.count_nonzero(y[order[0]])), costs, max_depth)
-
-
-def _checked_order(X, order):
-    # `order` as `grow_tree` documents it, or ValueError
-    order = np.asarray(order)
-    n, width = X.shape
-    if (order.ndim != 2 or order.shape[0] != width or order.shape[1] == 0
-            or not np.issubdtype(order.dtype, np.integer)):
-        raise ValueError(f"order must be a non-empty integer array of shape ({width}, m)")
-    if order.min() < 0 or order.max() >= n:
-        raise ValueError(f"order must hold row indices in [0, {n})")
-    rows = np.zeros(n, dtype=bool)
-    rows[order[0]] = True
-    if np.count_nonzero(rows) != order.shape[1]:
-        raise ValueError("order must not repeat a row")
-    for fi, ranked in enumerate(order):
-        if fi:
-            listed = np.zeros(n, dtype=bool)
-            listed[ranked] = True
-            if not np.array_equal(listed, rows):
-                raise ValueError("every row of order must list the same rows")
-        xs = X[ranked, fi]
-        if (xs[1:] < xs[:-1]).any():
-            raise ValueError(f"order row {fi} is not sorted by feature {FEATURES[fi]}")
-    return order
 
 
 def _leaf(n_n: int, n_h: int, costs: CostMatrix) -> Leaf:

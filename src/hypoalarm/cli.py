@@ -30,11 +30,8 @@ from .evaluation import (
     RunEntry,
     SeverityRow,
     cross_validate,
-    evaluate_per_patient,
     instances_to_arrays,
-    missed_event_analysis,
     one_way_anova,
-    select_best_run,
     summary_document,
 )
 from .features import build_instances, read_feature_csv, write_feature_csv
@@ -294,10 +291,7 @@ def _cmd_evaluate(args, files: _Files) -> int:
         pid: dm_type for pid, dm_type, _ in _read_cohort_json(files, args.cohort)}
 
     report = cross_validate(instances, cfg, seed=args.seed)
-    best = select_best_run(report)
-    per_patient = evaluate_per_patient(best.tree, instances, dm_types)
-    severity = missed_event_analysis(best.tree, instances)
-    summary = summary_document(instances, cfg, args.seed, report, best, per_patient, severity)
+    summary = summary_document(instances, report, dm_types)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -183,7 +183,7 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
             train = np.ones(n, dtype=bool)
             train[test] = False
             order = presort[train[presort]].reshape(presort.shape[0], -1)
-            trees.append(grow_tree(X, y, cfg.costs, cfg.prune_depth, order=order))
+            trees.append(grow_tree(X, y, cfg.costs, cfg.prune_depth, _presort=order))
             alarm[allocation, test] = alarms(trees[-1], X[test])
             fold_of[test] = fold
         cms = _confusions(fold_of, cfg.folds, alarm[allocation], y == 1)
@@ -268,13 +268,17 @@ def missed_event_analysis(tree: TreeNode, instances) -> SeverityReport:
                           total_severe=sum(row.severe_count for row in rows))
 
 
-def summary_document(instances, cfg: PipelineConfig, seed: int, report: RunReport,
-                     best: RunEntry, per_patient, severity: SeverityReport) -> dict:
-    """The ``summary.json`` document of one evaluation, each section
-    serialized from the type that holds it."""
+def summary_document(instances, report: RunReport, dm_types=None) -> dict:
+    """The ``summary.json`` document of `report`, the cross-validation of
+    `instances`: its best run's tree scores the patient and missed-event
+    sections. Each section is serialized from the type that holds it."""
+    cfg = PipelineConfig(folds=report.k, allocations=report.allocations)
+    best = select_best_run(report)
+    per_patient = evaluate_per_patient(best.tree, instances, dm_types)
+    severity = missed_event_analysis(best.tree, instances)
     # every name PipelineConfig declares, its constants and its two fields
     config = {name: getattr(cfg, name) for name in PipelineConfig.__annotations__}
-    config |= {"costs": asdict(cfg.costs), "seed": seed}
+    config |= {"costs": asdict(cfg.costs), "seed": report.seed}
     config["daytime"] = [f"{config.pop(key):%H:%M}" for key in ("daytime_start", "daytime_end")]
     n_hypo = int(sum(inst.label for inst in instances))
     return {

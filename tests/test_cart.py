@@ -373,7 +373,7 @@ class TestBoundaryCuts:
 
 
 def presort(X, rows):
-    """Both columns of X sorted, kept to `rows`: the `order` of grow_tree."""
+    """Both columns of X sorted, kept to `rows`: the `_presort` of grow_tree."""
     order = np.argsort(X, axis=0).T
     keep = np.zeros(len(X), dtype=bool)
     keep[rows] = True
@@ -390,33 +390,24 @@ class TestPresortedGrowth:
             if rows.size == 0:
                 continue
             expected = serialize_tree(grow_tree(X[rows], y[rows], COSTS, depth))
-            got = serialize_tree(grow_tree(X, y, COSTS, depth, order=presort(X, rows)))
+            got = serialize_tree(grow_tree(X, y, COSTS, depth, _presort=presort(X, rows)))
             assert json.dumps(got) == json.dumps(expected)
 
     def test_ties_may_come_in_any_order(self):
         X = np.array([[1.0, 0.5], [1.0, 0.5], [2.0, 0.5], [-0.0, 0.5], [0.0, 0.1]])
         y = np.array([1, 0, 0, 1, 1])
         order = np.array([[4, 3, 1, 0, 2], [4, 2, 1, 0, 3]])
-        assert grow_tree(X, y, COSTS, order=order) == grow_tree(X, y, COSTS)
+        assert grow_tree(X, y, COSTS, _presort=order) == grow_tree(X, y, COSTS)
 
-    @pytest.mark.parametrize("order", [
-        [[0, 1, 2]],                    # one row for two features
-        [[0, 1, 2], [2, 1, 0], [0, 1, 2]],
-        np.empty((2, 0), dtype=int),    # no rows
-        [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]],  # not integers
-        [[False, True], [True, False]],
-        [[0, 1, 3], [3, 1, 0]],         # past the last row
-        [[-3, 1, 2], [2, 1, -3]],       # negative, though sorted as X[-3] is row 0
-        [[0, 0, 1], [1, 0, 0]],         # a repeated row
-        [[1, 0, 2], [2, 1, 0]],         # x_t row out of order
-        [[0, 1, 2], [0, 1, 2]],         # rate row out of order
-        [[0, 2], [2, 1]],               # rows that differ
-    ], ids=["one_row", "three_rows", "empty", "float", "bool", "past_end", "negative",
-            "repeat", "x_t_unsorted", "rate_unsorted", "different_rows"])
-    def test_malformed_order_rejected(self, order):
+    def test_presort_is_keyword_only(self):
+        # no public `order`: a presort passed positionally or by that name is refused
         X = np.array([[1.0, 0.3], [2.0, 0.2], [3.0, 0.1]])
-        with pytest.raises(ValueError):
-            grow_tree(X, np.array([1, 0, 1]), COSTS, order=order)
+        y = np.array([1, 0, 1])
+        order = presort(X, np.arange(3))
+        with pytest.raises(TypeError):
+            grow_tree(X, y, COSTS, None, order)
+        with pytest.raises(TypeError):
+            grow_tree(X, y, COSTS, order=order)
 
 
 def continuous_dataset(rng, n):
@@ -508,7 +499,7 @@ class TestLastLevelLeaves:
             rows = np.flatnonzero(rng.random(len(y)) < rng.uniform(0.2, 1.0))
             grown = [(grow_tree(X, y, COSTS, depth), X, y)]
             if rows.size:
-                grown.append((grow_tree(X, y, COSTS, depth, order=presort(X, rows)),
+                grown.append((grow_tree(X, y, COSTS, depth, _presort=presort(X, rows)),
                               X[rows], y[rows]))
             for tree, X_train, y_train in grown:
                 for leaf, n_n, n_h in loop_leaf_counts(tree, X_train, y_train):

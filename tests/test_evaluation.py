@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypoalarm import (
     one_way_anova,
     predict,
     select_best_run,
+    summary_document,
 )
 from hypoalarm import evaluation
 from hypoalarm.cart import Leaf, Split
@@ -234,6 +236,39 @@ class TestCrossValidate:
                 assert next(runs).tree == grow_tree(X[train], y[train], cfg.costs,
                                                     cfg.prune_depth)
 
+    @pytest.mark.parametrize("folds, allocations", [(2, 1), (3, 2), (4, 3), (5, 4)])
+    @pytest.mark.parametrize("name", CV_INSTANCES)
+    def test_each_fold_hands_grow_tree_a_sound_presort(self, name, folds, allocations,
+                                                       monkeypatch):
+        # grow_tree uses the presort unchecked: every row of it must list
+        # the fold's training rows once each, row f sorted by feature f
+        handed = []
+
+        def spy(X, y, costs, max_depth, *, _presort):
+            handed.append(_presort)
+            return grow_tree(X, y, costs, max_depth, _presort=_presort)
+
+        monkeypatch.setattr(evaluation, "grow_tree", spy)
+        instances = CV_INSTANCES[name]()
+        report = cross_validate(instances, PipelineConfig(folds, allocations), seed=8)
+        X = instances_to_arrays(instances)[0]
+        if name == "tie_heavy":  # -0.0 next to 0.0
+            assert (np.signbit(X) & (X == 0.0)).any() and (~np.signbit(X) & (X == 0.0)).any()
+        assert len(handed) == folds * allocations
+        presorts = iter(handed)
+        for plan in report.fold_plans:
+            for test_group in plan.groups:
+                presort = next(presorts)
+                train = np.ones(len(instances), dtype=bool)
+                train[list(test_group)] = False
+                assert np.issubdtype(presort.dtype, np.integer)
+                assert presort.shape == (2, np.count_nonzero(train))
+                for f, rows in enumerate(presort):
+                    # the fold's training rows, each once
+                    assert np.array_equal(np.sort(rows), np.flatnonzero(train))
+                    xs = X[rows, f]
+                    assert (xs[:-1] <= xs[1:]).all()
+
     @pytest.mark.parametrize("allocations", [1, 2, 3])
     @pytest.mark.parametrize("folds", [2, 3, 4, 5])
     @pytest.mark.parametrize("make", CV_INSTANCES.values(), ids=CV_INSTANCES.keys())
@@ -411,6 +446,37 @@ class TestPatientScoringOracle:
             ["Z", "calm", "p09", "p1", "p10", "p9", "solo", "ß", "é"]
         assert {r.patient_id: r.n_points for r in per_patient}["solo"] == 1
         assert {r.patient_id: r.sensitivity for r in per_patient}["calm"] is None
+
+
+class TestSummaryDocument:
+    @pytest.mark.parametrize("folds, allocations, seed", [(2, 1, 0), (3, 2, 5), (5, 4, 11)])
+    def test_sections_follow_the_report(self, folds, allocations, seed):
+        # the plan, the seed and the best run's sections come from the report
+        # alone, so none of them can contradict it
+        instances = random_cohort_instances(seed)
+        report = cross_validate(instances, PipelineConfig(folds, allocations), seed=seed)
+        dm_types = {"p00": "type1", "p03": "type2"}
+        summary = summary_document(instances, report, dm_types)
+        best = select_best_run(report)
+        severity = missed_event_analysis(best.tree, instances)
+        config = summary["config"]
+        assert (config["folds"], config["allocations"], config["seed"]) == \
+            (folds, allocations, seed)
+        assert (summary["k"], summary["allocations"], summary["seed"]) == \
+            (folds, allocations, seed)
+        assert summary["seeds"] == [seed + r for r in range(allocations)]
+        assert len(summary["per_run"]) == folds * allocations
+        assert summary["best_run"] == {"allocation": best.allocation, "fold": best.fold}
+        assert summary["per_patient"] == [
+            asdict(row) for row in evaluate_per_patient(best.tree, instances, dm_types)]
+        assert summary["missed_events"] == {
+            "rows": [asdict(row) for row in severity.rows],
+            "total_missed": severity.total_missed, "total_severe": severity.total_severe}
+
+    def test_patients_without_a_dm_type_are_other(self):
+        instances = random_cohort_instances(1)
+        summary = summary_document(instances, cross_validate(instances, PipelineConfig(2, 1)))
+        assert {row["dm_type"] for row in summary["per_patient"]} == {"other"}
 
 
 class TestMissedEvents:

@@ -20,11 +20,8 @@ from hypoalarm import (
     SynthConfig,
     build_instances,
     cross_validate,
-    evaluate_per_patient,
     generate_cohort,
-    missed_event_analysis,
     parse_cgm_file,
-    select_best_run,
     series_to_csv,
     summary_document,
 )
@@ -121,10 +118,6 @@ def test_seed_7_330_patient_summary_bytes():
                                 dm_type=synthetic.dm_type)
         instances += build_instances(series, cfg)
         dm_types[series.patient_id] = series.dm_type
-    report = cross_validate(instances, cfg, seed=7)
-    best = select_best_run(report)
-    summary = summary_document(instances, cfg, 7, report, best,
-                               evaluate_per_patient(best.tree, instances, dm_types),
-                               missed_event_analysis(best.tree, instances))
+    summary = summary_document(instances, cross_validate(instances, cfg, seed=7), dm_types)
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert sha256(text.encode()) == cv330["digests"]["summary.json"]
