@@ -198,21 +198,18 @@ def csv_table(columns, rows) -> str:
     """CSV text of a header and rows (sequences of string cells): minimal
     quoting, LF line endings, and every cell of a row that holds a CR quoted.
 
-    A table with nothing to quote is joined directly: every cell a `str`,
-    none holding a comma, quote, CR, LF or NUL, and no row empty or a single
-    empty cell (which `csv.writer` writes as ``""``). Any other goes through
-    `csv.writer`, a row with a CR in a cell through a `QUOTE_ALL` one.
+    A table with nothing to quote is joined directly: no cell holding a
+    comma, quote, CR, LF or NUL, and no row empty or a single empty cell
+    (which `csv.writer` writes as ``""``). Any other goes through
+    `csv.writer`, a row with a CR in a cell through a `QUOTE_ALL` one. A
+    cell that is no `str` raises TypeError.
     """
     rows = [columns, *rows]
-    try:
-        lines = list(map(",".join, rows))
-        text = "\n".join(lines)
-        plain = ("" not in lines and not any(c in text for c in '"\r\0')
-                 and text.count("\n") == len(rows) - 1
-                 and text.count(",") == sum(map(len, rows)) - len(rows))
-    except TypeError:  # a cell that is no str
-        plain = False
-    if plain:
+    lines = list(map(",".join, rows))
+    text = "\n".join(lines)
+    if ("" not in lines and not any(c in text for c in '"\r\0')
+            and text.count("\n") == len(rows) - 1
+            and text.count(",") == sum(map(len, rows)) - len(rows)):
         return text + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -220,20 +217,8 @@ def csv_table(columns, rows) -> str:
     writer.writerow(columns)
     for row in rows[1:]:
         # the minimal writer leaves a "\r" unquoted, where a reader would end the row
-        (quote_all if "\r" in "".join(map(str, row)) else writer).writerow(row)
+        (quote_all if "\r" in "".join(row) else writer).writerow(row)
     return buf.getvalue()
-
-
-def _row_widths(lines: str) -> tuple[np.ndarray, bool] | None:
-    """Cells per row of quote-free `lines`, each row ended by a LF, and
-    whether a cell is empty, from one scan of its UTF-8 bytes; None when a
-    cell may be over `csv.field_size_limit()`, which `csv.reader` refuses."""
-    data = np.frombuffer(lines.encode("utf-8", "surrogatepass"), np.uint8)
-    ends = np.flatnonzero((data == 10) | (data == 44))  # each cell's closing "\n" or ","
-    spans = np.diff(ends, prepend=-1)  # UTF-8 length + 1; a cell has no more characters than bytes
-    if (spans > csv.field_size_limit() + 1).any():
-        return None
-    return np.diff(np.flatnonzero(data[ends] == 10), prepend=-1), bool((spans == 1).any())
 
 
 def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool, bool]:
@@ -250,8 +235,12 @@ def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool, bool]:
         lines = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
         if not lines.endswith("\n"):
             lines += "\n"
-        if (counted := _row_widths(lines)) is not None:
-            widths, empty = counted
+        data = np.frombuffer(lines.encode("utf-8", "surrogatepass"), np.uint8)
+        ends = np.flatnonzero((data == 10) | (data == 44))  # each cell's closing "\n" or ","
+        spans = np.diff(ends, prepend=-1)  # UTF-8 bytes + 1 per cell, >= its characters + 1
+        if (spans <= csv.field_size_limit() + 1).all():
+            widths, empty = np.diff(np.flatnonzero(data[ends] == 10), prepend=-1), 1 in spans
+            del data, ends, spans  # freed before the cells are built
             header, _, body = lines.partition("\n")
             cells = body.replace("\n", ",").split(",")
             cells.pop()  # the empty cell after the last row's "\n"
@@ -268,16 +257,20 @@ def _split_cells(text: str) -> tuple[list, list, np.ndarray, bool, bool]:
     return (rows[0] if rows else []), list(chain.from_iterable(body)), widths, True, True
 
 
-def csv_cells(text: str, width: int,
-              strip: bool = False) -> tuple[list, list, np.ndarray, tuple[int, int] | None]:
-    """A CSV table's cells, its body read up to the first row that is not
-    `width` cells wide, rows whose cells are all blank skipped.
+def csv_cells(text: str, columns: tuple[str, ...],
+              strip: bool = False) -> tuple[list, np.ndarray, DataValidationError | None]:
+    """The body of a CSV table headed `columns`, read up to the first row of
+    another width, rows whose cells are all blank skipped; a header that is
+    not `columns` once stripped is a data error on row 1.
 
-    Returns the header cells; the cells of the rows read, in row order and
-    stripped if `strip`; the 1-based line number of each row read; and the
-    first misshapen row's line number and width, None when there is none.
+    Returns the cells of the rows read, in row order and stripped if
+    `strip`; the 1-based line number of each row read; and the first
+    misshapen row's error, None when there is none, for the caller to raise
+    once the rows before it pass.
     """
     header, cells, widths, padded, blank = _split_cells(text)
+    if tuple(map(str.strip, header)) != columns:
+        raise DataValidationError(f"expected header {','.join(columns)!r}", row=1)
     stripped = list(map(str.strip, cells)) if padded else cells
     if strip:
         cells = stripped
@@ -288,11 +281,13 @@ def csv_cells(text: str, width: int,
         keep = filled[ends] > filled[ends - widths]
         cells = list(compress(cells, np.repeat(keep, widths)))
         widths, lines = widths[keep], lines[keep]
+    width = len(columns)
     short = np.flatnonzero(widths != width)
     if not len(short):
-        return header, cells, lines, None
+        return cells, lines, None
     k = short[0]
-    return header, cells[:width * k], lines[:k], (int(lines[k]), int(widths[k]))
+    return cells[:width * k], lines[:k], DataValidationError(
+        f"expected {width} columns, got {widths[k]}", row=int(lines[k]))
 
 
 def parse_cgm_file(text: str, patient_id: str = "unknown", dm_type: str = "other",
@@ -306,11 +301,7 @@ def parse_cgm_file(text: str, patient_id: str = "unknown", dm_type: str = "other
     if unit not in ("mmol", "mg"):
         raise ValueError(f"unknown unit {unit!r}, expected 'mmol' or 'mg'")
 
-    header, cells, lines, misshapen = csv_cells(text, 5, strip=True)
-    if tuple(map(str.strip, header)) != CSV_COLUMNS:
-        raise DataValidationError(
-            f"expected header {','.join(CSV_COLUMNS)!r}", row=1)
-
+    cells, lines, misshapen = csv_cells(text, CSV_COLUMNS, strip=True)
     sample_col, date_col, time_col, meal_col, bg_col = (cells[i::5] for i in range(5))
     n = len(sample_col)
     digits = "".join(sample_col)
@@ -338,8 +329,7 @@ def parse_cgm_file(text: str, patient_id: str = "unknown", dm_type: str = "other
                    f"SensorBG must be a number in (0, {BG_MAX}] mmol/L, got {bg_col[i]!r}")
         raise DataValidationError(message[check], row=int(lines[i]))
     if misshapen:
-        line, width = misshapen
-        raise DataValidationError(f"expected 5 columns, got {width}", row=line)
+        raise misshapen
     return PatientSeries(patient_id=patient_id, samples=np.column_stack((minute, bg, meal_ref)),
                          dm_type=dm_type)
 

@@ -206,9 +206,7 @@ def read_feature_csv(source: str | Path) -> list[DecisionInstance]:
     """
     if isinstance(source, Path):
         source = source.read_bytes().decode()  # no newline translation: keeps a quoted "\r"
-    header, cells, lines, misshapen = csv_cells(source, 9)
-    if tuple(c.strip() for c in header) != FEATURE_COLUMNS:
-        raise DataValidationError(f"expected header {','.join(FEATURE_COLUMNS)!r}", row=1)
+    cells, lines, misshapen = csv_cells(source, FEATURE_COLUMNS)
     columns = [cells[k::9] for k in range(9)]
     try:
         labels = list(map(int, columns[8]))
@@ -224,8 +222,7 @@ def read_feature_csv(source: str | Path) -> list[DecisionInstance]:
                 raise DataValidationError(str(exc), row=line) from exc
         raise RuntimeError("a feature column failed to convert, but none of its rows") from None
     if misshapen:
-        line, width = misshapen
-        raise DataValidationError(f"expected 9 columns, got {width}", row=line)
+        raise misshapen
     n = len(labels)
     meal, peak, decision = times[:n], times[n:2 * n], times[2 * n:]
     return list(map(DecisionInstance, columns[0], meal, peak, values[0], decision, *values[1:3],

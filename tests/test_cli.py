@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from hypoalarm import DecisionInstance, SynthConfig, cli, write_feature_csv
+from hypoalarm import DecisionInstance, SynthConfig, cli, one_way_anova, write_feature_csv
 from hypoalarm.cgm_data import CSV_COLUMNS
 from hypoalarm.cli import main
 from hypoalarm.features import FEATURE_COLUMNS
 
-from oracle_utils import minutes
+from oracle_utils import f_upper_tail_by_quadrature, minutes
 
 SMALL_CONFIG = {"n_patients": 5, "seed": 1}
 
@@ -520,6 +520,17 @@ class TestAnova:
             # tiny cohorts may hold a single dm_type; that is a data error
             assert code == 2
 
+    def test_groups_that_differ_print_the_f_tail(self, tmp_path, capsys):
+        groups = {"type2": [0.5, 0.75, 0.6], "other": [0.8, 1.0], "type1": [1.0, 0.9, 0.95, 1.0]}
+        rows = [{"dm_type": k, "sensitivity": v} for k, values in groups.items() for v in values]
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"per_patient": [
+            *rows, {"dm_type": "type1", "sensitivity": None}]}))
+        assert main(["anova", "--report", str(summary), "--metric", "sensitivity"]) == 0
+        f_stat, p_value = one_way_anova([groups[k] for k in sorted(groups)])
+        assert capsys.readouterr().out == f"F={f_stat} p={p_value}\n"
+        assert f_stat > 0.0 and 0.0 < p_value < 1.0
+        assert p_value == pytest.approx(f_upper_tail_by_quadrature(f_stat, 2, 6), abs=1e-6)
 
     def test_row_without_group_key_is_a_data_error(self, tmp_path, capsys):
         summary = tmp_path / "summary.json"

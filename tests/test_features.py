@@ -12,12 +12,14 @@ from hypoalarm import (
     DecisionInstance,
     PatientSeries,
     PipelineConfig,
+    alarms,
     build_instances,
+    grow_tree,
     label_hypoglycemia,
     read_feature_csv,
     write_feature_csv,
 )
-from hypoalarm.cgm_data import DataValidationError, csv_table
+from hypoalarm.cgm_data import BG_MAX, DataValidationError, csv_table
 from hypoalarm.features import FEATURE_COLUMNS, rate_of_decrease
 from hypoalarm.synth import SynthConfig, generate_cohort
 
@@ -247,6 +249,49 @@ class TestBuildInstances:
                 assert inst.label == label_hypoglycemia(inst.ph_min_bg)
 
 
+def with_samples(series, samples):
+    return PatientSeries(series.patient_id, samples, series.dm_type)
+
+
+class TestCausality:
+    """A decision at t reads nothing after t plus the snap tolerance, so
+    rewriting every reading after a cut leaves the predictors, and so the
+    alarm, of each decision before the cut as they were."""
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_readings_after_a_cut_leave_earlier_decisions(self, seed):
+        rng = np.random.default_rng(seed)
+        tolerance = PipelineConfig.snap_tolerance_min
+        before, again, ahead = [], [], 0
+        for series in generate_cohort(SynthConfig(n_patients=3, seed=seed)):
+            samples = series.samples.copy()  # off the 5-min grid, still increasing
+            samples[:, 0] += rng.uniform(-2.4, 2.4, len(samples))
+            series = with_samples(series, samples)
+            instances = build_instances(series)
+            decisions = np.array([inst.decision_time for inst in instances])
+            # cuts anywhere, and just past a decision's reach, where a lookahead would show
+            cuts = [*rng.uniform(series.minutes[0], series.minutes[-1], 3),
+                    *(rng.choice(decisions, 20) + tolerance + rng.uniform(0.0, 0.5, 20))]
+            for cut in cuts:
+                later = (series.minutes > cut) & ~np.isnan(series.bg)
+                samples = series.samples.copy()
+                samples[later, 1] = BG_MAX - rng.uniform(0.0, BG_MAX, later.sum())  # in (0, 40]
+                edited = {(inst.meal_time, inst.decision_time): inst
+                          for inst in build_instances(with_samples(series, samples))}
+                for inst in instances:
+                    if inst.decision_time + tolerance < cut:
+                        before.append(inst)
+                        again.append(edited[inst.meal_time, inst.decision_time])
+            present = series.minutes[~np.isnan(series.bg)]
+            nearest = present[np.argmin(np.abs(present - decisions[:, None]), axis=1)]
+            ahead += int(((nearest > decisions) & (decisions + tolerance < max(cuts))).sum())
+        assert [inst[:7] for inst in again] == [inst[:7] for inst in before]
+        assert ahead > 0  # some x_t was read after its decision time
+        X, y = (np.array([[i.x_t, i.rate] for i in before]), np.array([i.label for i in before]))
+        tree = grow_tree(X, y, PipelineConfig.costs, PipelineConfig.prune_depth)
+        assert (alarms(tree, [[i.x_t, i.rate] for i in again]) == alarms(tree, X)).all()
+
+
 class TestFeatureCsv:
     def test_round_trip(self, worked_series):
         instances = build_instances(worked_series)
@@ -431,6 +476,15 @@ class TestFeatureCsvMatchesLoop:
         instances[2] = instances[2]._replace(**{column: time})
         assert written(write_feature_csv, instances)[0] in (ValueError, OverflowError)
         assert written(write_feature_csv, instances) == written(loop_write_feature_csv, instances)
+
+    def test_a_patient_id_that_is_no_str_raises_as_in_the_loop(self, worked_series):
+        instances = build_instances(worked_series)
+        instances[1] = instances[1]._replace(patient_id=5)
+        with pytest.raises(TypeError) as loop:
+            loop_write_feature_csv(instances, io.StringIO())
+        with pytest.raises(TypeError) as raised:
+            write_feature_csv(instances, io.StringIO())
+        assert str(raised.value) == str(loop.value)
 
     @settings(max_examples=300, deadline=None)
     @given(TABLE_ROW, st.lists(TABLE_ROW | st.just([""]), max_size=6))
