@@ -108,7 +108,7 @@ def _load_synth_config(args, files: _Files) -> SynthConfig:
         raise DataValidationError(f"bad synth config: {exc}")
 
 
-def _cmd_synth(args, files: _Files) -> int:
+def _cmd_synth(args, files: _Files) -> None:
     cfg = _load_synth_config(args, files)
     cohort = generate_cohort(cfg)
     out = Path(args.out)
@@ -124,15 +124,13 @@ def _cmd_synth(args, files: _Files) -> int:
         {"config": config, "patients": patients, "seed": cfg.seed}))
     files.manifest(out / "manifest.json", "synth", config, [cfg.seed])
     print(f"patients={len(cohort)} out={out}")
-    return EXIT_OK
 
 
-def _cmd_ingest(args, files: _Files) -> int:
+def _cmd_ingest(args, files: _Files) -> None:
     path = Path(args.infile)
     series = parse_cgm_file(files.read(path), patient_id=path.stem, unit=args.unit)
     print(f"patient={series.patient_id} samples={len(series.samples)} "
           f"meals={len(series.meal_times)} missing={series.missing_count}")
-    return EXIT_OK
 
 
 def _read_cohort_json(files: _Files, path) -> list[tuple[str, str, Path]]:
@@ -181,7 +179,7 @@ def _load_cohort(files: _Files, path: Path, unit: str):
             for pid, dm_type, file in entries]
 
 
-def _cmd_features(args, files: _Files) -> int:
+def _cmd_features(args, files: _Files) -> None:
     instances = [inst for series in _load_cohort(files, Path(args.infile), args.unit)
                  for inst in build_instances(series)]
     out = Path(args.out)
@@ -191,7 +189,6 @@ def _cmd_features(args, files: _Files) -> int:
     files.manifest(out.with_suffix(".manifest.json"), "features", {"unit": args.unit}, [])
     hypo = sum(inst.label for inst in instances)
     print(f"instances={len(instances)} hypo={hypo} out={out}")
-    return EXIT_OK
 
 
 def _read_features(files: _Files, path: str):
@@ -202,7 +199,7 @@ def _read_features(files: _Files, path: str):
     return instances
 
 
-def _cmd_train(args, files: _Files) -> int:
+def _cmd_train(args, files: _Files) -> None:
     instances = _read_features(files, args.features)
     X, y = instances_to_arrays(instances)
     tree = grow_tree(X, y, PipelineConfig.costs, PipelineConfig.prune_depth)
@@ -212,7 +209,6 @@ def _cmd_train(args, files: _Files) -> int:
                    {"costs": dataclasses.asdict(PipelineConfig.costs),
                     "depth": PipelineConfig.prune_depth}, [])
     print(f"instances={len(instances)} depth={tree_depth(tree)} out={out}")
-    return EXIT_OK
 
 
 def _fmt(value) -> str:
@@ -278,7 +274,7 @@ def _read_summary(files: _Files, path: str, tables: dict) -> dict:
     return summary
 
 
-def _cmd_evaluate(args, files: _Files) -> int:
+def _cmd_evaluate(args, files: _Files) -> None:
     instances = _read_features(files, args.features)
     try:
         cfg = PipelineConfig(folds=args.k, allocations=args.allocations)
@@ -303,10 +299,9 @@ def _cmd_evaluate(args, files: _Files) -> int:
     agg = report.aggregate
     print(f"runs={len(report.runs)} accuracy={_fmt(agg['accuracy'])} "
           f"sensitivity={_fmt(agg['sensitivity'])} specificity={_fmt(agg['specificity'])}")
-    return EXIT_OK
 
 
-def _cmd_report(args, files: _Files) -> int:
+def _cmd_report(args, files: _Files) -> None:
     summary = _read_summary(files, args.summary, {
         "per_run": _PERFORMANCE_COLUMNS, "per_patient": _PER_PATIENT_COLUMNS,
         "missed_events.rows": _SEVERITY_COLUMNS})
@@ -317,16 +312,14 @@ def _cmd_report(args, files: _Files) -> int:
     _write_report_tables(files, out, summary)
     print(f"tables={len(files.outputs)} out={out}")
     files.manifest(out / "manifest.json", "report", {}, seeds)
-    return EXIT_OK
 
 
-def _cmd_predict(args, files: _Files) -> int:
+def _cmd_predict(args, files: _Files) -> None:
     tree = parse_tree(files.json(args.tree))
     print(predict(tree, args.xt, args.rate))
-    return EXIT_OK
 
 
-def _cmd_anova(args, files: _Files) -> int:
+def _cmd_anova(args, files: _Files) -> None:
     rows = _read_summary(files, args.report, {"per_patient": {"dm_type": str}})["per_patient"]
     groups: dict[str, list[float]] = {}
     for k, row in enumerate(rows):
@@ -342,7 +335,6 @@ def _cmd_anova(args, files: _Files) -> int:
             f"need at least two dm_type groups with defined {args.metric}")
     f_stat, p_value = one_way_anova([groups[k] for k in sorted(groups)])
     print(f"F={f_stat} p={p_value}")
-    return EXIT_OK
 
 
 @functools.cache  # built once per process; `parse_args` leaves it as it was
@@ -409,11 +401,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, _Files())
+        args.func(args, _Files())
+        return EXIT_OK
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:  # incl. DataValidationError, TreeDocumentError
+    # incl. DataValidationError, TreeDocumentError and an array too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error[data]: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # invariant violations and other surprises

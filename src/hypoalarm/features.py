@@ -92,11 +92,10 @@ def build_instances(series: PatientSeries,
     """
     cfg = cfg or PipelineConfig()
     present = np.flatnonzero(~np.isnan(series.bg))
-    meal_rows = np.flatnonzero(~np.isnan(series.meal_ref))
-    if not len(present) or not len(meal_rows):
+    meals = series.meal_times
+    if not len(present) or not len(meals):
         return []
     minutes, bg = series.minutes[present], series.bg[present]
-    meals = series.minutes[meal_rows]
 
     lo = np.searchsorted(minutes, meals, side="left")
     hi = np.searchsorted(minutes, meals + cfg.peak_window_min, side="right")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,6 +372,14 @@ class TestBoundaryCuts:
                 rows = [(float(a), float(b), int(c)) for (a, b), c in zip(X + 0.0, y)]
                 assert grow_tree(X, y, costs, depth) == brute_force_tree(rows, costs, depth)
 
+    def test_adjacent_floats_split_at_the_upper_value(self):
+        # the midpoint of two adjacent floats rounds down to the lower one
+        hi = math.nextafter(1.0, 2.0)
+        X, y = np.array([[1.0, 0.0], [hi, 0.0]]), np.array([1, 0])
+        tree = grow_tree(X, y, COSTS)
+        assert (tree.feature, tree.threshold) == ("x_t", hi)
+        assert alarms(tree, X).tolist() == [True, False]
+
 
 def presort(X, rows):
     """Both columns of X sorted, kept to `rows`: the `_presort` of grow_tree."""
@@ -625,6 +634,12 @@ class TestSerialization:
     def test_extra_keys_rejected(self):
         with pytest.raises(TreeDocumentError):
             parse_tree({"class": "N", "n_N": 1, "n_H": 0, "color": "green"})
+        split = {"feature": "x_t", "threshold": 1.0, "color": "green",
+                 "left": {"class": "N", "n_N": 1, "n_H": 0},
+                 "right": {"class": "H", "n_N": 0, "n_H": 1}}
+        with pytest.raises(TreeDocumentError, match=re.escape(
+                "$: split must have exactly keys ['feature', 'left', 'right', 'threshold']")):
+            parse_tree(split)
 
     def test_bad_counts_rejected(self):
         with pytest.raises(TreeDocumentError, match="n_N"):
@@ -635,6 +650,8 @@ class TestSerialization:
     def test_non_object_rejected(self):
         with pytest.raises(TreeDocumentError, match=r"\$:"):
             parse_tree([1, 2, 3])
+        with pytest.raises(TreeDocumentError, match=r"^\$: neither a split nor a leaf$"):
+            parse_tree({})
 
     def test_unknown_class_rejected(self):
         with pytest.raises(TreeDocumentError, match="unknown class"):

@@ -92,6 +92,13 @@ class TestSynth:
         assert "'n_days'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_config_that_is_no_object_is_a_data_error(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text("[1, 2]")
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error[data]: synth config must be a JSON object\n"
+        assert not (tmp_path / "x").exists()
+
     def test_echoed_config_reproduces_the_cohort(self, tmp_path, cohort_dir):
         config = tmp_path / "echo.json"
         echo = json.loads((cohort_dir / "cohort.json").read_text())["config"]
@@ -157,6 +164,19 @@ class TestFeatures:
         assert manifest["command"] == "features"
         assert manifest["outputs"] == {
             "features.csv": manifest["outputs"]["features.csv"]}
+
+    def test_missing_input_is_a_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        assert main(["features", "--in", str(missing), "--out", str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr().err == f"error[data]: no such file or directory: {missing}\n"
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_directory_without_records_is_a_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["features", "--in", str(empty), "--out", str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr().err == f"error[data]: no patient CSV files under {empty}\n"
+        assert not (tmp_path / "f.csv").exists()
 
     def test_single_file_input(self, tmp_path, cohort_dir):
         out = tmp_path / "one.csv"
@@ -254,6 +274,14 @@ class TestTrain:
         assert main(["train", "--features", str(tmp_path),
                      "--out", str(tmp_path / "tree.json")]) == 2
         assert "error[data]: " in capsys.readouterr().err
+
+    def test_header_only_table_is_a_data_error(self, tmp_path, capsys):
+        table = tmp_path / "header.csv"
+        table.write_text(",".join(FEATURE_COLUMNS) + "\n")
+        assert main(["train", "--features", str(table),
+                     "--out", str(tmp_path / "tree.json")]) == 2
+        assert capsys.readouterr().err == "error[data]: feature table is empty\n"
+        assert not (tmp_path / "tree.json").exists()
 
     @pytest.mark.parametrize("column,cell,error", [
         (0, '"' + "p" * 200_000 + '"', "field larger than field limit (131072)"),
@@ -362,6 +390,16 @@ class TestEvaluate:
         out = tmp_path / "r"
         assert main(["evaluate", "--features", str(table), "--k", "5", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error[data]: 3 instances cannot fill 5 folds\n"
+        assert not out.exists()
+
+    def test_allocations_too_large_to_hold_are_a_data_error(self, tmp_path, features_csv,
+                                                            capsys):
+        # numpy refuses the petabyte alarm matrix before it touches memory
+        out = tmp_path / "r"
+        assert main(["evaluate", "--features", str(features_csv),
+                     "--allocations", str(10**12), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[data]: Unable to allocate")
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, features_csv):
@@ -718,6 +756,14 @@ class TestUsage:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=source_tree_env())
         assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    def test_a_surprise_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        def boom(cfg):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "generate_cohort", boom)
+        assert main(["synth", "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == "error[internal]: boom\n"
+        assert not (tmp_path / "x").exists()
 
     def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
         record = tmp_path / "r.csv"  # 700 is a reading in mg/dL, and past BG_MAX in mmol/L

@@ -103,6 +103,13 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics(ConfusionMatrix(0, 0, 0, 0))
 
+    @pytest.mark.parametrize("field", range(4), ids=["tp", "fn", "fp", "tn"])
+    def test_negative_count_rejected(self, field):
+        counts = [0, 0, 0, 0]
+        counts[field] = -1
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            ConfusionMatrix(*counts)
+
     def test_matches_rational_arithmetic(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
