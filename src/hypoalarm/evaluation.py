@@ -310,13 +310,36 @@ def f_upper_tail(f_stat: float, d1: int, d2: int) -> float:
     regularized incomplete beta function at d2/(d2 + d1*F)."""
     if d1 < 1 or d2 < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    if math.isinf(f_stat):
-        return 0.0
     if f_stat <= 0.0:
         return 1.0
-    from scipy.special import betainc  # slow to load, and only `anova` needs it
+    return _betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f_stat))
 
-    return float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f_stat)))
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]
+    or NaN: the continued fraction of Press et al., *Numerical Recipes*
+    §6.4, by Lentz's method, on I_x(a, b) or 1 - I_{1-x}(b, a), whichever
+    converges fast."""
+    if not 0.0 < x < 1.0:
+        return x  # I_0 = 0 and I_1 = 1; NaN stays NaN
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x = b, a, 1.0 - x
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 10_000):  # O(sqrt(max(a, b))) terms: 419 at a = b = 5e5
+        for aa in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / ((1.0 + aa * d) or 1e-300)  # Lentz: a zero divisor becomes a tiny one
+            c = (1.0 + aa / c) or 1e-300
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    else:
+        raise ArithmeticError(f"incomplete beta did not converge at a={a}, b={b}")
+    tail = h * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                        + a * math.log(x) + b * math.log1p(-x)) / a
+    return 1.0 - tail if flip else tail
 
 
 def one_way_anova(groups) -> tuple[float, float]:

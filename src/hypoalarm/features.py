@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cgm_data import (
+    _DAY_MINUTES,
     EPOCH,
     SAMPLING_PERIOD_MIN,
     DataValidationError,
@@ -28,9 +29,8 @@ from .cgm_data import (
 )
 
 _TS_FORMAT = "%Y-%m-%dT%H:%M"
-# the HH:MM clock of each minute of the day, as `_TS_FORMAT` writes it, and back
+# the HH:MM clock of each minute of the day, as `_TS_FORMAT` writes it
 _CLOCK_CELLS = tuple(f"{minute // 60:02d}:{minute % 60:02d}" for minute in range(1440))
-_CLOCK_MINUTES = {cell: minute for minute, cell in enumerate(_CLOCK_CELLS)}
 
 FEATURE_COLUMNS = ("patient_id", "meal_time", "peak_time", "peak_value",
                    "decision_time", "x_t", "rate", "ph_min_bg", "label")
@@ -174,7 +174,7 @@ def _time_column(cells) -> list[float]:
     `strptime` per date for the cells that end in a ``HH:MM`` clock."""
     cells, starts, times = list(cells), {}, {}
     for cell in set(cells):
-        minute = _CLOCK_MINUTES.get(cell[-5:])
+        minute = _DAY_MINUTES.get(cell[-5:])
         if minute is None:
             times[cell] = _parse_time(cell)
             continue

@@ -757,6 +757,24 @@ class TestUsage:
                               env=source_tree_env())
         assert (proc.returncode, proc.stdout) == (0, "False\n")
 
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        cohort, features, report = (str(tmp_path / name) for name in ("cohort", "f.csv", "report"))
+        commands = [["synth", "--seed", "7", "--out", cohort],
+                    ["features", "--in", cohort, "--out", features],
+                    ["evaluate", "--features", features, "--cohort", cohort + "/cohort.json",
+                     "--out", report],
+                    ["anova", "--report", report + "/summary.json", "--metric", "accuracy"]]
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None  # every import of scipy now fails\n"
+                "from hypoalarm.cli import main\n"
+                f"for argv in {commands!r}:\n"
+                "    print('exit', main(argv), file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=source_tree_env())
+        assert (proc.returncode, proc.stderr) == (0, "exit 0\n" * 4)
+        f_part, p_part = proc.stdout.splitlines()[-1].split()
+        assert f_part.startswith("F=") and 0.0 < float(p_part.removeprefix("p=")) < 1.0
+
     def test_a_surprise_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
             raise RuntimeError("boom")

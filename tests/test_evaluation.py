@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from hypoalarm import (
     PipelineConfig,
@@ -580,9 +581,21 @@ class TestAnova:
     def test_tail_function_boundaries(self):
         assert f_upper_tail(0.0, 1, 4) == 1.0
         assert f_upper_tail(math.inf, 1, 4) == 0.0
+        assert f_upper_tail(1.7e308, 2, 1) == 0.0  # d2/(d2 + d1*F) rounds to 0
+        assert f_upper_tail(5e-324, 3, 4) == 1.0  # d2/(d2 + d1*F) rounds to 1
+        assert math.isnan(f_upper_tail(math.nan, 1, 4))
         assert 0.0 < f_upper_tail(1.5, 1, 4) < 1.0
         with pytest.raises(ValueError):
             f_upper_tail(1.0, 0, 4)
+
+    def test_tail_matches_scipy_betainc(self):
+        def worst(d1s, d2s, f_values):
+            return max(abs(f_upper_tail(f, d1, d2) - q) for d1 in d1s for d2 in d2s
+                       for f, q in zip(f_values.tolist(),
+                                       betainc(d2 / 2, d1 / 2, d2 / (d2 + d1 * f_values)).tolist()))
+        assert worst(range(1, 101), range(1, 1001, 12), np.logspace(-8, 4)) < 1e-12
+        near_one = np.concatenate([np.logspace(-8, 4), np.linspace(0.995, 1.005, 21)])
+        assert worst([10**6], [10**6], near_one) < 1e-9
 
     def test_requires_two_groups(self):
         with pytest.raises(ValueError):
