@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import sys
-import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,17 +22,8 @@ from . import __version__
 from .cart import finite_number, grow_tree, parse_tree, predict, serialize_tree, tree_depth
 from .cgm_data import (DM_TYPES, DataValidationError, PipelineConfig, csv_table, parse_cgm_file,
                        series_to_csv)
-from .evaluation import (
-    ConfusionMatrix,
-    PatientRow,
-    PerformanceVector,
-    RunEntry,
-    SeverityRow,
-    cross_validate,
-    instances_to_arrays,
-    one_way_anova,
-    summary_document,
-)
+from .evaluation import (CSV_HEADERS, SECTIONS, cross_validate, instances_to_arrays,
+                         one_way_anova, summary_document)
 from .features import build_instances, read_feature_csv, write_feature_csv
 from .synth import SynthConfig, generate_cohort
 
@@ -175,8 +165,14 @@ def _load_cohort(files: _Files, path: Path, unit: str):
         entries = [(f.stem, "other", f) for f in sorted(path.glob("*.csv"))]
     if not entries:
         raise DataValidationError(f"no patient CSV files under {path}")
-    return [parse_cgm_file(files.read(file), patient_id=pid, dm_type=dm_type, unit=unit)
-            for pid, dm_type, file in entries]
+    series = []
+    for pid, dm_type, file in entries:
+        text = files.read(file)
+        try:
+            series.append(parse_cgm_file(text, patient_id=pid, dm_type=dm_type, unit=unit))
+        except DataValidationError as exc:  # name the record among the cohort's
+            raise DataValidationError(f"{file}: {exc}") from None
+    return series
 
 
 def _cmd_features(args, files: _Files) -> None:
@@ -212,22 +208,10 @@ def _cmd_train(args, files: _Files) -> None:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, (list, tuple)):  # a row's lows: its floats joined by ";"
+        return ";".join(repr(float(v)) for v in value)
     return "" if value is None else str(value)  # str of a float is its repr
 
-
-def _fields(*row_types) -> dict:
-    """Field name -> type of each field of the row dataclasses, in order."""
-    return {name: kind for row_type in row_types
-            for name, kind in typing.get_type_hints(row_type).items()}
-
-
-# the summary.json row columns and their field types, in the order of the types that hold them
-_PERFORMANCE_COLUMNS = ({k: t for k, t in _fields(RunEntry).items()
-                         if k in ("allocation", "fold", "seed")}
-                        | _fields(ConfusionMatrix, PerformanceVector))
-_PER_PATIENT_COLUMNS = _fields(PatientRow)
-_SEVERITY_COLUMNS = _fields(SeverityRow)
-_MISSED_COLUMNS = tuple(c for c in _SEVERITY_COLUMNS if c not in ("lows", "severe_count"))
 
 # what a summary.json cell must hold, by the type of its row field
 _CELL_RULES = {
@@ -239,18 +223,18 @@ _CELL_RULES = {
 }
 
 
+def _section(summary, key: str):
+    """The value at a dotted key of a summary document; None where the path breaks."""
+    for name in key.split("."):
+        summary = summary.get(name) if isinstance(summary, dict) else None
+    return summary
+
+
 def _write_report_tables(files: _Files, out: Path, summary: dict) -> None:
-    """The three CSV tables, derived from the summary document alone."""
-    missed = [{**row, "lowest_bgs": ";".join(repr(float(v)) for v in row["lows"])}
-              for row in summary["missed_events"]["rows"]]
-    tables = {
-        "performance.csv": (tuple(_PERFORMANCE_COLUMNS), summary["per_run"]),
-        "per_patient.csv": (tuple(_PER_PATIENT_COLUMNS), summary["per_patient"]),
-        "missed_events.csv": (_MISSED_COLUMNS + ("lowest_bgs", "severe_count"), missed),
-    }
-    for name, (columns, rows) in tables.items():
-        files.write(out / name, csv_table(
-            columns, ([_fmt(row[k]) for k in columns] for row in rows)))
+    """The CSV table of each of `SECTIONS`, derived from the summary document alone."""
+    for key, name, columns in SECTIONS:
+        files.write(out / name, csv_table([CSV_HEADERS.get(c, c) for c in columns], (
+            [_fmt(row[c]) for c in columns] for row in _section(summary, key))))
 
 
 def _read_summary(files: _Files, path: str, tables: dict) -> dict:
@@ -259,9 +243,7 @@ def _read_summary(files: _Files, path: str, tables: dict) -> dict:
     that key's columns, each cell fitting its column's `_CELL_RULES` type."""
     summary = files.json(path)
     for name, columns in tables.items():
-        rows = summary
-        for key in name.split("."):
-            rows = rows.get(key) if isinstance(rows, dict) else None
+        rows = _section(summary, name)
         if not isinstance(rows, list):
             raise DataValidationError(f"summary has no {name} list")
         for k, row in enumerate(rows):
@@ -302,9 +284,7 @@ def _cmd_evaluate(args, files: _Files) -> None:
 
 
 def _cmd_report(args, files: _Files) -> None:
-    summary = _read_summary(files, args.summary, {
-        "per_run": _PERFORMANCE_COLUMNS, "per_patient": _PER_PATIENT_COLUMNS,
-        "missed_events.rows": _SEVERITY_COLUMNS})
+    summary = _read_summary(files, args.summary, {key: cols for key, _, cols in SECTIONS})
     if not (type(seeds := summary.get("seeds")) is list and all(type(s) is int for s in seeds)):
         raise DataValidationError("summary 'seeds' must be a list of integers")
     out = Path(args.out)

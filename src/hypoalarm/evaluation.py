@@ -7,6 +7,7 @@ summary document that records them.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 
@@ -98,6 +99,24 @@ class SeverityReport:
     rows: tuple[SeverityRow, ...]
     total_missed: int
     total_severe: int
+
+
+def _columns(*row_types, drop=()) -> dict:
+    """Field name -> type of each field of the row dataclasses, in order, less `drop`."""
+    return {name: kind for row_type in row_types
+            for name, kind in typing.get_type_hints(row_type).items() if name not in drop}
+
+
+# summary.json's row lists: the dotted key of each, the CSV table that
+# `report` writes of it, and its columns with their field types
+SECTIONS = (
+    ("per_run", "performance.csv",
+     _columns(RunEntry, ConfusionMatrix, PerformanceVector, drop=("cm", "vector", "tree"))),
+    ("per_patient", "per_patient.csv", _columns(PatientRow)),
+    ("missed_events.rows", "missed_events.csv", _columns(SeverityRow)),
+)
+# the one column that a report table heads by another name
+CSV_HEADERS = {"lows": "lowest_bgs"}
 
 
 def _confusions(codes, k, alarm, hypo) -> list[ConfusionMatrix]:
@@ -308,8 +327,8 @@ def summary_document(instances, report: RunReport, dm_types=None) -> dict:
 def f_upper_tail(f_stat: float, d1: int, d2: int) -> float:
     """Upper-tail probability of the F(d1, d2) distribution, from the
     regularized incomplete beta function at d2/(d2 + d1*F)."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError("degrees of freedom must be >= 1")
+    if not (1 <= d1 <= 10**6 and 1 <= d2 <= 10**6):  # past 10**6 the tail drifts beyond 1e-9
+        raise ValueError(f"degrees of freedom must be in [1, 10**6], got {d1} and {d2}")
     if f_stat <= 0.0:
         return 1.0
     return _betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f_stat))

@@ -184,6 +184,15 @@ class TestFeatures:
                      "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_record_data_error_names_its_file(self, tmp_path, cohort_dir, capsys):
+        record = cohort_dir / "p03.csv"
+        lines = record.read_text().splitlines(keepends=True)
+        record.write_text("".join(lines[:101] + lines[100:]))  # row 101 once more
+        assert main(["features", "--in", str(cohort_dir), "--out", str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr().err == (f"error[data]: {record}: row 102: timestamps not"
+                                           " strictly increasing at 7.Sep.15 8:15\n")
+        assert not (tmp_path / "f.csv").exists()
+
     def test_crlf_record_gives_the_lf_table(self, tmp_path, cohort_dir):
         text = (cohort_dir / "p00.csv").read_bytes()
         tables = []
@@ -435,6 +444,20 @@ class TestReport:
                      "--out", str(second)]) == 0
         for name in ("performance.csv", "per_patient.csv", "missed_events.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_missed_events_table_heads_and_joins_the_lows(self, tmp_path):
+        # two lows among 40 non-hypo decisions at the same point: every tree
+        # is one "N" leaf, so both lows are missed
+        table = tmp_path / "features.csv"
+        table.write_text(",".join(FEATURE_COLUMNS) + "\n" + "".join(
+            f"pa,2015-09-07T09:00,2015-09-07T09:30,10.0,2015-09-07T11:00,8.0,0.05,"
+            f"{low},{int(low < 3.9)}\n" for low in [2.5, 3.0] + [8.0] * 40))
+        report = tmp_path / "report"
+        assert main(["evaluate", "--features", str(table), "--k", "2", "--allocations", "1",
+                     "--out", str(report)]) == 0
+        assert (report / "missed_events.csv").read_text() == (
+            "patient_id,sensitivity,predicted_events,missed_events,lowest_bgs,severe_count\n"
+            "pa,0.0,0,2,2.5;3.0,1\n")
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["missed_events"].pop("rows"),

@@ -486,6 +486,18 @@ class TestSummaryDocument:
         summary = summary_document(instances, cross_validate(instances, PipelineConfig(2, 1)))
         assert {row["dm_type"] for row in summary["per_patient"]} == {"other"}
 
+    def test_rows_hold_their_sections_columns(self):
+        # seed 2's best tree misses events, so every section has rows
+        instances = random_cohort_instances(2)
+        summary = summary_document(instances, cross_validate(instances, PipelineConfig(3, 2), 2))
+        for key, _, columns in evaluation.SECTIONS:
+            rows = summary
+            for name in key.split("."):
+                rows = rows[name]
+            assert rows, key
+            extra = {"tree"} if key == "per_run" else set()
+            assert all(row.keys() == columns.keys() | extra for row in rows), key
+
 
 class TestMissedEvents:
     def test_worked_pattern(self):
@@ -585,8 +597,11 @@ class TestAnova:
         assert f_upper_tail(5e-324, 3, 4) == 1.0  # d2/(d2 + d1*F) rounds to 1
         assert math.isnan(f_upper_tail(math.nan, 1, 4))
         assert 0.0 < f_upper_tail(1.5, 1, 4) < 1.0
-        with pytest.raises(ValueError):
-            f_upper_tail(1.0, 0, 4)
+        # past 10**6 degrees of freedom the tail drifts: the middle two gave 37.58 and 0.5000062
+        for d1, d2, f_stat in [(0, 4, 1.0), (10**16, 10**16, 1.0000001), (10**10, 10**10, 1.0),
+                               (10**6 + 1, 4, 1.0), (4, 10**6 + 1, 1.0)]:
+            with pytest.raises(ValueError):
+                f_upper_tail(f_stat, d1, d2)
 
     def test_tail_matches_scipy_betainc(self):
         def worst(d1s, d2s, f_values):
