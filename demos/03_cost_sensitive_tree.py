@@ -19,13 +19,14 @@ from hypoalarm import (
     parse_tree,
     predict,
     serialize_tree,
-    weighted_gini,
 )
 
 costs = CostMatrix(cost_fn=15.0, cost_fp=1.0)
 
-# With 15 quiet cases and one low, the weighted class masses balance out.
-print("weighted gini of (n_N=15, n_H=1):", weighted_gini(15, 1, costs))
+# With 15 quiet cases and one low, the weighted class masses balance out:
+# the low holds half the cost-weighted mass, so the Gini 2p(1-p) peaks.
+p_h = costs.cost_fn * 1 / (costs.cost_fn * 1 + costs.cost_fp * 15)
+print("weighted gini of (n_N=15, n_H=1):", 2 * p_h * (1 - p_h))
 print("leaf label for (n_N=15, n_H=1):", leaf_class(15, 1, costs))
 print("leaf label for (n_N=100, n_H=3):", leaf_class(100, 3, costs))
 print()

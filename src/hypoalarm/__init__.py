@@ -18,7 +18,6 @@ from .cart import (
     parse_tree,
     predict,
     serialize_tree,
-    weighted_gini,
 )
 from .cgm_data import (
     PatientSeries,

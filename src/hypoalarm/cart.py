@@ -69,13 +69,6 @@ def _gini_and_mass(n_n, n_h, costs):
     return 2.0 * p_h * (1.0 - p_h), mass
 
 
-def weighted_gini(n_n: int, n_h: int, costs: CostMatrix) -> float:
-    """Two-class Gini impurity with cost-weighted class masses, in [0, 0.5]."""
-    if n_n + n_h < 1:
-        raise ValueError("empty node")
-    return _gini_and_mass(n_n, n_h, costs)[0]
-
-
 def leaf_class(n_n: int, n_h: int, costs: CostMatrix) -> str:
     """Cost-minimizing class for a node; ties go to H, the safe alarm."""
     if n_n + n_h < 1:

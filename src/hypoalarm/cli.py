@@ -101,24 +101,22 @@ def _load_synth_config(args, files: _Files) -> SynthConfig:
 def _cmd_synth(args, files: _Files) -> None:
     cfg = _load_synth_config(args, files)
     cohort = generate_cohort(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     patients = []
     for series in cohort:
         name = f"{series.patient_id}.csv"
-        files.write(out / name, series_to_csv(series))
+        files.write(args.out / name, series_to_csv(series))
         patients.append({"id": series.patient_id, "dm_type": series.dm_type, "file": name})
     # every name SynthConfig declares, its constants and its two fields
     config = {name: getattr(cfg, name) for name in SynthConfig.__annotations__}
-    files.write(out / "cohort.json", _json_text(
+    files.write(args.out / "cohort.json", _json_text(
         {"config": config, "patients": patients, "seed": cfg.seed}))
-    files.manifest(out / "manifest.json", "synth", config, [cfg.seed])
-    print(f"patients={len(cohort)} out={out}")
+    files.manifest(args.out / "manifest.json", "synth", config, [cfg.seed])
+    print(f"patients={len(cohort)} out={args.out}")
 
 
 def _cmd_ingest(args, files: _Files) -> None:
-    path = Path(args.infile)
-    series = parse_cgm_file(files.read(path), patient_id=path.stem, unit=args.unit)
+    series = parse_cgm_file(files.read(args.infile), patient_id=args.infile.stem, unit=args.unit)
     print(f"patient={series.patient_id} samples={len(series.samples)} "
           f"meals={len(series.meal_times)} missing={series.missing_count}")
 
@@ -176,15 +174,14 @@ def _load_cohort(files: _Files, path: Path, unit: str):
 
 
 def _cmd_features(args, files: _Files) -> None:
-    instances = [inst for series in _load_cohort(files, Path(args.infile), args.unit)
+    instances = [inst for series in _load_cohort(files, args.infile, args.unit)
                  for inst in build_instances(series)]
-    out = Path(args.out)
     table = io.StringIO()
     write_feature_csv(instances, table)
-    files.write(out, table.getvalue())
-    files.manifest(out.with_suffix(".manifest.json"), "features", {"unit": args.unit}, [])
+    files.write(args.out, table.getvalue())
+    files.manifest(args.out.with_suffix(".manifest.json"), "features", {"unit": args.unit}, [])
     hypo = sum(inst.label for inst in instances)
-    print(f"instances={len(instances)} hypo={hypo} out={out}")
+    print(f"instances={len(instances)} hypo={hypo} out={args.out}")
 
 
 def _read_features(files: _Files, path: str):
@@ -199,12 +196,11 @@ def _cmd_train(args, files: _Files) -> None:
     instances = _read_features(files, args.features)
     X, y = instances_to_arrays(instances)
     tree = grow_tree(X, y, PipelineConfig.costs, PipelineConfig.prune_depth)
-    out = Path(args.out)
-    files.write(out, _json_text(serialize_tree(tree)))
-    files.manifest(out.with_suffix(".manifest.json"), "train",
+    files.write(args.out, _json_text(serialize_tree(tree)))
+    files.manifest(args.out.with_suffix(".manifest.json"), "train",
                    {"costs": dataclasses.asdict(PipelineConfig.costs),
                     "depth": PipelineConfig.prune_depth}, [])
-    print(f"instances={len(instances)} depth={tree_depth(tree)} out={out}")
+    print(f"instances={len(instances)} depth={tree_depth(tree)} out={args.out}")
 
 
 def _fmt(value) -> str:
@@ -271,11 +267,10 @@ def _cmd_evaluate(args, files: _Files) -> None:
     report = cross_validate(instances, cfg, seed=args.seed)
     summary = summary_document(instances, report, dm_types)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    files.write(out / "summary.json", _json_text(summary))
-    _write_report_tables(files, out, summary)
-    files.manifest(out / "manifest.json", "evaluate",
+    args.out.mkdir(parents=True, exist_ok=True)
+    files.write(args.out / "summary.json", _json_text(summary))
+    _write_report_tables(files, args.out, summary)
+    files.manifest(args.out / "manifest.json", "evaluate",
                    {"k": args.k, "allocations": args.allocations, "seed": args.seed},
                    summary["seeds"])
     agg = report.aggregate
@@ -287,11 +282,10 @@ def _cmd_report(args, files: _Files) -> None:
     summary = _read_summary(files, args.summary, {key: cols for key, _, cols in SECTIONS})
     if not (type(seeds := summary.get("seeds")) is list and all(type(s) is int for s in seeds)):
         raise DataValidationError("summary 'seeds' must be a list of integers")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_report_tables(files, out, summary)
-    print(f"tables={len(files.outputs)} out={out}")
-    files.manifest(out / "manifest.json", "report", {}, seeds)
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_report_tables(files, args.out, summary)
+    print(f"tables={len(files.outputs)} out={args.out}")
+    files.manifest(args.out / "manifest.json", "report", {}, seeds)
 
 
 def _cmd_predict(args, files: _Files) -> None:
@@ -326,24 +320,24 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic CGM cohort")
     p.add_argument("--config", help='JSON object with "n_patients" and/or "seed"')
     p.add_argument("--seed", type=int, help="overrides the config seed")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="validate a CGM CSV and print a summary")
-    p.add_argument("--in", dest="infile", required=True, help="patient CSV file")
+    p.add_argument("--in", dest="infile", type=Path, required=True, help="patient CSV file")
     p.add_argument("--unit", choices=("mmol", "mg"), default="mmol")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("features", help="extract decision instances to a CSV table")
-    p.add_argument("--in", dest="infile", required=True,
+    p.add_argument("--in", dest="infile", type=Path, required=True,
                    help="cohort directory (or one patient CSV)")
     p.add_argument("--unit", choices=("mmol", "mg"), default="mmol")
-    p.add_argument("--out", required=True, help="feature table CSV path")
+    p.add_argument("--out", type=Path, required=True, help="feature table CSV path")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("train", help="fit a depth-limited cost-weighted tree")
     p.add_argument("--features", required=True, help="feature table CSV")
-    p.add_argument("--out", required=True, help="tree JSON path")
+    p.add_argument("--out", type=Path, required=True, help="tree JSON path")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="repeated k-fold cross-validation report")
@@ -353,12 +347,12 @@ def _build_parser() -> _Parser:
                    help="random allocations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cohort", help="cohort.json for patient dm_type metadata")
-    p.add_argument("--out", required=True, help="report directory")
+    p.add_argument("--out", type=Path, required=True, help="report directory")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="regenerate CSV tables from a summary.json")
     p.add_argument("--summary", required=True, help="summary.json from evaluate")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("predict", help="classify one decision point")

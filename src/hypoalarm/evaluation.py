@@ -138,17 +138,12 @@ def metrics(cm: ConfusionMatrix) -> PerformanceVector:
     )
 
 
-def allocate_folds(n: int, k: int, seed) -> FoldPlan:
+def allocate_folds(n: int, k: int, seed) -> tuple[FoldPlan, list[np.ndarray]]:
     """Shuffle indices with a seeded generator and cut into k contiguous chunks.
 
     The n mod k larger chunks go last, so n=1867, k=5 gives sizes
-    (373, 373, 373, 374, 374).
+    (373, 373, 373, 374, 374). Returns the plan and its groups as index arrays.
     """
-    return _allocate(n, k, seed)[0]
-
-
-def _allocate(n: int, k: int, seed):
-    # the FoldPlan of `allocate_folds` and its groups as index arrays
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     if n < k:
@@ -195,7 +190,7 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
     runs = []
     for allocation in range(cfg.allocations):
         alloc_seed = seed + allocation
-        plan, chunks = _allocate(n, cfg.folds, alloc_seed)
+        plan, chunks = allocate_folds(n, cfg.folds, alloc_seed)
         plans.append(plan)
         trees = []
         for fold, test in enumerate(chunks):

