@@ -88,15 +88,15 @@ def _checked_predictors(X) -> np.ndarray:
 
 
 def _checked_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """`_checked_predictors(X)` and `y` as one integer label, 0 or 1, per
-    row of `X`; ValueError otherwise."""
+    """`_checked_predictors(X)` and `y` as one bool label per row of `X`,
+    from labels 0 or 1; ValueError otherwise."""
     X = _checked_predictors(X)
     y = np.asarray(y, dtype=int)
     if y.shape != X.shape[:1]:
         raise ValueError("y must hold one label per row of X")
     if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
-    return X, y
+    return X, y.astype(bool)  # a label gather moves one byte a row
 
 
 def _best_cut(X, y, order, costs: CostMatrix):
@@ -109,8 +109,8 @@ def _best_cut(X, y, order, costs: CostMatrix):
     sorted rows c and c+1 differ in class. A change between two distinct
     values gives the cut after row c; a change inside a run of equal values
     gives the cuts at both ends of the run, less the node's edges. The cuts
-    are scored in ascending order, feature by feature, and the first
-    maximum wins: ties go to the earlier feature, then the lower cut.
+    of both features, in feature order, are scored in one pass, and the
+    first maximum wins: ties go to the earlier feature, then the lower cut.
 
     These are exactly the boundary cuts, the cuts between two value groups
     that are not both pure and of the same class: such a cut has a class
@@ -143,14 +143,13 @@ def _best_cut(X, y, order, costs: CostMatrix):
     if tot_h == 0 or tot_n == 0:
         return None
     parent_gini, parent_mass = _gini_and_mass(tot_n, tot_h, costs)
-
-    best = None
+    cuts, left_hs = [], []
     for fi, (rows, h) in enumerate(zip(order, hs)):
-        changes = np.flatnonzero(h[:-1] != h[1:])
+        changes = (h[:-1] != h[1:]).nonzero()[0]
         # class runs: run r holds rows last[r]+1 .. last[r+1], all of class h_run[r]
         last = np.concatenate(([-1], changes, [n - 1]))
         h_run = (np.arange(changes.size + 1) & 1) ^ int(h[0])
-        h_upto = np.cumsum(np.diff(last) * h_run)  # H rows up to the end of run r
+        h_upto = np.cumsum((last[1:] - last[:-1]) * h_run)  # H rows up to the end of run r
         lo, hi = X[rows[changes], fi], X[rows[changes + 1], fi]
         tied = lo == hi
         if tied.any():  # a change inside a run of equal values: cut at the run's ends
@@ -159,24 +158,29 @@ def _best_cut(X, y, order, costs: CostMatrix):
             cut = np.unique(np.concatenate((changes[~tied], np.searchsorted(xs, ties) - 1,
                                             np.searchsorted(xs, ties, "right") - 1)))
             cut = cut[(cut >= 0) & (cut < n - 1)]
-            if cut.size == 0:
-                continue
             run = np.searchsorted(changes, cut)
-            left_h = h_upto[run] - (last[run + 1] - cut) * h_run[run]
+            cuts.append(cut)
+            left_hs.append(h_upto[run] - (last[run + 1] - cut) * h_run[run])
         else:
-            cut, left_h = changes, h_upto[:-1]
-        left_n = (cut + 1) - left_h
-        g_l, m_l = _gini_and_mass(left_n, left_h, costs)
-        g_r, m_r = _gini_and_mass(tot_n - left_n, tot_h - left_h, costs)
-        decrease = parent_gini - (m_l * g_l + m_r * g_r) / parent_mass
-        j = int(np.argmax(decrease))
-        if decrease[j] > 0.0 and (best is None or decrease[j] > best[3]):
-            lo, hi = X[rows[cut[j]], fi], X[rows[cut[j] + 1], fi]
-            threshold = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 can overflow
-            if not threshold > lo:  # midpoint of adjacent floats can round down
-                threshold = hi
-            best = (fi, int(cut[j]) + 1, float(threshold), float(decrease[j]), int(left_h[j]))
-    return best
+            cuts.append(changes)
+            left_hs.append(h_upto[:-1])
+    cut, left_h = np.concatenate(cuts), np.concatenate(left_hs)
+    if cut.size == 0:
+        return None
+    left_n = (cut + 1) - left_h
+    g_l, m_l = _gini_and_mass(left_n, left_h, costs)
+    g_r, m_r = _gini_and_mass(tot_n - left_n, tot_h - left_h, costs)
+    decrease = parent_gini - (m_l * g_l + m_r * g_r) / parent_mass
+    j = int(np.argmax(decrease))
+    if not decrease[j] > 0.0:
+        return None
+    fi = int(j >= cuts[0].size)  # the second feature's cuts follow the first's
+    rows = order[fi]
+    lo, hi = X[rows[cut[j]], fi], X[rows[cut[j] + 1], fi]
+    threshold = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 can overflow
+    if not threshold > lo:  # midpoint of adjacent floats can round down
+        threshold = hi
+    return fi, int(cut[j]) + 1, float(threshold), float(decrease[j]), int(left_h[j])
 
 
 def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None, *,
@@ -197,14 +201,16 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None, *,
 
     `_presort`, passed only by `cross_validate`, is its sort of `X` kept to
     a fold's training rows (row f by feature f), used unchecked as the sort.
+    With it, `X` and `y` are taken as `_checked_rows` returns them, since
+    `cross_validate` checks them once for all its folds.
     """
-    X, y = _checked_rows(X, y)
+    if _presort is None:
+        X, y = _checked_rows(X, y)
     if y.size == 0:
         raise ValueError("cannot grow a tree from zero instances")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     order = np.argsort(X, axis=0).T if _presort is None else _presort
-    y = y.astype(bool)  # a label gather moves one byte a row
     return _grow(X, y, order, int(np.count_nonzero(y[order[0]])), costs, max_depth)
 
 
@@ -216,7 +222,7 @@ def _grow(X, y, order, n_h: int, costs: CostMatrix, max_depth: int | None,
           depth: int = 0) -> TreeNode:
     # order[f]: this node's rows of X and y, sorted by feature f; n_h of them are H
     n = order.shape[1]
-    found = _best_cut(X, y, order, costs)
+    found = _best_cut(X, y, order, costs) if 0 < n_h < n else None  # a pure node is a leaf
     if found is None:
         return _leaf(n - n_h, n_h, costs)
     fi, n_left, threshold, _, left_h = found

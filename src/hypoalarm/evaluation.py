@@ -13,7 +13,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .cart import FEATURES, TreeNode, alarms, grow_tree, serialize_tree
+from .cart import (FEATURES, TreeNode, _checked_predictors, _checked_rows, _route, alarms,
+                   grow_tree, serialize_tree)
 from .cgm_data import SEVERE_THRESHOLD, PipelineConfig
 
 
@@ -173,16 +174,15 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
 
     Allocation r shuffles with seed `seed + r`. Aggregates are means over
     the defined (non-None) per-run values. A training split holding a
-    single class just grows a single-leaf tree. Both features are sorted
-    once, and each fold's tree grows from that presort filtered to its
-    training rows. Each tree's alarms on its held-out rows fill its
-    allocation's row of `alarms`, from which the runs are counted.
+    single class just grows a single-leaf tree. The rows are checked and
+    both features sorted once; each fold's tree grows from that presort
+    kept to its training rows. Each tree's alarms on its held-out rows fill
+    its allocation's row of `alarms`, from which the runs are counted.
     """
     cfg = cfg or PipelineConfig()
     if not instances:
         raise ValueError("no instances to evaluate")
     X, y = instances_to_arrays(instances)
-    presort = np.argsort(X, axis=0).T
     n = len(instances)
     alarm = np.empty((cfg.allocations, n), dtype=bool)
     fold_of = np.empty(n, dtype=np.intp)
@@ -192,15 +192,18 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
         alloc_seed = seed + allocation
         plan, chunks = allocate_folds(n, cfg.folds, alloc_seed)
         plans.append(plan)
+        if allocation == 0:  # one check for every fold, after the fold errors
+            X, y = _checked_rows(X, y)
+            presort = np.argsort(X, axis=0).T
+        for fold, test in enumerate(chunks):
+            fold_of[test] = fold
+        sorted_fold = fold_of[presort]
         trees = []
         for fold, test in enumerate(chunks):
-            train = np.ones(n, dtype=bool)
-            train[test] = False
-            order = presort[train[presort]].reshape(presort.shape[0], -1)
+            order = presort[sorted_fold != fold].reshape(presort.shape[0], -1)
             trees.append(grow_tree(X, y, cfg.costs, cfg.prune_depth, _presort=order))
-            alarm[allocation, test] = alarms(trees[-1], X[test])
-            fold_of[test] = fold
-        cms = _confusions(fold_of, cfg.folds, alarm[allocation], y == 1)
+            _route(trees[-1], X, test, alarm[allocation])
+        cms = _confusions(fold_of, cfg.folds, alarm[allocation], y)
         runs += [RunEntry(allocation, fold, alloc_seed, cm, metrics(cm), tree)
                  for fold, (cm, tree) in enumerate(zip(cms, trees))]
     alarm.flags.writeable = False
@@ -263,12 +266,17 @@ def missed_event_analysis(tree: TreeNode, instances) -> SeverityReport:
 
     A missed event is severe when that low sits at or under
     `SEVERE_THRESHOLD`. Patients without false negatives contribute no row.
+    Only hypo instances can be missed, so only they are scored; every
+    instance's predictors are still checked, as routing all of them would.
     """
+    X, y = instances_to_arrays(instances)
+    _checked_predictors(X)
+    hypo = [instances[i] for i in np.flatnonzero(y == 1).tolist()]
     rows = []
-    for pid, cm, missed in _score_patients(tree, instances):
+    for pid, cm, missed in _score_patients(tree, hypo):
         if not cm.fn:
             continue
-        lows = tuple(instances[i].ph_min_bg for i in missed)
+        lows = tuple(hypo[i].ph_min_bg for i in missed)
         rows.append(SeverityRow(
             patient_id=pid,
             sensitivity=metrics(cm).sensitivity,

@@ -16,7 +16,7 @@ from hypoalarm import (
 )
 
 from hypoalarm.cart import (FEATURES, Leaf, Split, TreeDocumentError, _best_cut,
-                            _gini_and_mass, tree_depth)
+                            _checked_rows, _gini_and_mass, tree_depth)
 from oracle_utils import (
     best_split,
     boundary_scan_best_cut,
@@ -395,14 +395,15 @@ class TestPresortedGrowth:
             if rows.size == 0:
                 continue
             expected = serialize_tree(grow_tree(X[rows], y[rows], COSTS, depth))
-            got = serialize_tree(grow_tree(X, y, COSTS, depth, _presort=presort(X, rows)))
+            got = serialize_tree(grow_tree(*_checked_rows(X, y), COSTS, depth,
+                                           _presort=presort(X, rows)))
             assert json.dumps(got) == json.dumps(expected)
 
     def test_ties_may_come_in_any_order(self):
         X = np.array([[1.0, 0.5], [1.0, 0.5], [2.0, 0.5], [-0.0, 0.5], [0.0, 0.1]])
         y = np.array([1, 0, 0, 1, 1])
         order = np.array([[4, 3, 1, 0, 2], [4, 2, 1, 0, 3]])
-        assert grow_tree(X, y, COSTS, _presort=order) == grow_tree(X, y, COSTS)
+        assert grow_tree(*_checked_rows(X, y), COSTS, _presort=order) == grow_tree(X, y, COSTS)
 
     def test_presort_is_keyword_only(self):
         # no public `order`: a presort passed positionally or by that name is refused
@@ -504,8 +505,8 @@ class TestLastLevelLeaves:
             rows = np.flatnonzero(rng.random(len(y)) < rng.uniform(0.2, 1.0))
             grown = [(grow_tree(X, y, COSTS, depth), X, y)]
             if rows.size:
-                grown.append((grow_tree(X, y, COSTS, depth, _presort=presort(X, rows)),
-                              X[rows], y[rows]))
+                grown.append((grow_tree(*_checked_rows(X, y), COSTS, depth,
+                                        _presort=presort(X, rows)), X[rows], y[rows]))
             for tree, X_train, y_train in grown:
                 for leaf, n_n, n_h in loop_leaf_counts(tree, X_train, y_train):
                     assert (leaf.n_n, leaf.n_h) == (n_n, n_h)

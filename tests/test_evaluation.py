@@ -24,7 +24,7 @@ from hypoalarm import (
 from hypoalarm import evaluation
 from hypoalarm.cart import Leaf, Split
 from hypoalarm.evaluation import (ConfusionMatrix, PerformanceVector, RunEntry, RunReport,
-                                  _confusions, f_upper_tail)
+                                  SeverityReport, _confusions, f_upper_tail)
 from hypoalarm.features import DecisionInstance
 
 from conftest import ts_minutes
@@ -248,11 +248,14 @@ class TestCrossValidate:
     @pytest.mark.parametrize("name", CV_INSTANCES)
     def test_each_fold_hands_grow_tree_a_sound_presort(self, name, folds, allocations,
                                                        monkeypatch):
-        # grow_tree uses the presort unchecked: every row of it must list
-        # the fold's training rows once each, row f sorted by feature f
+        # grow_tree uses the presort and the rows unchecked: every row of the
+        # presort must list the fold's training rows once each, row f sorted
+        # by feature f, and X and y must be as grow_tree's own check leaves them
         handed = []
 
         def spy(X, y, costs, max_depth, *, _presort):
+            assert np.isfinite(X).all() and not np.signbit(X[X == 0]).any()
+            assert y.dtype == bool and y.shape == X.shape[:1]
             handed.append(_presort)
             return grow_tree(X, y, costs, max_depth, _presort=_presort)
 
@@ -513,6 +516,21 @@ class TestMissedEvents:
         assert row.predicted_events == 1
         assert row.sensitivity == pytest.approx(0.2)
         assert report.total_missed == 4 and report.total_severe == 1
+
+    @pytest.mark.parametrize("column", ["x_t", "rate"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_non_hypo_predictor_rejected(self, column, bad):
+        # only hypo instances are scored, yet every row's predictors are checked
+        instances = [make_instance(9.0, 0.0, 1, "p02"), make_instance(4.0, 0.08, 1, "p03"),
+                     make_instance(8.0, 0.01, 0, "p04")]
+        instances[2] = instances[2]._replace(**{column: bad})
+        with pytest.raises(ValueError, match="^predictors must be finite$"):
+            missed_event_analysis(SPLIT_AT_SIX, instances)
+
+    def test_no_hypo_instances_no_rows(self):
+        instances = [make_instance(9.0 - i, 0.01, 0, f"p{i}", minute=i) for i in range(4)]
+        assert missed_event_analysis(SPLIT_AT_SIX, instances) == SeverityReport((), 0, 0)
+        assert missed_event_analysis(SPLIT_AT_SIX, []) == SeverityReport((), 0, 0)
 
     def test_no_false_negatives_no_rows(self):
         instances = [make_instance(4.0, 0.08, 1, "q", minute=i) for i in range(3)]
