@@ -49,6 +49,7 @@ _ASCII_INNER_SPACE = " \t\v\f\x1c\x1d\x1e\x1f"
 _INNER_SPACE = re.compile(r"[^\S\n]")
 
 EPOCH = datetime(2000, 1, 1)  # every time in the pipeline is minutes since this instant
+_RECORD_DAYS = (datetime(2100, 1, 1) - EPOCH).days  # a D.Mon.YY date holds only 2000-2099
 
 
 class DataValidationError(ValueError):
@@ -351,8 +352,11 @@ def series_to_csv(series: PatientSeries) -> str:
     """Render the ingestion CSV format; inverse of `parse_cgm_file`."""
     minutes, bg, meal_ref = series.samples.T
     day, minute_of_day = np.divmod(np.trunc(minutes), 1440)  # int() truncates, divmod floors
+    if (outside := np.flatnonzero((day < 0) | (day >= _RECORD_DAYS))).size:
+        i = int(outside[0])
+        raise ValueError(f"sample {i} at minute {minutes.item(i)!r} is outside the years 2000-2099")
     days = day.tolist()
-    date_cells = {d: _date_cell(int(d)) for d in set(days)}  # OverflowError past year 9999
+    date_cells = {d: _date_cell(int(d)) for d in set(days)}
     rows = map(",".join, zip(map(str, range(len(days))), map(date_cells.__getitem__, days),
                              map(_TIME_CELLS.__getitem__, minute_of_day.astype(np.intp).tolist()),
                              _value_cells(meal_ref, "."), _value_cells(bg, "N/A")))

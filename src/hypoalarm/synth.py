@@ -8,14 +8,9 @@ rate clamp then guarantees that a high reading now cannot be followed by
 a sub-threshold reading within the prediction horizon, which is what
 makes the "high BG now" region genuinely safe for a classifier to learn.
 
-A cohort is built in two phases. The per-patient phase makes every random
-draw of one patient from that patient's own seeded substreams and lays out
-its noise-free curve and noise innovations in the patient's final samples
-array. The batched phase then runs the AR(1) sensor noise and the rate and
-range clamp for all patients at once, one numpy step per sample time, with
-each patient in its own lane. A lane performs exactly the float operations
-of a scalar loop over that patient alone, so patient k's series is the same
-bytes whatever the cohort size and whatever its neighbours' lengths.
+A cohort is built one patient at a time. Each patient draws only from its
+own seeded substreams and shares nothing with its neighbours, so patient k
+is the same bytes in a cohort of any size.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +31,6 @@ _COHORT_START_MIN = (datetime(2015, 9, 7) - EPOCH) // timedelta(minutes=1)
 _SLOTS = ((435.0, 505.0), (705.0, 780.0), (1050.0, 1140.0))
 
 _PHI = 0.8  # AR(1) coefficient of the sensor noise
-_BLOCK_STEPS = 64  # sample times per block of the batched recurrences
 
 
 @dataclass(frozen=True)
@@ -99,30 +93,10 @@ class SynthConfig:
 def generate_cohort(cfg: SynthConfig) -> list[PatientSeries]:
     """Deterministic cohort for a seed; patients use independent substreams,
     so patient k's series does not depend on the cohort size."""
-    lanes = [_draw_patient(cfg, pidx) for pidx in range(cfg.n_patients)]
-    _run_sensor(cfg, [lane.samples for lane in lanes],
-                np.array([lane.level for lane in lanes]))
-    cohort = []
-    for i, lane in enumerate(lanes):
-        lanes[i] = None  # PatientSeries copies the samples, so let each go once copied
-        cohort.append(_finish_patient(cfg, lane))
-    return cohort
+    return [_patient(cfg, pidx) for pidx in range(cfg.n_patients)]
 
 
-class _Lane(NamedTuple):
-    """One patient between the two phases. `samples` is the final array:
-    column 1 holds the noise innovations and column 2 the noise-free curve
-    until `_run_sensor` and `_finish_patient` overwrite them."""
-
-    pidx: int
-    dm_type: str
-    samples: np.ndarray
-    level: float              # the AR(1) noise state before the first sample
-    meal_idx: np.ndarray
-    ref_jitter: np.ndarray
-
-
-def _draw_patient(cfg: SynthConfig, pidx: int) -> _Lane:
+def _patient(cfg: SynthConfig, pidx: int) -> PatientSeries:
     # Independent substreams so that raising hypo_pressure only flips
     # per-meal dip decisions without shifting any other draw.
     rng_struct = np.random.default_rng([cfg.seed, pidx, 0])
@@ -212,73 +186,52 @@ def _draw_patient(cfg: SynthConfig, pidx: int) -> _Lane:
 
     n_samples = total_min // SAMPLING_PERIOD_MIN
     grid = np.arange(n_samples) * SAMPLING_PERIOD_MIN
-    samples = np.empty((n_samples, 3), order="F")
-    samples[:, 0] = _COHORT_START_MIN + grid
-    samples[:, 2] = np.interp(grid, anchors_t, anchors_v)
+    curve = np.interp(grid, anchors_t, anchors_v)
     ref_jitter = rng_params.normal(0.0, 0.25, len(meal_minutes))
 
     # AR(1) sensor noise: smooth enough that the rate clamp rarely bites
     eps_sd = cfg.noise_sd * math.sqrt(1.0 - _PHI * _PHI)
-    samples[:, 1] = rng_noise.normal(0.0, eps_sd, n_samples)
+    eps = rng_noise.normal(0.0, eps_sd, n_samples).tolist()
     level = rng_noise.normal(0.0, cfg.noise_sd)
+    noise = np.array([level := _PHI * level + e for e in eps])  # level = phi * level + eps
+    bg = _clamp(cfg, np.clip(noise, -cfg.noise_clip, cfg.noise_clip, out=noise) + curve)
+    # dropouts come from the patient's fifth substream, which nothing else draws from
+    bg[np.random.default_rng([cfg.seed, pidx, 4]).random(n_samples) < cfg.missing_prob] = np.nan
+
     meal_idx = np.array(meal_minutes, dtype=np.int64) // SAMPLING_PERIOD_MIN
-    return _Lane(pidx, dm_type, samples, level, meal_idx, ref_jitter)
+    meal_ref = np.full(n_samples, np.nan)
+    meal_ref[meal_idx] = np.maximum(cfg.bg_floor, curve[meal_idx] + ref_jitter)
+    samples = np.column_stack((_COHORT_START_MIN + grid, bg, meal_ref))
+    return PatientSeries(patient_id=f"p{pidx:02d}", samples=samples, dm_type=dm_type)
 
 
-def _run_sensor(cfg: SynthConfig, lanes: list[np.ndarray], level: np.ndarray) -> None:
-    """Turn column 1 of every lane from noise innovations into clamped BG.
+def _clamp(cfg: SynthConfig, raw: np.ndarray) -> np.ndarray:
+    """The sensor clamp: each reading to within `max_drop_rate` and
+    `max_rise_rate` of the clamped reading before it, then to the range
+    [bg_floor, bg_ceil]. The first reading has no predecessor and is only
+    clamped to the range.
 
-    Both recurrences step once per sample time, each step a few numpy
-    operations over all lanes. Every lane sees the float operations of a
-    scalar loop over its own samples (`np.maximum`/`np.minimum` pick the
-    same floats as `max`/`min`), so its result depends on no other lane.
-    The time axis is cut into blocks of `_BLOCK_STEPS`, gathered from and
-    scattered back to the lanes, so the working buffer stays small whatever
-    the series length. A lane that ends inside a block is padded with
-    zeros; the padding runs through the recurrences and is dropped.
+    This gives that scalar loop's result, but the loop only walks: it starts
+    at each reading that leaves its predecessor's rate band and stops at the
+    first reading back inside its band. The walks are exact because:
+    - every predecessor lies in [bg_floor, bg_ceil], so clamping to the
+      rate band and then to the range equals clamping to their
+      intersection;
+    - so a range-clamped reading inside its true predecessor's band is the
+      result;
+    - from that reading on, the range-clamped values stay right until the
+      next reading outside the band. A reading that an earlier walk passed
+      lies inside its predecessor's band, so a walk from it stops at once;
+    - `max` and `min` only select operands, so each reading is the same
+      float as in the scalar loop.
     """
-    n_max = max(len(s) for s in lanes)
-    block = np.empty((min(_BLOCK_STEPS, n_max), 2, len(lanes)))
-    scratch = np.empty(len(lanes))
+    bg = np.clip(raw, cfg.bg_floor, cfg.bg_ceil)
     max_down = cfg.max_drop_rate * SAMPLING_PERIOD_MIN
     max_up = cfg.max_rise_rate * SAMPLING_PERIOD_MIN
-    prev = None
-    for t0 in range(0, n_max, _BLOCK_STEPS):
-        steps = min(_BLOCK_STEPS, n_max - t0)
-        noise, curve = block[:steps, 0], block[:steps, 1]
-        for p, s in enumerate(lanes):
-            part = s[t0:t0 + steps, 1:]
-            block[:len(part), :, p] = part
-            if len(part) < steps:
-                block[len(part):steps, :, p] = 0.0
-        last = level
-        for row in noise:  # level = phi * level + eps
-            np.multiply(last, _PHI, out=scratch)
-            np.add(scratch, row, out=row)
-            last = row
-        level = last.copy()  # rows are views into `block`, which the next block overwrites
-        bg = np.clip(noise, -cfg.noise_clip, cfg.noise_clip, out=noise)
-        bg += curve
-        for row in bg:
-            if prev is not None:  # the first sample has no predecessor to clamp to
-                np.maximum(row, np.subtract(prev, max_down, out=scratch), out=row)
-                np.minimum(row, np.add(prev, max_up, out=scratch), out=row)
-            np.maximum(row, cfg.bg_floor, out=row)
-            np.minimum(row, cfg.bg_ceil, out=row)
-            prev = row
-        prev = prev.copy()
-        for p, s in enumerate(lanes):
-            col = s[t0:t0 + steps, 1]
-            col[:] = bg[:len(col), p]
-
-
-def _finish_patient(cfg: SynthConfig, lane: _Lane) -> PatientSeries:
-    samples = lane.samples
-    # dropouts come from the patient's fifth substream, which nothing else draws from
-    missing = np.random.default_rng([cfg.seed, lane.pidx, 4]).random(len(samples))
-    samples[missing < cfg.missing_prob, 1] = np.nan
-    meal_ref = np.maximum(cfg.bg_floor, samples[lane.meal_idx, 2] + lane.ref_jitter)
-    samples[:, 2] = np.nan
-    samples[lane.meal_idx, 2] = meal_ref
-    return PatientSeries(patient_id=f"p{lane.pidx:02d}", samples=samples, dm_type=lane.dm_type)
-
+    bites = np.flatnonzero((bg[1:] < bg[:-1] - max_down) | (bg[1:] > bg[:-1] + max_up)) + 1
+    for i in bites.tolist():
+        j, prev = i, bg.item(i - 1)
+        while j < len(bg) and not prev - max_down <= bg.item(j) <= prev + max_up:
+            prev = bg[j] = min(max(bg.item(j), prev - max_down), prev + max_up)
+            j += 1
+    return bg

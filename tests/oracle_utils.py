@@ -557,6 +557,22 @@ def loop_generate_cohort(cfg):
     return [loop_generate_patient(cfg, i) for i in range(cfg.n_patients)]
 
 
+def loop_clamp(values, cfg):
+    """The sensor clamp as one scalar loop: each reading to within the rate
+    band of the clamped reading before it, then to [bg_floor, bg_ceil]; the
+    first reading to the range alone."""
+    max_down = cfg.max_drop_rate * SAMPLING_PERIOD_MIN
+    max_up = cfg.max_rise_rate * SAMPLING_PERIOD_MIN
+    prev = min(max(values[0], cfg.bg_floor), cfg.bg_ceil)
+    bg = [prev]
+    for v in values[1:]:
+        v = min(max(v, prev - max_down), prev + max_up)
+        v = min(max(v, cfg.bg_floor), cfg.bg_ceil)
+        bg.append(v)
+        prev = v
+    return bg
+
+
 def loop_generate_patient(cfg, pidx):
     rng_struct = np.random.default_rng([cfg.seed, pidx, 0])
     rng_dip = np.random.default_rng([cfg.seed, pidx, 1])
@@ -656,16 +672,7 @@ def loop_generate_patient(cfg, pidx):
     noise = np.clip(noise, -cfg.noise_clip, cfg.noise_clip)
 
     raw = curve + noise
-    max_down = cfg.max_drop_rate * SAMPLING_PERIOD_MIN
-    max_up = cfg.max_rise_rate * SAMPLING_PERIOD_MIN
-    values = raw.tolist()
-    prev = min(max(values[0], cfg.bg_floor), cfg.bg_ceil)
-    bg = [prev]
-    for v in values[1:]:
-        v = min(max(v, prev - max_down), prev + max_up)
-        v = min(max(v, cfg.bg_floor), cfg.bg_ceil)
-        bg.append(v)
-        prev = v
+    bg = loop_clamp(raw.tolist(), cfg)
 
     missing = rng_miss.random(n_samples) < cfg.missing_prob
     meal_idx = np.array(meal_minutes, dtype=np.int64) // SAMPLING_PERIOD_MIN

@@ -144,6 +144,25 @@ class TestParse:
                                dm_type=series.dm_type)
         assert again == series
 
+    @pytest.mark.parametrize("when, index, minute", [
+        (datetime(1999, 12, 31), 0, "-1440.0"),  # would be written 31.Dec.99, read back as 2099
+        (datetime(2100, 1, 1), 1, "52596000.0"),  # would be written 1.Jan.00, read back as 2000
+    ], ids=["1999", "2100"])
+    def test_a_sample_outside_the_record_years_is_refused(self, when, index, minute):
+        # a D.Mon.YY date holds only 2000-2099
+        rows = sorted([(minutes(datetime(2015, 9, 7)), 5.0, math.nan),
+                       (minutes(when), 6.0, math.nan)])
+        with pytest.raises(ValueError, match=rf"^sample {index} at minute {minute} is outside "
+                                             r"the years 2000-2099$"):
+            series_to_csv(PatientSeries("p", rows))
+
+    def test_the_last_minute_of_2099_round_trips(self):
+        series = PatientSeries("p", [(0.0, 5.0, math.nan),
+                                     (minutes(datetime(2099, 12, 31, 23, 59)), 6.0, 7.0)])
+        text = series_to_csv(series)
+        assert text.endswith("\n1,31.Dec.99,23:59,7.0,6.0\n")
+        assert parse_cgm_file(text, patient_id="p") == series
+
 
 def record_rows(rng, start, count, unit="mmol"):
     """`count` valid rows of cells, 5 min apart from `start` (minutes since

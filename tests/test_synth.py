@@ -3,13 +3,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypoalarm import build_instances, series_to_csv
 from hypoalarm.cgm_data import SAMPLING_PERIOD_MIN
-from hypoalarm.synth import SynthConfig, generate_cohort
+from hypoalarm.synth import SynthConfig, _clamp, generate_cohort
 
 from conftest import SHAPE_CONSTANTS, shape_violations, shaped
-from oracle_utils import loop_generate_cohort
+from oracle_utils import loop_clamp, loop_generate_cohort
 
 
 def cohort_instances(cfg):
@@ -104,7 +106,8 @@ def clamp_hits(cfg, cohort):
 
 
 class TestLoopOracle:
-    """The batched recurrences against the scalar per-patient generator."""
+    """The generator against `loop_generate_cohort`, its scalar per-patient
+    reference, whose clamp runs over every reading."""
 
     @pytest.mark.parametrize("seed", range(7, 17))
     def test_default_shape(self, seed):
@@ -128,6 +131,34 @@ class TestLoopOracle:
         hits = clamp_hits(cfg, cohort)
         assert all(hits[bound] for bound in biting), hits
         assert len({len(s.samples) for s in cohort}) == cfg.days_max - cfg.days_min + 1
+
+
+DEFAULT_DROP, DEFAULT_RISE = SynthConfig.max_drop_rate, SynthConfig.max_rise_rate
+
+
+class TestClampWalk:
+    """`_clamp` loops only from the readings that leave their predecessor's
+    rate band; it must give `loop_clamp`'s bytes, which loop over all."""
+
+    # default bands: a step may fall 0.275 and rise 1.75 mmol/L
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(SynthConfig.bg_floor - 3, SynthConfig.bg_ceil + 3),
+                           min_size=1, max_size=60),
+           drop=st.floats(1e-6, DEFAULT_DROP), rise=st.floats(1e-6, DEFAULT_RISE))
+    @example(values=[10.0, 9.0, 9.5], drop=DEFAULT_DROP, rise=DEFAULT_RISE)  # a bite at index 1
+    @example(values=[10.0, 10.0, 10.0, 13.0], drop=DEFAULT_DROP, rise=DEFAULT_RISE)  # at the end
+    @example(values=[10.0, 9.0, 9.6, 5.0, 5.2], drop=DEFAULT_DROP,
+             rise=DEFAULT_RISE)  # back-to-back bites: a walk stops, the next reading bites
+    @example(values=[10.0, 5.0, 9.6, 9.6], drop=DEFAULT_DROP,
+             rise=DEFAULT_RISE)  # 9.6 bites 5.0 but not the 9.725 that the walk made of it
+    @example(values=[10.0, 2.0, 2.0, 2.0, 25.0], drop=DEFAULT_DROP,
+             rise=DEFAULT_RISE)  # a walk that runs to the end
+    def test_matches_the_scalar_loop(self, values, drop, rise):
+        # the narrowest bands need slower dip falls to keep the shape's invariants
+        cfg = shaped(max_drop_rate=drop, max_rise_rate=rise,
+                     dip_fall_rate_min=drop / 2, dip_fall_rate_max=drop / 2)
+        expected = np.array(loop_clamp(values, cfg))
+        assert _clamp(cfg, np.array(values)).tobytes() == expected.tobytes()
 
 
 class TestSignalShape:
