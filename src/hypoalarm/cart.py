@@ -189,15 +189,15 @@ def grow_tree(X, y, costs: CostMatrix, max_depth: int | None = None, *,
 
     A node `max_depth` edges below the root becomes a leaf labeled by
     `leaf_class` over its own rows; None grows every path to purity.
-    Each feature is sorted once per tree, and every split partitions the
-    sorted row lists, which stay sorted, between the children. Each node
-    scores only the boundary cuts of `_best_cut`, found from its class
-    changes. A split `max_depth - 1` edges below the root does not
-    partition its rows: its two leaves take their class counts from the
-    cut. Each `-0.0` counts as `0.0`: the tree depends only on the
-    multiset of its training rows and never holds a `-0.0` threshold. `X`
-    needs one finite column per name in FEATURES and `y` one 0/1 label per
-    row, or ValueError is raised.
+    Each feature is sorted once per tree. Each node scores only the
+    boundary cuts of `_best_cut`, found from its class changes. A child
+    that cannot split (one class, or at `max_depth`) is a leaf counted
+    from the cut and is never partitioned; a child that can split takes
+    its split feature's sorted rows as a slice of its parent's and the
+    other feature's by a mask. Each `-0.0` counts as `0.0`: the tree
+    depends only on the multiset of its training rows and never holds a
+    `-0.0` threshold. `X` needs one finite column per name in FEATURES
+    and `y` one 0/1 label per row, or ValueError is raised.
 
     `_presort`, passed only by `cross_validate`, is its sort of `X` kept to
     a fold's training rows (row f by feature f), used unchecked as the sort.
@@ -222,23 +222,21 @@ def _grow(X, y, order, n_h: int, costs: CostMatrix, max_depth: int | None,
           depth: int = 0) -> TreeNode:
     # order[f]: this node's rows of X and y, sorted by feature f; n_h of them are H
     n = order.shape[1]
-    found = _best_cut(X, y, order, costs) if 0 < n_h < n else None  # a pure node is a leaf
+    found = _best_cut(X, y, order, costs) if 0 < n_h < n else None  # a pure root is a leaf
     if found is None:
         return _leaf(n - n_h, n_h, costs)
     fi, n_left, threshold, _, left_h = found
-    if depth + 1 == max_depth:  # both children are leaves: their counts are the cut's
-        right_h = n_h - left_h
-        return Split(FEATURES[fi], threshold, _leaf(n_left - left_h, left_h, costs),
-                     _leaf(n - n_left - right_h, right_h, costs))
-    goes_left = np.zeros(y.size, dtype=bool)
-    goes_left[order[fi, :n_left]] = True
-    left = goes_left[order]
-    width = order.shape[0]
-    return Split(FEATURES[fi], threshold,
-                 _grow(X, y, order[left].reshape(width, n_left), left_h, costs, max_depth,
-                       depth + 1),
-                 _grow(X, y, order[~left].reshape(width, -1), n_h - left_h, costs, max_depth,
-                       depth + 1))
+    other = order[1 - fi]
+    children = []
+    for rows, child_h, side in ((order[fi, :n_left], left_h, np.less),
+                                (order[fi, n_left:], n_h - left_h, np.greater_equal)):
+        if 0 < child_h < rows.size and depth + 1 != max_depth:  # the child can split
+            child = np.empty((2, rows.size), dtype=order.dtype)
+            child[fi], child[1 - fi] = rows, np.compress(side(X[:, fi][other], threshold), other)
+            children.append(_grow(X, y, child, child_h, costs, max_depth, depth + 1))
+        else:
+            children.append(_leaf(rows.size - child_h, child_h, costs))
+    return Split(FEATURES[fi], threshold, *children)
 
 
 def tree_depth(node: TreeNode) -> int:

@@ -351,10 +351,13 @@ def _date_cell(day: int) -> str:
 def series_to_csv(series: PatientSeries) -> str:
     """Render the ingestion CSV format; inverse of `parse_cgm_file`."""
     minutes, bg, meal_ref = series.samples.T
-    day, minute_of_day = np.divmod(np.trunc(minutes), 1440)  # int() truncates, divmod floors
+    day, minute_of_day = np.divmod(minutes, 1440)
     if (outside := np.flatnonzero((day < 0) | (day >= _RECORD_DAYS))).size:
         i = int(outside[0])
         raise ValueError(f"sample {i} at minute {minutes.item(i)!r} is outside the years 2000-2099")
+    if (fractional := np.flatnonzero(minute_of_day % 1)).size:  # H:MM holds whole minutes
+        i = int(fractional[0])
+        raise ValueError(f"sample {i} at minute {minutes.item(i)!r} is not a whole minute")
     days = day.tolist()
     date_cells = {d: _date_cell(int(d)) for d in set(days)}
     rows = map(",".join, zip(map(str, range(len(days))), map(date_cells.__getitem__, days),

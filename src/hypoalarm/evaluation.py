@@ -194,13 +194,13 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
         plans.append(plan)
         if allocation == 0:  # one check for every fold, after the fold errors
             X, y = _checked_rows(X, y)
-            presort = np.argsort(X, axis=0).T
+            presort = np.argsort(X.T, axis=1)  # C-contiguous: a fold's rows are one compress
         for fold, test in enumerate(chunks):
             fold_of[test] = fold
         sorted_fold = fold_of[presort]
         trees = []
         for fold, test in enumerate(chunks):
-            order = presort[sorted_fold != fold].reshape(presort.shape[0], -1)
+            order = np.compress((sorted_fold != fold).ravel(), presort).reshape(len(FEATURES), -1)
             trees.append(grow_tree(X, y, cfg.costs, cfg.prune_depth, _presort=order))
             _route(trees[-1], X, test, alarm[allocation])
         cms = _confusions(fold_of, cfg.folds, alarm[allocation], y)

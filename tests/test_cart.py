@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -7,6 +8,8 @@ import pytest
 
 from hypoalarm import (
     CostMatrix,
+    DecisionInstance,
+    cross_validate,
     grow_tree,
     leaf_class,
     parse_tree,
@@ -15,6 +18,7 @@ from hypoalarm import (
     serialize_tree,
 )
 
+from hypoalarm import cart
 from hypoalarm.cart import (FEATURES, Leaf, Split, TreeDocumentError, _best_cut,
                             _checked_rows, _gini_and_mass, tree_depth)
 from oracle_utils import (
@@ -515,6 +519,73 @@ class TestLastLevelLeaves:
                     train = [(float(a), float(b), int(c))
                              for (a, b), c in zip(X_train + 0.0, y_train)]
                     assert tree == brute_force_tree(train, COSTS, depth)
+
+
+@pytest.fixture
+def grow_calls(monkeypatch):
+    """(depth, max_depth, H rows, rows) of every `_grow` call, in call order."""
+    calls, grow = [], cart._grow
+
+    def recorded(X, y, order, n_h, costs, max_depth, depth=0):
+        calls.append((depth, max_depth, n_h, order.shape[1]))
+        return grow(X, y, order, n_h, costs, max_depth, depth)
+
+    monkeypatch.setattr(cart, "_grow", recorded)
+    return calls
+
+
+def tree_digest(trees):
+    return hashlib.sha256(json.dumps([serialize_tree(t) for t in trees]).encode()).hexdigest()
+
+
+#: SHA-256 of each case's trees as `serialize_tree` documents, taken from the
+#: growth that partitioned every child that was not at the depth limit, pure
+#: ones too.
+ONE_LEAF_RULE_DIGESTS = {
+    1: "0709abbc888032c0485f8a73c88d6b7650f49232e2e199a80fbfb82294994e76",
+    2: "a0193db8f8a5995db958b3450d69484719046643ff275e5a7a433bf67b7822e2",
+    3: "056391044ab547252dd70871b7a0b42ba1f5a26acb9adfd279aab2e035a51e18",
+    4: "c0f254619120b2a359d0e99cfaf99dc492229d766faadd78fb79e33e7b10187d",
+    None: "9bb81ebbf4880f18bdd75354c0deb597562197613496743b15768573ea822356",
+    "cross_validate": "47d210ca1b6452f538d52e34515c91ef9293726df78a936bca17fab32cbb3e4d",
+}
+
+
+class TestOneLeafRule:
+    """A child that holds one class or sits at `max_depth` is a leaf built
+    from its cut's counts: `_grow` is entered below the root only for a
+    child that can split, and the trees stay those of the growth that
+    partitioned every child."""
+
+    @staticmethod
+    def assert_only_splittable_children(calls):
+        below_root = [call for call in calls if call[0] > 0]
+        for depth, max_depth, n_h, n in below_root:
+            assert 0 < n_h < n and (max_depth is None or depth < max_depth)
+        return len(below_root)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, None])
+    def test_grow_enters_only_children_that_can_split(self, grow_calls, depth):
+        rng = np.random.default_rng(90 if depth is None else 90 + depth)
+        trees = []
+        for case in range(40):
+            dataset = (tie_heavy_dataset, continuous_dataset)[case % 2]
+            X, y = dataset(rng, int(rng.integers(2, 300)))
+            trees.append(grow_tree(X, y, COSTS, depth))
+        entered = self.assert_only_splittable_children(grow_calls)
+        assert (entered > 0) == (depth != 1)
+        assert tree_digest(trees) == ONE_LEAF_RULE_DIGESTS[depth]
+
+    def test_cross_validation_trees(self, grow_calls):
+        rng = np.random.default_rng(95)
+        X, y = tie_heavy_dataset(rng, 400)
+        instances = [DecisionInstance(f"p{i % 9}", 0.0, 30.0, 12.0, 120.0 + i, float(a),
+                                      float(b), int(c), 5.0)
+                     for i, ((a, b), c) in enumerate(zip(X, y))]
+        report = cross_validate(instances, seed=3)
+        assert self.assert_only_splittable_children(grow_calls) > 0
+        assert tree_digest(run.tree for run in report.runs) == \
+            ONE_LEAF_RULE_DIGESTS["cross_validate"]
 
 
 class TestPredict:

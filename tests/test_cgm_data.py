@@ -163,6 +163,23 @@ class TestParse:
         assert text.endswith("\n1,31.Dec.99,23:59,7.0,6.0\n")
         assert parse_cgm_file(text, patient_id="p") == series
 
+    @pytest.mark.parametrize("times, index, minute", [
+        ([8400000.2, 8400000.7], 0, "8400000.2"),  # both would be written 8:00
+        ([8400000.0, 8400000.5], 1, "8400000.5"),  # would read back as 8400000.0
+        ([0.0, 52595999.5], 1, "52595999.5"),  # the last half minute of 2099
+    ], ids=["two_in_one_minute", "half_minute", "inside_2099"])
+    def test_a_sample_time_that_is_no_whole_minute_is_refused(self, times, index, minute):
+        # an H:MM cell holds whole minutes only
+        series = PatientSeries("p", [(t, 5.0, math.nan) for t in times])
+        with pytest.raises(ValueError, match=rf"^sample {index} at minute {minute} is not a "
+                                             r"whole minute$"):
+            series_to_csv(series)
+
+    def test_a_fractional_minute_before_2000_is_outside_the_years(self):
+        series = PatientSeries("p", [(-0.5, 5.0, math.nan), (0.5, 6.0, math.nan)])
+        with pytest.raises(ValueError, match=r"^sample 0 at minute -0.5 is outside the years"):
+            series_to_csv(series)
+
 
 def record_rows(rng, start, count, unit="mmol"):
     """`count` valid rows of cells, 5 min apart from `start` (minutes since
