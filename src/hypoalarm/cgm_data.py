@@ -37,11 +37,13 @@ _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 
 SAMPLING_PERIOD_MIN = 5  # minutes between CGM readings
 
-# every valid time cell, H:MM or HH:MM, to its minute of the day
-_DAY_MINUTES = {f"{hour:{width}}:{minute:02d}": 60 * hour + minute
-                for hour in range(24) for minute in range(60) for width in ("", "02")}
-# the time cell `series_to_csv` writes for each minute of the day
+# the H:MM clock of each minute of the day, as a record's Time cell holds it
 _TIME_CELLS = tuple(f"{minute // 60}:{minute % 60:02d}" for minute in range(1440))
+# the HH:MM clock of each minute of the day, as a feature table's time cell ends
+_CLOCK_CELLS = tuple(cell.zfill(5) for cell in _TIME_CELLS)
+# every valid clock cell, H:MM or HH:MM, to its minute of the day
+_DAY_MINUTES = {cell: minute for cells in (_TIME_CELLS, _CLOCK_CELLS)
+                for minute, cell in enumerate(cells)}
 
 # the characters `str.strip` removes, other than the LF that ends a row:
 # the ASCII ones, and a pattern for any text
@@ -49,7 +51,6 @@ _ASCII_INNER_SPACE = " \t\v\f\x1c\x1d\x1e\x1f"
 _INNER_SPACE = re.compile(r"[^\S\n]")
 
 EPOCH = datetime(2000, 1, 1)  # every time in the pipeline is minutes since this instant
-_RECORD_DAYS = (datetime(2100, 1, 1) - EPOCH).days  # a D.Mon.YY date holds only 2000-2099
 
 
 class DataValidationError(ValueError):
@@ -348,19 +349,32 @@ def _date_cell(day: int) -> str:
     return f"{d.day}.{_MONTH_NAMES[d.month - 1]}.{d.year % 100:02d}"
 
 
-def series_to_csv(series: PatientSeries) -> str:
-    """Render the ingestion CSV format; inverse of `parse_cgm_file`."""
-    minutes, bg, meal_ref = series.samples.T
-    day, minute_of_day = np.divmod(minutes, 1440)
-    if (outside := np.flatnonzero((day < 0) | (day >= _RECORD_DAYS))).size:
-        i = int(outside[0])
-        raise ValueError(f"sample {i} at minute {minutes.item(i)!r} is outside the years 2000-2099")
-    if (fractional := np.flatnonzero(minute_of_day % 1)).size:  # H:MM holds whole minutes
-        i = int(fractional[0])
-        raise ValueError(f"sample {i} at minute {minutes.item(i)!r} is not a whole minute")
+def _time_cells(minutes: np.ndarray, years: range, name,
+                date_cell) -> tuple[list[str], list[int]]:
+    """Each time's date cell, from `date_cell` once per distinct day since
+    `EPOCH`, and minute of the day, in row-major order. The first time outside
+    `years` (as NaN and ±inf are) or not on a whole minute raises ValueError,
+    named by `name` of its row-major index."""
+    minutes = minutes.ravel()
+    first = 1440 * (datetime(years[0], 1, 1) - EPOCH).days
+    stop = 1440 * ((datetime(years[-1], 12, 31) - EPOCH).days + 1)
+    inside = (minutes >= first) & (minutes < stop)  # NaN fails both
+    if (bad := np.flatnonzero(~inside | (np.floor(minutes) != minutes))).size:
+        i = int(bad[0])
+        raise ValueError(f"{name(i)} at minute {minutes.item(i)!r} is " + (
+            "not a whole minute" if inside[i] else f"outside the years {years[0]}-{years[-1]}"))
+    day, minute_of_day = np.divmod(minutes.astype(np.int64), 1440)
     days = day.tolist()
-    date_cells = {d: _date_cell(int(d)) for d in set(days)}
-    rows = map(",".join, zip(map(str, range(len(days))), map(date_cells.__getitem__, days),
-                             map(_TIME_CELLS.__getitem__, minute_of_day.astype(np.intp).tolist()),
+    date_cells = {d: date_cell(d) for d in set(days)}
+    return list(map(date_cells.__getitem__, days)), minute_of_day.tolist()
+
+
+def series_to_csv(series: PatientSeries) -> str:
+    """Render the ingestion CSV format; inverse of `parse_cgm_file`. A
+    D.Mon.YY date holds only 2000-2099, and an H:MM cell whole minutes."""
+    minutes, bg, meal_ref = series.samples.T
+    dates, clock = _time_cells(minutes, range(2000, 2100), "sample {}".format, _date_cell)
+    rows = map(",".join, zip(map(str, range(len(dates))), dates,
+                             map(_TIME_CELLS.__getitem__, clock),
                              _value_cells(meal_ref, "."), _value_cells(bg, "N/A")))
     return "\n".join((",".join(CSV_COLUMNS), *rows)) + "\n"

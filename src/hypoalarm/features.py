@@ -9,7 +9,7 @@ when any reading 15/20/25 min after t is at or under the alarm threshold.
 from __future__ import annotations
 
 import math
-from datetime import datetime, time, timedelta
+from datetime import datetime, timedelta
 from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -17,20 +17,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .cgm_data import (
+    _CLOCK_CELLS,
     _DAY_MINUTES,
     EPOCH,
     SAMPLING_PERIOD_MIN,
     DataValidationError,
     PatientSeries,
     PipelineConfig,
+    _time_cells,
     csv_cells,
     csv_table,
     label_hypoglycemia,
 )
 
 _TS_FORMAT = "%Y-%m-%dT%H:%M"
-# the HH:MM clock of each minute of the day, as `_TS_FORMAT` writes it
-_CLOCK_CELLS = tuple(f"{minute // 60:02d}:{minute % 60:02d}" for minute in range(1440))
 
 FEATURE_COLUMNS = ("patient_id", "meal_time", "peak_time", "peak_value",
                    "decision_time", "x_t", "rate", "ph_min_bg", "label")
@@ -59,10 +59,6 @@ def rate_of_decrease(peak_value, peak_time, current_value, current_time):
     if not (elapsed > 0).all():
         raise ValueError("decision time must come after the peak")
     return np.subtract(peak_value, current_value) / elapsed
-
-
-def _minute_of_day(clock: time) -> float:
-    return (datetime.combine(EPOCH, clock) - EPOCH) / timedelta(minutes=1)
 
 
 def _snap(minutes: np.ndarray, values: np.ndarray, times: np.ndarray,
@@ -109,8 +105,8 @@ def build_instances(series: PatientSeries,
     # ends at or past 24:00, after any daytime end
     midnight = 1440 * np.floor(first / 1440)
     keep = ((t < np.append(meals[1:], np.inf)[:, None])
-            & (first - midnight >= _minute_of_day(cfg.daytime_start))
-            & (last - midnight <= _minute_of_day(cfg.daytime_end))
+            & (first - midnight >= 60 * cfg.daytime_start.hour + cfg.daytime_start.minute)
+            & (last - midnight <= 60 * cfg.daytime_end.hour + cfg.daytime_end.minute)
             & (t - peak_minutes[:, None] >= SAMPLING_PERIOD_MIN))
     meal_k, decision = np.nonzero(keep)[0], t[keep]
     snapped = _snap(minutes, bg, decision[:, None] + np.array((0, *cfg.horizon_offsets_min)),
@@ -126,36 +122,22 @@ def build_instances(series: PatientSeries,
     return list(map(DecisionInstance, repeat(series.patient_id), *(c.tolist() for c in columns)))
 
 
-def _stamp(minutes: float) -> str:
-    return (EPOCH + timedelta(minutes=minutes)).strftime(_TS_FORMAT)
-
-
-def _stamp_cells(times) -> list[str]:
-    """`_stamp` of each time, once per distinct time: one `strftime` per day
-    and the clock from a table, or `strftime` whole for a time that is not a
-    finite whole minute."""
-    times, dates, cells = list(times), {}, {}
-    for m in set(times):
-        if m % 1 != 0:
-            cells[m] = _stamp(m)
-            continue
-        day, minute = divmod(int(m), 1440)
-        if (date := dates.get(day)) is None:
-            dates[day] = date = _stamp(1440 * day)[:-5]
-        cells[m] = date + _CLOCK_CELLS[minute]
-    return list(map(cells.__getitem__, times))
-
-
 def write_feature_csv(instances, stream) -> None:
     """One instance per row to a text stream, full float precision, LF line
-    endings; the cells are built a column at a time."""
+    endings; the cells are built a column at a time. Each time must be a
+    whole minute in 1000-9999, the years `read_feature_csv` reads back: the
+    first that is not, in row order, raises ValueError naming its instance
+    and column."""
     patient_id, meal, peak, peak_value, decision, x_t, rate, label, ph_min_bg = (
         list(zip(*instances)) or [()] * 9)
-    n = len(patient_id)
-    stamps = _stamp_cells(chain(meal, peak, decision))
+    dates, clock = _time_cells(
+        np.array((meal, peak, decision), dtype=np.float64).T, range(1000, 10000),
+        lambda i: f"instance {i // 3} {FEATURE_COLUMNS[(1, 2, 4)[i % 3]]}",
+        lambda day: (EPOCH + timedelta(days=day)).strftime("%Y-%m-%dT"))
+    stamps = list(map(str.__add__, dates, map(_CLOCK_CELLS.__getitem__, clock)))
     values = [map(repr, map(float, column)) for column in (peak_value, x_t, rate, ph_min_bg)]
     stream.write(csv_table(FEATURE_COLUMNS, zip(
-        patient_id, stamps[:n], stamps[n:2 * n], values[0], stamps[2 * n:], *values[1:],
+        patient_id, stamps[0::3], stamps[1::3], values[0], stamps[2::3], *values[1:],
         map(str, map(int, label)))))
 
 

@@ -485,16 +485,32 @@ def loop_csv_table(columns, rows):
     return buf.getvalue()
 
 
+def loop_time_cell(value, where):
+    """The `TS_FORMAT` cell of a time in minutes, by `datetime` arithmetic;
+    ValueError, its text led by `where`, for a time whose year is not in
+    1000-9999, which `strptime` reads back, or that is not a whole minute."""
+    try:
+        when = EPOCH + timedelta(minutes=value)
+    except (ValueError, OverflowError):  # NaN, ±inf, or past the years of `datetime`
+        when = None
+    if when is None or when.year < 1000:
+        raise ValueError(f"{where} is outside the years 1000-9999")
+    if math.floor(value) != value:
+        raise ValueError(f"{where} is not a whole minute")
+    return when.strftime(TS_FORMAT)
+
+
 def loop_write_feature_csv(instances, stream):
     """`write_feature_csv` one row at a time: each time cell through
-    `strftime`, and the table through `loop_csv_table`."""
+    `loop_time_cell`, and the table through `loop_csv_table`."""
     rows = []
-    for inst in instances:
+    for k, inst in enumerate(instances):
         row = [inst.patient_id]
         for name in FEATURE_COLUMNS[1:]:
             value = getattr(inst, name)
             if name.endswith("_time"):
-                row.append((EPOCH + timedelta(minutes=value)).strftime(TS_FORMAT))
+                where = f"instance {k} {name} at minute {float(value)!r}"
+                row.append(loop_time_cell(value, where))
             else:
                 row.append(str(int(value)) if name == "label" else repr(float(value)))
         rows.append(row)

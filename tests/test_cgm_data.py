@@ -167,7 +167,8 @@ class TestParse:
         ([8400000.2, 8400000.7], 0, "8400000.2"),  # both would be written 8:00
         ([8400000.0, 8400000.5], 1, "8400000.5"),  # would read back as 8400000.0
         ([0.0, 52595999.5], 1, "52595999.5"),  # the last half minute of 2099
-    ], ids=["two_in_one_minute", "half_minute", "inside_2099"])
+        ([8400000.5, 52596000.0], 0, "8400000.5"),  # the first bad sample wins, not 2100
+    ], ids=["two_in_one_minute", "half_minute", "inside_2099", "before_one_in_2100"])
     def test_a_sample_time_that_is_no_whole_minute_is_refused(self, times, index, minute):
         # an H:MM cell holds whole minutes only
         series = PatientSeries("p", [(t, 5.0, math.nan) for t in times])
