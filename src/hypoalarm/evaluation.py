@@ -43,11 +43,15 @@ class PerformanceVector:
     specificity: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldPlan:
-    """Disjoint covering groups of instance indices; sizes differ by <= 1."""
+    """Disjoint covering read-only index views of one permutation; sizes differ by <= 1."""
 
-    groups: tuple[tuple[int, ...], ...]
+    groups: tuple[np.ndarray, ...]
+
+    def __eq__(self, other):
+        return (isinstance(other, FoldPlan) and len(self.groups) == len(other.groups)
+                and all(map(np.array_equal, self.groups, other.groups)))
 
 
 @dataclass(frozen=True)
@@ -139,21 +143,21 @@ def metrics(cm: ConfusionMatrix) -> PerformanceVector:
     )
 
 
-def allocate_folds(n: int, k: int, seed) -> tuple[FoldPlan, list[np.ndarray]]:
+def allocate_folds(n: int, k: int, seed) -> FoldPlan:
     """Shuffle indices with a seeded generator and cut into k contiguous chunks.
 
     The n mod k larger chunks go last, so n=1867, k=5 gives sizes
-    (373, 373, 373, 374, 374). Returns the plan and its groups as index arrays.
+    (373, 373, 373, 374, 374). Fewer than k instances, 0 included, raise.
     """
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     if n < k:
         raise ValueError(f"{n} instances cannot fill {k} folds")
     perm = np.random.default_rng(seed).permutation(n)
+    perm.flags.writeable = False
     base, extra = divmod(n, k)
     cuts = np.cumsum([base] * (k - extra) + [base + 1] * extra)[:-1]
-    chunks = np.split(perm, cuts)
-    return FoldPlan(tuple(tuple(g.tolist()) for g in chunks)), chunks
+    return FoldPlan(tuple(np.split(perm, cuts)))
 
 
 def instances_to_arrays(instances):
@@ -174,37 +178,31 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
 
     Allocation r shuffles with seed `seed + r`. Aggregates are means over
     the defined (non-None) per-run values. A training split holding a
-    single class just grows a single-leaf tree. The rows are checked and
-    both features sorted once; each fold's tree grows from that presort
-    kept to its training rows. Each tree's alarms on its held-out rows fill
-    its allocation's row of `alarms`, from which the runs are counted.
+    single class just grows a single-leaf tree. Every plan is allocated before
+    the rows are checked and both features sorted, once; each fold's tree grows
+    from that presort kept to its training rows, and its alarms on its held-out
+    rows fill its allocation's row of `alarms`, from which runs are counted.
     """
     cfg = cfg or PipelineConfig()
-    if not instances:
-        raise ValueError("no instances to evaluate")
     X, y = instances_to_arrays(instances)
     n = len(instances)
     alarm = np.empty((cfg.allocations, n), dtype=bool)
+    plans = [allocate_folds(n, cfg.folds, seed + r) for r in range(cfg.allocations)]
+    X, y = _checked_rows(X, y)
+    presort = np.argsort(X.T, axis=1)  # C-contiguous: a fold's rows are one compress
     fold_of = np.empty(n, dtype=np.intp)
-    plans = []
     runs = []
-    for allocation in range(cfg.allocations):
-        alloc_seed = seed + allocation
-        plan, chunks = allocate_folds(n, cfg.folds, alloc_seed)
-        plans.append(plan)
-        if allocation == 0:  # one check for every fold, after the fold errors
-            X, y = _checked_rows(X, y)
-            presort = np.argsort(X.T, axis=1)  # C-contiguous: a fold's rows are one compress
-        for fold, test in enumerate(chunks):
+    for allocation, plan in enumerate(plans):
+        for fold, test in enumerate(plan.groups):
             fold_of[test] = fold
         sorted_fold = fold_of[presort]
         trees = []
-        for fold, test in enumerate(chunks):
+        for fold, test in enumerate(plan.groups):
             order = np.compress((sorted_fold != fold).ravel(), presort).reshape(len(FEATURES), -1)
             trees.append(grow_tree(X, y, cfg.costs, cfg.prune_depth, _presort=order))
             _route(trees[-1], X, test, alarm[allocation])
         cms = _confusions(fold_of, cfg.folds, alarm[allocation], y)
-        runs += [RunEntry(allocation, fold, alloc_seed, cm, metrics(cm), tree)
+        runs += [RunEntry(allocation, fold, seed + allocation, cm, metrics(cm), tree)
                  for fold, (cm, tree) in enumerate(zip(cms, trees))]
     alarm.flags.writeable = False
     aggregate = {

@@ -122,20 +122,40 @@ def build_instances(series: PatientSeries,
     return list(map(DecisionInstance, repeat(series.patient_id), *(c.tolist() for c in columns)))
 
 
+def _float(value) -> float:
+    """`float(value)`, and ±inf for an int past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def write_feature_csv(instances, stream) -> None:
     """One instance per row to a text stream, full float precision, LF line
-    endings; the cells are built a column at a time. Each time must be a
-    whole minute in 1000-9999, the years `read_feature_csv` reads back: the
-    first that is not, in row order, raises ValueError naming its instance
-    and column."""
+    endings; the cells are built a column at a time. Only what
+    `read_feature_csv` reads back is written. The first value that is not a
+    finite number or label not 0 or 1, in row order, raises ValueError naming
+    its instance and column; then so does the first time that is not a whole
+    minute in 1000-9999. An int past the float range counts as ±inf."""
     patient_id, meal, peak, peak_value, decision, x_t, rate, label, ph_min_bg = (
         list(zip(*instances)) or [()] * 9)
+    columns = (peak_value, x_t, rate, ph_min_bg, meal, peak, decision)  # values, then times
+    try:
+        floats = np.array(columns, dtype=np.float64)
+    except OverflowError:
+        floats = np.array([list(map(_float, column)) for column in columns])
+    ok = np.vstack((np.isfinite(floats[:4]), [v in (0, 1) for v in label]))  # by column
+    if not ok.all():
+        k, column = divmod(int(np.flatnonzero(~ok.T)[0]), 5)  # in row order
+        raise ValueError(f"instance {k} label must be 0 or 1, got {label[k]}" if column == 4
+                         else f"instance {k} {FEATURE_COLUMNS[(3, 5, 6, 7)[column]]} must be "
+                              f"a finite number, got {floats[column, k].item()!r}")
     dates, clock = _time_cells(
-        np.array((meal, peak, decision), dtype=np.float64).T, range(1000, 10000),
+        floats[4:].T, range(1000, 10000),
         lambda i: f"instance {i // 3} {FEATURE_COLUMNS[(1, 2, 4)[i % 3]]}",
         lambda day: (EPOCH + timedelta(days=day)).strftime("%Y-%m-%dT"))
     stamps = list(map(str.__add__, dates, map(_CLOCK_CELLS.__getitem__, clock)))
-    values = [map(repr, map(float, column)) for column in (peak_value, x_t, rate, ph_min_bg)]
+    values = [map(repr, map(float, column)) for column in columns[:4]]
     stream.write(csv_table(FEATURE_COLUMNS, zip(
         patient_id, stamps[0::3], stamps[1::3], values[0], stamps[2::3], *values[1:],
         map(str, map(int, label)))))

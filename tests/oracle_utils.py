@@ -500,16 +500,31 @@ def loop_time_cell(value, where):
     return when.strftime(TS_FORMAT)
 
 
+def loop_float(value):
+    """`float(value)`, and ±inf for an int past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def loop_write_feature_csv(instances, stream):
-    """`write_feature_csv` one row at a time: each time cell through
-    `loop_time_cell`, and the table through `loop_csv_table`."""
+    """`write_feature_csv` one row at a time: every value and label is checked
+    before any time, each time cell goes through `loop_time_cell`, and the
+    table through `loop_csv_table`."""
+    for k, inst in enumerate(instances):
+        for name in ("peak_value", "x_t", "rate", "ph_min_bg"):
+            if not math.isfinite(value := loop_float(getattr(inst, name))):
+                raise ValueError(f"instance {k} {name} must be a finite number, got {value!r}")
+        if inst.label not in (0, 1):
+            raise ValueError(f"instance {k} label must be 0 or 1, got {inst.label}")
     rows = []
     for k, inst in enumerate(instances):
         row = [inst.patient_id]
         for name in FEATURE_COLUMNS[1:]:
             value = getattr(inst, name)
             if name.endswith("_time"):
-                where = f"instance {k} {name} at minute {float(value)!r}"
+                where = f"instance {k} {name} at minute {loop_float(value)!r}"
                 row.append(loop_time_cell(value, where))
             else:
                 row.append(str(int(value)) if name == "label" else repr(float(value)))

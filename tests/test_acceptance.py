@@ -72,13 +72,13 @@ def test_c02_fold_sizes_and_partition_properties():
     plans stay disjoint, covering, and balanced over 1000 cases, under 5 s."""
     with Budget(5.0):
         for seed in range(100):
-            plan, _ = allocate_folds(1867, 5, seed)
+            plan = allocate_folds(1867, 5, seed)
             assert sorted(len(g) for g in plan.groups) == [373, 373, 373, 374, 374]
         rng = np.random.default_rng(1234)
         for _ in range(1000):
             k = int(rng.integers(2, 10))
             n = int(rng.integers(k, 500))
-            plan, _ = allocate_folds(n, k, int(rng.integers(0, 1_000_000)))
+            plan = allocate_folds(n, k, int(rng.integers(0, 1_000_000)))
             flat = [i for g in plan.groups for i in g]
             assert sorted(flat) == list(range(n))
             sizes = [len(g) for g in plan.groups]

@@ -23,8 +23,8 @@ from hypoalarm import (
 )
 from hypoalarm import evaluation
 from hypoalarm.cart import Leaf, Split
-from hypoalarm.evaluation import (ConfusionMatrix, PerformanceVector, RunEntry, RunReport,
-                                  SeverityReport, _confusions, f_upper_tail)
+from hypoalarm.evaluation import (ConfusionMatrix, FoldPlan, PerformanceVector, RunEntry,
+                                  RunReport, SeverityReport, _confusions, f_upper_tail)
 from hypoalarm.features import DecisionInstance
 
 from conftest import ts_minutes
@@ -128,20 +128,36 @@ class TestMetrics:
 
 class TestAllocateFolds:
     def test_published_fold_sizes(self):
-        plan, _ = allocate_folds(1867, 5, seed=42)
+        plan = allocate_folds(1867, 5, seed=42)
         assert [len(g) for g in plan.groups] == [373, 373, 373, 374, 374]
         assert type(plan.groups) is tuple
-        assert all(type(g) is tuple and all(type(i) is int for i in g) for g in plan.groups)
+        for g in plan.groups:
+            assert type(g) is np.ndarray and g.dtype == np.intp and not g.flags.writeable
+            with pytest.raises(ValueError):
+                g[0] = 0
 
     def test_ten_into_five_pairs(self):
-        plan, _ = allocate_folds(10, 5, seed=0)
+        plan = allocate_folds(10, 5, seed=0)
         assert all(len(g) == 2 for g in plan.groups)
 
     def test_deterministic(self):
-        assert allocate_folds(100, 5, seed=7)[0] == allocate_folds(100, 5, seed=7)[0]
+        assert allocate_folds(100, 5, seed=7) == allocate_folds(100, 5, seed=7)
 
     def test_distinct_seeds_usually_differ(self):
-        assert allocate_folds(100, 5, seed=7)[0] != allocate_folds(100, 5, seed=8)[0]
+        assert allocate_folds(100, 5, seed=7) != allocate_folds(100, 5, seed=8)
+
+    def test_groups_are_views_of_one_permutation(self):
+        plan = allocate_folds(23, 4, seed=3)
+        base = plan.groups[0].base
+        assert all(g.base is base for g in plan.groups)
+        assert np.array_equal(np.concatenate(plan.groups), base)
+
+    def test_plans_compare_by_value(self):
+        plan = allocate_folds(20, 4, seed=1)
+        assert plan == FoldPlan(tuple(g.copy() for g in plan.groups))
+        assert plan != allocate_folds(20, 5, seed=1)
+        assert plan != FoldPlan(tuple(g.copy() for g in plan.groups[::-1]))
+        assert plan != tuple(plan.groups)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -154,7 +170,7 @@ class TestAllocateFolds:
         for _ in range(60):
             k = int(rng.integers(2, 9))
             n = int(rng.integers(k, 300))
-            plan, _ = allocate_folds(n, k, seed=int(rng.integers(0, 10_000)))
+            plan = allocate_folds(n, k, seed=int(rng.integers(0, 10_000)))
             all_indices = [i for g in plan.groups for i in g]
             assert sorted(all_indices) == list(range(n))
             sizes = [len(g) for g in plan.groups]
@@ -319,8 +335,16 @@ class TestCrossValidate:
         assert np.array_equal(a.alarms, b.alarms)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^0 instances cannot fill 5 folds$"):
             cross_validate([], PipelineConfig(), seed=0)
+
+    @pytest.mark.parametrize("n, message", [(3, "3 instances cannot fill 5 folds"),
+                                            (10, "predictors must be finite")])
+    def test_fold_errors_come_before_the_row_check(self, n, message):
+        instances = separable_instances(n)
+        instances[1] = instances[1]._replace(x_t=math.nan)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cross_validate(instances, PipelineConfig(), seed=0)
 
 
 def fake_entry(allocation, fold, sens, acc, spec):

@@ -335,13 +335,13 @@ class TestFeatureCsv:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", ["peak_value", "x_t", "rate", "ph_min_bg"])
     def test_non_finite_cell_rejected_on_its_row(self, worked_series, column, value):
-        instances = build_instances(worked_series)
-        instances[1] = instances[1]._replace(**{column: value})
         buf = io.StringIO()
-        write_feature_csv(instances, buf)
+        write_feature_csv(build_instances(worked_series), buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+        rows[2][FEATURE_COLUMNS.index(column)] = repr(value)  # a cell the writer refuses
         with pytest.raises(DataValidationError,
                            match=f"^row 3: {column} must be a finite number, got '{value!r}'$"):
-            read_feature_csv(buf.getvalue())
+            read_feature_csv(csv_table(rows[0], rows[1:]))
 
     def test_table_writer_quotes_minimally_and_a_cr_row_whole(self):
         rows = [["a,b", 'q"d', "n\nl"], ["1", "x", "c\rr"], ["2", "", "3.5"]]
@@ -399,18 +399,21 @@ def written(write, instances):
     return outcome(write, instances, buf) or buf.getvalue()
 
 
-# whole minutes, as int and as float, and fractions of one, all within years 99-9604
+# ints past the float range, which the writer takes as ±inf
+HUGE = st.sampled_from([10**400, -10**400])
+# whole minutes, as int and as float, and fractions of one, all within years 99-9604, or HUGE
 MINUTES = st.integers(-10**9, 4 * 10**9)
-TIME = MINUTES | MINUTES.map(float) | st.floats(-1e9, 4e9) | st.sampled_from([-0.0, 0.5, True])
+TIME = (MINUTES | MINUTES.map(float) | st.floats(-1e9, 4e9) | st.sampled_from([-0.0, 0.5, True])
+        | HUGE)
 # whole minutes, as int and as float, from 1000-01-01T00:00 to 9999-12-31T23:59
 WRITABLE_MINUTES = st.integers(-525_948_480, 4_207_593_599)
 WRITABLE_TIME = WRITABLE_MINUTES | WRITABLE_MINUTES.map(float)
-VALUE = st.floats() | st.integers(-5, 5)
+VALUE = st.floats() | st.integers(-5, 5) | HUGE
+LABEL = st.sampled_from((0, 1, True, 0.7, 2))
 IDS = st.text() | st.text(',"\r\n\t x')
 INSTANCES = st.lists(st.builds(
     DecisionInstance, patient_id=IDS, meal_time=TIME, peak_time=TIME, peak_value=VALUE,
-    decision_time=TIME, x_t=VALUE, rate=VALUE, label=st.sampled_from((0, 1, True)),
-    ph_min_bg=VALUE), max_size=6)
+    decision_time=TIME, x_t=VALUE, rate=VALUE, label=LABEL, ph_min_bg=VALUE), max_size=6)
 
 # cells a reader may meet, by column kind; some are valid but not what the writer writes
 ODD_CELLS = {
@@ -464,7 +467,56 @@ def feature_tables(draw):
 class TestOnlyReadableTimesAreWritten:
     """`write_feature_csv` writes a time only as a cell that `read_feature_csv`
     gives back: a whole minute in the years 1000-9999. Any other time raises,
-    naming the first bad instance and column in row order."""
+    naming the first bad instance and column in row order. So does a value
+    that is not a finite number or a label not 0 or 1, before any time."""
+
+    @pytest.mark.parametrize("value, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+        pytest.param(10**400, "inf", id="int_past_float"),
+        pytest.param(-10**400, "-inf", id="negative_int_past_float")])
+    @pytest.mark.parametrize("column", ["peak_value", "x_t", "rate", "ph_min_bg"])
+    def test_a_value_that_is_not_finite_is_named(self, worked_series, column, value, shown):
+        instances = build_instances(worked_series)
+        instances[2] = instances[2]._replace(**{column: value})
+        with pytest.raises(ValueError, match=rf"^instance 2 {column} must be a finite number, "
+                                             rf"got {shown}$"):
+            write_feature_csv(instances, io.StringIO())
+
+    @pytest.mark.parametrize("label", [0.7, 2, -1, math.nan, "1"])
+    def test_a_label_not_0_or_1_is_named(self, worked_series, label):
+        instances = build_instances(worked_series)
+        instances[2] = instances[2]._replace(label=label)
+        with pytest.raises(ValueError, match=rf"^instance 2 label must be 0 or 1, got {label}$"):
+            write_feature_csv(instances, io.StringIO())
+
+    @pytest.mark.parametrize("time, shown", [
+        pytest.param(10**400, "inf", id="int_past_float"),
+        pytest.param(-10**400, "-inf", id="negative_int_past_float")])
+    def test_an_int_time_past_the_float_range_is_named(self, worked_series, time, shown):
+        instances = build_instances(worked_series)
+        instances[2] = instances[2]._replace(peak_time=time)
+        with pytest.raises(ValueError, match=rf"^instance 2 peak_time at minute {shown} is "
+                                             rf"outside the years 1000-9999$"):
+            write_feature_csv(instances, io.StringIO())
+
+    def test_values_and_labels_are_checked_before_the_times(self, worked_series):
+        instances = build_instances(worked_series)
+        instances[1] = instances[1]._replace(meal_time=math.nan)
+        instances[3] = instances[3]._replace(label=2)
+        with pytest.raises(ValueError, match=r"^instance 3 label must be 0 or 1, got 2$"):
+            write_feature_csv(instances, io.StringIO())
+
+    def test_the_first_bad_instance_wins_then_its_first_bad_column(self, worked_series):
+        instances = build_instances(worked_series)
+        instances[1] = instances[1]._replace(label=0.7, ph_min_bg=math.inf, rate=math.nan)
+        instances[0] = instances[0]._replace(label=2)
+        instances[3] = instances[3]._replace(peak_value=math.nan)
+        with pytest.raises(ValueError, match=r"^instance 0 label must be 0 or 1, got 2$"):
+            write_feature_csv(instances, io.StringIO())
+        instances[0] = instances[0]._replace(label=0)
+        with pytest.raises(ValueError, match=r"^instance 1 rate must be a finite number, "
+                                             r"got nan$"):
+            write_feature_csv(instances, io.StringIO())
 
     @pytest.mark.parametrize("time, problem", [
         (ts_minutes("8:00") + 0.5, "is not a whole minute"),  # would be written 08:00
@@ -489,11 +541,7 @@ class TestOnlyReadableTimesAreWritten:
             write_feature_csv(instances, io.StringIO())
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.builds(
-        DecisionInstance, patient_id=IDS, meal_time=TIME, peak_time=TIME,
-        peak_value=st.floats(-1e6, 1e6), decision_time=TIME, x_t=st.floats(0, 40),
-        rate=st.floats(-1, 1), label=st.sampled_from((0, 1, True)),
-        ph_min_bg=st.floats(0, 40)), max_size=6))
+    @given(INSTANCES)
     @example([DecisionInstance("p", -1.1e-308, 0.0, 1.0, 30.0, 1.0, 1.0, 0, 1.0)])
     def test_a_written_table_reads_back_equal(self, instances):
         buf = io.StringIO()
@@ -517,7 +565,9 @@ class TestFeatureCsvMatchesLoop:
         if isinstance(text, str):
             assert outcome(read_feature_csv, text) == outcome(loop_read_feature_csv, text)
 
-    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, 1e13, -1e13, 2**62])
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, 1e13, -1e13, 2**62,
+                                      pytest.param(10**400, id="int_past_float"),
+                                      pytest.param(-10**400, id="negative_int_past_float")])
     @pytest.mark.parametrize("column", ["meal_time", "peak_time", "decision_time"])
     def test_an_unwritable_time_raises_as_in_the_loop(self, worked_series, column, time):
         instances = build_instances(worked_series)
