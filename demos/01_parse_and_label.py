@@ -7,7 +7,7 @@ SensorBG column holds the 5-min sensor readings with N/A for dropouts.
 
 from datetime import timedelta
 
-from hypoalarm import label_hypoglycemia, parse_cgm_file, series_to_csv
+from hypoalarm import PipelineConfig, parse_cgm_file, series_to_csv
 from hypoalarm.cgm_data import EPOCH, MG_PER_DL_PER_MMOL_L
 
 RECORD = """\
@@ -31,9 +31,9 @@ print("meal at:", EPOCH + timedelta(minutes=series.meal_times[0]))
 # classic hypoglycemia boundary and lands at 3.885 mmol/L).
 print("70 mg/dL ->", round(70 / MG_PER_DL_PER_MMOL_L, 3), "mmol/L")
 
-# The label is 1 at or under 3.9 mmol/L, 0 above.
+# The label is 1 at or under the threshold, 3.9 mmol/L, 0 above.
 for bg in (5.2, 3.95, 3.9, 2.8):
-    print(f"label({bg}) = {label_hypoglycemia(bg)}")
+    print(f"label({bg}) = {int(bg <= PipelineConfig.hypo_threshold)}")
 
 # Serialization round-trips: the rendered CSV parses back to the same series.
 assert parse_cgm_file(series_to_csv(series), patient_id="demo") == series

@@ -22,7 +22,6 @@ from .cart import (
 from .cgm_data import (
     PatientSeries,
     PipelineConfig,
-    label_hypoglycemia,
     parse_cgm_file,
     series_to_csv,
 )

@@ -24,7 +24,6 @@ from .cart import CostMatrix
 #: mg/dL per mmol/L (glucose molar mass 180.16 g/mol).
 MG_PER_DL_PER_MMOL_L = 18.016
 
-HYPO_THRESHOLD = 3.9    # mmol/L, boundary inclusive
 SEVERE_THRESHOLD = 2.8  # mmol/L
 
 BG_MAX = 40.0  # mmol/L; readings outside (0, 40] are rejected
@@ -132,7 +131,7 @@ class PipelineConfig:
     are class constants, also readable from an instance.
     """
 
-    hypo_threshold: ClassVar[float] = HYPO_THRESHOLD
+    hypo_threshold: ClassVar[float] = 3.9  # mmol/L, boundary inclusive
     horizon_offsets_min: ClassVar[tuple[int, ...]] = (15, 20, 25)
     decision_offsets_min: ClassVar[tuple[int, ...]] = (120, 135, 150, 165, 180, 195, 210)
     lead_time_min: ClassVar[int] = horizon_offsets_min[0]
@@ -148,12 +147,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.folds < 2 or self.allocations < 1:
             raise ValueError("folds >= 2 and allocations >= 1 required")
-
-
-def label_hypoglycemia(bg):
-    """1 where BG is at or under `HYPO_THRESHOLD`, 0 above; elementwise over
-    a scalar or an array."""
-    return (np.asarray(bg) <= HYPO_THRESHOLD) * 1
 
 
 def _is_digits(cell: str, widths=range(1, 3)) -> bool:

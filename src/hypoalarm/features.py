@@ -27,7 +27,6 @@ from .cgm_data import (
     _time_cells,
     csv_cells,
     csv_table,
-    label_hypoglycemia,
 )
 
 _TS_FORMAT = "%Y-%m-%dT%H:%M"
@@ -48,7 +47,7 @@ class DecisionInstance(NamedTuple):
     decision_time: float
     x_t: float        # snapped reading at the decision time, mmol/L
     rate: float       # (peak - x_t) / minutes since the peak; positive = falling
-    label: int        # 1 iff any horizon reading <= threshold
+    label: int        # 1 iff any horizon reading <= cfg.hypo_threshold
     ph_min_bg: float  # lowest present horizon reading, kept for severity analysis
 
 
@@ -81,10 +80,10 @@ def build_instances(series: PatientSeries,
 
     A meal's peak is its highest present reading in [meal, meal + peak
     window], the earliest on ties; a meal without one yields nothing. Its
-    grid time t is kept when t comes before the next meal, the horizon
-    [t + 15, t + 25] lies within one day's daytime hours, t is at least one
-    sampling period past the peak (the rate is ill-defined nearer), the
-    reading snapped to t is present and so is at least one horizon reading.
+    grid time t is kept when t comes before the next meal, its horizon lies
+    within one day's daytime hours, t is at least one sampling period past
+    the peak (the rate is ill-defined nearer), the reading snapped to t is
+    present and so is at least one horizon reading.
     """
     cfg = cfg or PipelineConfig()
     present = np.flatnonzero(~np.isnan(series.bg))
@@ -99,7 +98,7 @@ def build_instances(series: PatientSeries,
     peak_minutes = np.where(peak >= 0, minutes[peak], np.nan)
 
     t = meals[:, None] + np.asarray(cfg.decision_offsets_min, dtype=float)
-    first = t + cfg.lead_time_min
+    first = t + cfg.horizon_offsets_min[0]
     last = t + cfg.horizon_offsets_min[-1]
     # both ends from the midnight before `first`: a horizon across midnight
     # ends at or past 24:00, after any daytime end
@@ -118,14 +117,15 @@ def build_instances(series: PatientSeries,
     peak_time, peak_value = minutes[peak[k]], bg[peak[k]]
     columns = (meals[k], peak_time, peak_value, decision, x,
                rate_of_decrease(peak_value, peak_time, x, decision),
-               label_hypoglycemia(low), low)
+               (low <= cfg.hypo_threshold) * 1, low)
     return list(map(DecisionInstance, repeat(series.patient_id), *(c.tolist() for c in columns)))
 
 
 def _float(value) -> float:
-    """`float(value)`, and ±inf for an int past the float range."""
+    """`float(value)`, ±inf for an int past the float range, and NaN for
+    `None`, as numpy's conversion takes it."""
     try:
-        return float(value)
+        return math.nan if value is None else float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
 
@@ -136,7 +136,8 @@ def write_feature_csv(instances, stream) -> None:
     `read_feature_csv` reads back is written. The first value that is not a
     finite number or label not 0 or 1, in row order, raises ValueError naming
     its instance and column; then so does the first time that is not a whole
-    minute in 1000-9999. An int past the float range counts as ±inf."""
+    minute in 1000-9999. An int past the float range counts as ±inf, and
+    `None` as NaN."""
     patient_id, meal, peak, peak_value, decision, x_t, rate, label, ph_min_bg = (
         list(zip(*instances)) or [()] * 9)
     columns = (peak_value, x_t, rate, ph_min_bg, meal, peak, decision)  # values, then times

@@ -501,7 +501,10 @@ def loop_time_cell(value, where):
 
 
 def loop_float(value):
-    """`float(value)`, and ±inf for an int past the float range."""
+    """`float(value)`, ±inf for an int past the float range, and NaN for
+    `None`."""
+    if value is None:
+        return math.nan
     try:
         return float(value)
     except OverflowError:
@@ -524,8 +527,8 @@ def loop_write_feature_csv(instances, stream):
         for name in FEATURE_COLUMNS[1:]:
             value = getattr(inst, name)
             if name.endswith("_time"):
-                where = f"instance {k} {name} at minute {loop_float(value)!r}"
-                row.append(loop_time_cell(value, where))
+                minute = loop_float(value)
+                row.append(loop_time_cell(minute, f"instance {k} {name} at minute {minute!r}"))
             else:
                 row.append(str(int(value)) if name == "label" else repr(float(value)))
         rows.append(row)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from hypoalarm import (
     PatientSeries,
     PipelineConfig,
-    label_hypoglycemia,
     parse_cgm_file,
     series_to_csv,
 )
@@ -399,31 +398,6 @@ class TestUnits:
         xs = np.random.default_rng(0).uniform(1e-6, 40.0, 500)
         bg = parsed_bg([repr(float(x) * MG_PER_DL_PER_MMOL_L) for x in xs], "mg")
         assert bg == pytest.approx(xs, abs=1e-9)
-
-
-class TestLabel:
-    def test_boundary_inclusive(self):
-        assert label_hypoglycemia(3.9) == 1
-
-    def test_above(self):
-        assert label_hypoglycemia(3.95) == 0
-
-    def test_severe_is_still_one(self):
-        assert label_hypoglycemia(2.8) == 1
-
-    def test_elementwise_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        grid = np.concatenate([np.round(np.arange(2.0, 6.0, 0.1), 1), rng.uniform(0.5, 20.0, 200)])
-        assert 3.9 in grid.tolist()
-        labels = label_hypoglycemia(grid)
-        assert labels.tolist() == [label_hypoglycemia(bg) for bg in grid.tolist()]
-        assert labels.tolist() == [1 if bg <= 3.9 else 0 for bg in grid.tolist()]
-
-    def test_monotone_non_increasing(self):
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            a, b = sorted(rng.uniform(0.5, 10.0, 2))
-            assert label_hypoglycemia(a) >= label_hypoglycemia(b)
 
 
 def make_series(times_bgs):

@@ -16,7 +16,6 @@ from hypoalarm import (
     alarms,
     build_instances,
     grow_tree,
-    label_hypoglycemia,
     read_feature_csv,
     write_feature_csv,
 )
@@ -153,6 +152,12 @@ class TestHorizonLabel:
         inst = self._instance([8.0, 3.5, 7.5], missing=("9:20",))
         assert (inst.label, inst.ph_min_bg) == (0, 7.5)
 
+    @pytest.mark.parametrize("low, label", [(3.9, 1), (3.95, 0), (2.8, 1)],
+                             ids=["boundary_inclusive", "above", "severe_is_still_one"])
+    def test_threshold(self, low, label):
+        inst = self._instance([5.0, low, 6.0])
+        assert (inst.label, inst.ph_min_bg) == (label, low)
+
 
 class TestRate:
     def test_worked_evening_rate(self):
@@ -247,7 +252,7 @@ class TestBuildInstances:
                 later = [m for m in meals if m > inst.meal_time]
                 if later:
                     assert inst.decision_time < min(later)
-                assert inst.label == label_hypoglycemia(inst.ph_min_bg)
+                assert inst.label == int(inst.ph_min_bg <= cfg.hypo_threshold)
 
 
 def with_samples(series, samples):
@@ -399,16 +404,17 @@ def written(write, instances):
     return outcome(write, instances, buf) or buf.getvalue()
 
 
-# ints past the float range, which the writer takes as ±inf
+# ints past the float range, which the writer takes as ±inf; it takes None as NaN
 HUGE = st.sampled_from([10**400, -10**400])
-# whole minutes, as int and as float, and fractions of one, all within years 99-9604, or HUGE
+# whole minutes, as int and as float, and fractions of one, all within years 99-9604,
+# HUGE or None
 MINUTES = st.integers(-10**9, 4 * 10**9)
 TIME = (MINUTES | MINUTES.map(float) | st.floats(-1e9, 4e9) | st.sampled_from([-0.0, 0.5, True])
-        | HUGE)
+        | HUGE | st.none())
 # whole minutes, as int and as float, from 1000-01-01T00:00 to 9999-12-31T23:59
 WRITABLE_MINUTES = st.integers(-525_948_480, 4_207_593_599)
 WRITABLE_TIME = WRITABLE_MINUTES | WRITABLE_MINUTES.map(float)
-VALUE = st.floats() | st.integers(-5, 5) | HUGE
+VALUE = st.floats() | st.integers(-5, 5) | HUGE | st.none()
 LABEL = st.sampled_from((0, 1, True, 0.7, 2))
 IDS = st.text() | st.text(',"\r\n\t x')
 INSTANCES = st.lists(st.builds(
@@ -473,7 +479,8 @@ class TestOnlyReadableTimesAreWritten:
     @pytest.mark.parametrize("value, shown", [
         (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
         pytest.param(10**400, "inf", id="int_past_float"),
-        pytest.param(-10**400, "-inf", id="negative_int_past_float")])
+        pytest.param(-10**400, "-inf", id="negative_int_past_float"),
+        pytest.param(None, "nan", id="none")])
     @pytest.mark.parametrize("column", ["peak_value", "x_t", "rate", "ph_min_bg"])
     def test_a_value_that_is_not_finite_is_named(self, worked_series, column, value, shown):
         instances = build_instances(worked_series)
@@ -567,13 +574,24 @@ class TestFeatureCsvMatchesLoop:
 
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, 1e13, -1e13, 2**62,
                                       pytest.param(10**400, id="int_past_float"),
-                                      pytest.param(-10**400, id="negative_int_past_float")])
+                                      pytest.param(-10**400, id="negative_int_past_float"),
+                                      pytest.param(None, id="none")])
     @pytest.mark.parametrize("column", ["meal_time", "peak_time", "decision_time"])
     def test_an_unwritable_time_raises_as_in_the_loop(self, worked_series, column, time):
         instances = build_instances(worked_series)
         instances[2] = instances[2]._replace(**{column: time})
         assert written(write_feature_csv, instances)[0] is ValueError
         assert written(write_feature_csv, instances) == written(loop_write_feature_csv, instances)
+
+    def test_a_none_value_beside_an_int_time_past_the_float_range(self, worked_series):
+        # the int sends the writer to its cell-by-cell conversion, which
+        # must take the None as NaN as numpy's conversion does
+        instances = build_instances(worked_series)
+        instances[0] = instances[0]._replace(x_t=None)
+        instances[1] = instances[1]._replace(meal_time=10**400)
+        error = (ValueError, "instance 0 x_t must be a finite number, got nan")
+        assert written(write_feature_csv, instances) == error
+        assert written(loop_write_feature_csv, instances) == error
 
     def test_a_patient_id_that_is_no_str_raises_as_in_the_loop(self, worked_series):
         instances = build_instances(worked_series)

@@ -8,16 +8,17 @@ fall at random samples and near the daytime edges, across midnight, back to
 back and on the last sample.
 """
 
+import dataclasses
 import math
-from datetime import datetime, timedelta
+from datetime import datetime, time, timedelta
 
 import numpy as np
 import pytest
 
-from hypoalarm import PatientSeries, PipelineConfig, build_instances
+from hypoalarm import PatientSeries, PipelineConfig, SynthConfig, build_instances, generate_cohort
 from hypoalarm.features import _snap
 
-from conftest import decision_at, minutes
+from conftest import decision_at, minutes, series_from_anchors
 from oracle_utils import linear_sample_at, loop_build_instances, timed_rows
 
 BASE = datetime(2015, 9, 7, 6, 0)
@@ -90,6 +91,32 @@ def assert_matches_loop(rng, cfg, count) -> int:
     return emitted
 
 
+# frozen `PipelineConfig` subclasses, each overriding the class constants of
+# one rule `build_instances` reads; the oracle reads each from the config too
+SEAMS = {
+    "hypo_threshold": {"hypo_threshold": 4.6},
+    "horizon_alone": {"horizon_offsets_min": (60, 65, 70)},
+    "lead_and_horizon": {"lead_time_min": 30, "horizon_offsets_min": (30, 35, 40)},
+    "grid_and_peak_window": {"decision_offsets_min": (90, 100, 110, 125, 140),
+                             "peak_window_min": 90},
+    "daytime": {"daytime_start": time(9, 30), "daytime_end": time(20, 15)},
+    "snap_tolerance": {"snap_tolerance_min": 0.0},
+}
+
+
+def seam_config(name: str) -> PipelineConfig:
+    assert set(SEAMS[name]) <= set(vars(PipelineConfig))  # overrides, not new names
+    return dataclasses.dataclass(frozen=True)(
+        type(f"{name}_config", (PipelineConfig,), SEAMS[name]))()
+
+
+def early_meal_series() -> PatientSeries:
+    """A falling trace with a meal at 04:30: its first decision, 06:30, has a
+    horizon that starts before 07:00 at offset 15 but not at offset 60."""
+    anchors = [("4:00", 8.0), ("4:45", 11.0), ("9:00", 3.2), ("10:00", 3.0)]
+    return series_from_anchors(anchors, {"4:30": 8.5}, start="4:00", end="10:00")
+
+
 class TestSampleAtOracle:
     """`_snap`, the reading nearest a time, against a scan of every row."""
 
@@ -136,6 +163,9 @@ class TestPeakOracle:
 
 
 class TestBuildInstancesOracle:
+    """The array pass against the loop, under the default config and under
+    frozen subclasses that override the rules it reads."""
+
     def test_matches_loop_on_random_series(self):
         assert assert_matches_loop(np.random.default_rng(24), PipelineConfig(), 200) > 400
 
@@ -148,6 +178,37 @@ class TestBuildInstancesOracle:
             [series.minutes, series.bg, np.full(len(series.bg), np.nan)]))
         for edge in (no_reading, no_meal, PatientSeries("r", np.empty((0, 3)))):
             assert build_instances(edge, cfg) == loop_build_instances(edge, cfg) == []
+
+    @pytest.fixture(scope="class")
+    def seam_records(self):
+        """The early-meal record, two synth cohorts, and random off-grid series."""
+        rng = np.random.default_rng(26)
+        return ([early_meal_series()]
+                + [series for seed in (7, 11)
+                   for series in generate_cohort(SynthConfig(n_patients=6, seed=seed))]
+                + [random_meal_series(rng) for _ in range(30)])
+
+    @pytest.mark.parametrize("name", SEAMS)
+    def test_config_subclass_matches_loop(self, seam_records, name):
+        cfg = seam_config(name)
+        for series in seam_records:
+            assert build_instances(series, cfg) == loop_build_instances(series, cfg), (
+                series.patient_id)
+
+    def test_config_subclass_changes_what_is_emitted(self, seam_records):
+        """Each seam case moves the table off the default's, so the
+        comparison above is not one of two unchanged tables."""
+        default = [build_instances(series) for series in seam_records]
+        for name in SEAMS:
+            cfg = seam_config(name)
+            assert [build_instances(series, cfg) for series in seam_records] != default, name
+
+    def test_horizon_start_follows_the_offsets(self):
+        series = early_meal_series()
+        default = build_instances(series)
+        moved = build_instances(series, seam_config("horizon_alone"))
+        assert len(default) == 6 and len(moved) == 7
+        assert moved[0].decision_time == series.meal_times[0] + 120
 
 
 class TestArrayView:
