@@ -128,13 +128,13 @@ class PipelineConfig:
     end of its peak window, each asking whether a reading 15 (the lead time),
     20 or 25 min ahead will be at or under the alarm threshold. Only the
     cross-validation plan, `folds` and `allocations`, can be set; the rest
-    are class constants, also readable from an instance.
+    are class constants, also readable from an instance; `lead_time_min` is
+    derived from `horizon_offsets_min`.
     """
 
     hypo_threshold: ClassVar[float] = 3.9  # mmol/L, boundary inclusive
     horizon_offsets_min: ClassVar[tuple[int, ...]] = (15, 20, 25)
     decision_offsets_min: ClassVar[tuple[int, ...]] = (120, 135, 150, 165, 180, 195, 210)
-    lead_time_min: ClassVar[int] = horizon_offsets_min[0]
     peak_window_min: ClassVar[int] = decision_offsets_min[0]
     daytime_start: ClassVar[time] = time(7, 0)
     daytime_end: ClassVar[time] = time(23, 0)
@@ -147,6 +147,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.folds < 2 or self.allocations < 1:
             raise ValueError("folds >= 2 and allocations >= 1 required")
+
+    @property
+    def lead_time_min(self) -> int:
+        """Minutes from a decision to its first horizon reading."""
+        return self.horizon_offsets_min[0]
 
 
 def _is_digits(cell: str, widths=range(1, 3)) -> bool:

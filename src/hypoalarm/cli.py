@@ -174,8 +174,9 @@ def _load_cohort(files: _Files, path: Path, unit: str):
 
 
 def _cmd_features(args, files: _Files) -> None:
+    cfg = PipelineConfig()
     instances = [inst for series in _load_cohort(files, args.infile, args.unit)
-                 for inst in build_instances(series)]
+                 for inst in build_instances(series, cfg)]
     table = io.StringIO()
     write_feature_csv(instances, table)
     files.write(args.out, table.getvalue())
@@ -194,12 +195,12 @@ def _read_features(files: _Files, path: str):
 
 def _cmd_train(args, files: _Files) -> None:
     instances = _read_features(files, args.features)
+    cfg = PipelineConfig()
     X, y = instances_to_arrays(instances)
-    tree = grow_tree(X, y, PipelineConfig.costs, PipelineConfig.prune_depth)
+    tree = grow_tree(X, y, cfg.costs, cfg.prune_depth)
     files.write(args.out, _json_text(serialize_tree(tree)))
     files.manifest(args.out.with_suffix(".manifest.json"), "train",
-                   {"costs": dataclasses.asdict(PipelineConfig.costs),
-                    "depth": PipelineConfig.prune_depth}, [])
+                   {"costs": dataclasses.asdict(cfg.costs), "depth": cfg.prune_depth}, [])
     print(f"instances={len(instances)} depth={tree_depth(tree)} out={args.out}")
 
 

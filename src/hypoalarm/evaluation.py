@@ -66,16 +66,19 @@ class RunEntry:
 
 @dataclass(frozen=True)
 class RunReport:
-    """k x allocations cross-validation runs plus their aggregate means."""
+    """k x allocations cross-validation runs under `config`, plus their aggregate means."""
 
     seed: int
-    k: int
-    allocations: int
+    config: PipelineConfig
     n_instances: int
     fold_plans: tuple[FoldPlan, ...]
     runs: tuple[RunEntry, ...]
     aggregate: dict
     alarms: np.ndarray = field(compare=False)  # [allocation, instance]: out-of-fold, read-only
+
+    # the plan's two settings, read through `config`, as benchmarks/harness.py reads them
+    k = property(attrgetter("config.folds"))
+    allocations = property(attrgetter("config.allocations"))
 
 
 @dataclass(frozen=True)
@@ -209,9 +212,8 @@ def cross_validate(instances, cfg: PipelineConfig | None = None, seed: int = 0) 
         name: _mean_defined([getattr(entry.vector, name) for entry in runs])
         for name in ("accuracy", "sensitivity", "specificity")
     }
-    return RunReport(seed=seed, k=cfg.folds, allocations=cfg.allocations,
-                     n_instances=n, fold_plans=tuple(plans), runs=tuple(runs),
-                     aggregate=aggregate, alarms=alarm)
+    return RunReport(seed=seed, config=cfg, n_instances=n, fold_plans=tuple(plans),
+                     runs=tuple(runs), aggregate=aggregate, alarms=alarm)
 
 
 def select_best_run(report: RunReport) -> RunEntry:
@@ -291,25 +293,26 @@ def missed_event_analysis(tree: TreeNode, instances) -> SeverityReport:
 def summary_document(instances, report: RunReport, dm_types=None) -> dict:
     """The ``summary.json`` document of `report`, the cross-validation of
     `instances`: its best run's tree scores the patient and missed-event
-    sections. Each section is serialized from the type that holds it."""
-    cfg = PipelineConfig(folds=report.k, allocations=report.allocations)
+    sections. Each section is serialized from the type that holds it, and
+    ``config`` from `report.config`, the config the runs ran under."""
+    cfg = report.config
     best = select_best_run(report)
     per_patient = evaluate_per_patient(best.tree, instances, dm_types)
     severity = missed_event_analysis(best.tree, instances)
-    # every name PipelineConfig declares, its constants and its two fields
+    # every name PipelineConfig declares, its constants and its two fields, and the lead
     config = {name: getattr(cfg, name) for name in PipelineConfig.__annotations__}
-    config |= {"costs": asdict(cfg.costs), "seed": report.seed}
+    config |= {"costs": asdict(cfg.costs), "lead_time_min": cfg.lead_time_min, "seed": report.seed}
     config["daytime"] = [f"{config.pop(key):%H:%M}" for key in ("daytime_start", "daytime_end")]
     n_hypo = int(sum(inst.label for inst in instances))
     return {
         "aggregate": report.aggregate,
-        "allocations": report.allocations,
+        "allocations": cfg.allocations,
         "best_run": {"allocation": best.allocation, "fold": best.fold},
         "best_tree": serialize_tree(best.tree),
         "class_counts": {"hypo": n_hypo, "non_hypo": len(instances) - n_hypo},
         "config": config,
         "fold_sizes": [[len(g) for g in plan.groups] for plan in report.fold_plans],
-        "k": report.k,
+        "k": cfg.folds,
         "missed_events": {
             "rows": [asdict(row) for row in severity.rows],
             "total_missed": severity.total_missed,
@@ -321,7 +324,7 @@ def summary_document(instances, report: RunReport, dm_types=None) -> dict:
                      **asdict(e.cm), **asdict(e.vector), "tree": serialize_tree(e.tree)}
                     for e in report.runs],
         "seed": report.seed,
-        "seeds": [report.seed + r for r in range(report.allocations)],
+        "seeds": [report.seed + r for r in range(cfg.allocations)],
     }
 
 

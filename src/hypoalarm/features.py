@@ -187,15 +187,16 @@ def _time_column(cells) -> list[float]:
     return list(map(times.__getitem__, cells))
 
 
-def _row_instance(row: list) -> DecisionInstance:
-    """One table row as an instance: the label first, then the cells left to right."""
-    label = int(row[8])
-    if label not in (0, 1):
+def _check_row(row: list) -> None:
+    """Raise ValueError at the first bad cell of one table row: the label
+    first, then the cells left to right."""
+    if (label := int(row[8])) not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
-    meal, peak, peak_value, decision, x_t, rate, ph_min_bg = (
-        _parse_time(row[k]) if k in (1, 2, 4) else _finite(row[k], FEATURE_COLUMNS[k])
-        for k in range(1, 8))
-    return DecisionInstance(row[0], meal, peak, peak_value, decision, x_t, rate, label, ph_min_bg)
+    for k in range(1, 8):
+        if k in (1, 2, 4):
+            _parse_time(row[k])
+        else:
+            _finite(row[k], FEATURE_COLUMNS[k])
 
 
 def read_feature_csv(source: str | Path) -> list[DecisionInstance]:
@@ -219,7 +220,7 @@ def read_feature_csv(source: str | Path) -> list[DecisionInstance]:
     except ValueError:
         for k, line in enumerate(lines.tolist()):
             try:
-                _row_instance(cells[9 * k:9 * k + 9])
+                _check_row(cells[9 * k:9 * k + 9])
             except ValueError as exc:
                 raise DataValidationError(str(exc), row=line) from exc
         raise RuntimeError("a feature column failed to convert, but none of its rows") from None

@@ -1,17 +1,23 @@
+import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import betainc
+from scipy.stats import f_oneway
 
 from hypoalarm import (
+    CostMatrix,
     PipelineConfig,
+    SynthConfig,
     alarms,
     allocate_folds,
+    build_instances,
     cross_validate,
     evaluate_per_patient,
+    generate_cohort,
     grow_tree,
     instances_to_arrays,
     metrics,
@@ -218,7 +224,8 @@ class TestCrossValidate:
     def test_twenty_runs(self):
         report = cross_validate(separable_instances(60), PipelineConfig(), seed=0)
         assert len(report.runs) == 20
-        assert report.k == 5 and report.allocations == 4
+        assert report.config == PipelineConfig()
+        assert (report.k, report.allocations) == (5, 4)  # read through the config
         assert {(e.allocation, e.fold) for e in report.runs} == {
             (a, f) for a in range(4) for f in range(5)}
 
@@ -354,7 +361,7 @@ def fake_entry(allocation, fold, sens, acc, spec):
 
 
 def fake_report(entries):
-    return RunReport(seed=0, k=5, allocations=4, n_instances=4,
+    return RunReport(seed=0, config=PipelineConfig(), n_instances=4,
                      fold_plans=(), runs=tuple(entries),
                      aggregate={"accuracy": None, "sensitivity": None, "specificity": None},
                      alarms=np.zeros((4, 4), dtype=bool))
@@ -508,6 +515,24 @@ class TestSummaryDocument:
             "rows": [asdict(row) for row in severity.rows],
             "total_missed": severity.total_missed, "total_severe": severity.total_severe}
 
+    def test_a_config_subclass_reads_back_as_run(self):
+        # a 5:1 cost ratio and a horizon 30-40 min ahead, built into the
+        # instances, run by the trees and written as the run's config
+        cfg = dataclass(frozen=True)(type("Lead30", (PipelineConfig,), {
+            "costs": CostMatrix(5.0, 1.0), "horizon_offsets_min": (30, 35, 40)}))(3, 2)
+        instances = [inst for series in generate_cohort(SynthConfig(n_patients=6, seed=7))
+                     for inst in build_instances(series, cfg)]
+        report = cross_validate(instances, cfg, seed=3)
+        assert report.config == cfg != PipelineConfig(3, 2)
+        assert (report.k, report.allocations) == (3, 2)
+        config = json.loads(json.dumps(summary_document(instances, report)))["config"]
+        assert config == {
+            "allocations": 2, "costs": {"cost_fn": 5.0, "cost_fp": 1.0},
+            "daytime": ["07:00", "23:00"],
+            "decision_offsets_min": [120, 135, 150, 165, 180, 195, 210], "folds": 3,
+            "horizon_offsets_min": [30, 35, 40], "hypo_threshold": 3.9, "lead_time_min": 30,
+            "peak_window_min": 120, "prune_depth": 3, "seed": 3, "snap_tolerance_min": 2.5}
+
     def test_patients_without_a_dm_type_are_other(self):
         instances = random_cohort_instances(1)
         summary = summary_document(instances, cross_validate(instances, PipelineConfig(2, 1)))
@@ -611,6 +636,22 @@ class TestAnova:
         f_stat, p = one_way_anova([[1, 2, 3], [2, 3, 4]])
         assert f_stat == pytest.approx(1.5, abs=1e-12)
         assert 0.0 < p < 1.0
+
+    def test_worked_three_group_f_value(self):
+        # means 2, 3, 5 about 10/3: ss_between 14 over g - 1 = 2, ss_within 6 over n - g = 6
+        f_stat, p = one_way_anova([[1, 2, 3], [2, 3, 4], [4, 5, 6]])
+        assert f_stat == pytest.approx(7.0, rel=1e-12)
+        assert p == pytest.approx(0.027, rel=1e-9)  # F(2, 6) tail: (1 + 2F/6) ** -3
+
+    def test_matches_scipy_f_oneway(self):
+        rng = np.random.default_rng(36)
+        for _ in range(60):
+            groups = [rng.normal(rng.uniform(-1.0, 1.0), 1.0, int(rng.integers(2, 9))).tolist()
+                      for _ in range(int(rng.integers(3, 6)))]
+            expected = f_oneway(*groups)
+            f_stat, p = one_way_anova(groups)
+            assert f_stat == pytest.approx(expected.statistic, rel=1e-9)
+            assert p == pytest.approx(expected.pvalue, rel=1e-9)
 
     def test_p_matches_quadrature(self):
         f_stat, p = one_way_anova([[1, 2, 3], [2, 3, 4]])

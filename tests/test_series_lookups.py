@@ -92,11 +92,12 @@ def assert_matches_loop(rng, cfg, count) -> int:
 
 
 # frozen `PipelineConfig` subclasses, each overriding the class constants of
-# one rule `build_instances` reads; the oracle reads each from the config too
+# one rule `build_instances` reads; the oracle reads each from the config too.
+# A horizon moves the lead with it: `lead_time_min` is its first offset.
 SEAMS = {
     "hypo_threshold": {"hypo_threshold": 4.6},
     "horizon_alone": {"horizon_offsets_min": (60, 65, 70)},
-    "lead_and_horizon": {"lead_time_min": 30, "horizon_offsets_min": (30, 35, 40)},
+    "lead_and_horizon": {"horizon_offsets_min": (30, 35, 40)},
     "grid_and_peak_window": {"decision_offsets_min": (90, 100, 110, 125, 140),
                              "peak_window_min": 90},
     "daytime": {"daytime_start": time(9, 30), "daytime_end": time(20, 15)},
@@ -205,9 +206,11 @@ class TestBuildInstancesOracle:
 
     def test_horizon_start_follows_the_offsets(self):
         series = early_meal_series()
+        cfg = seam_config("horizon_alone")
         default = build_instances(series)
-        moved = build_instances(series, seam_config("horizon_alone"))
+        moved = build_instances(series, cfg)
         assert len(default) == 6 and len(moved) == 7
+        assert cfg.lead_time_min == 60  # the lead moves with the horizon
         assert moved[0].decision_time == series.meal_times[0] + 120
 
 
